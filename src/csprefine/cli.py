@@ -14,19 +14,17 @@ import argparse
 import hashlib
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .csp import CspError, build_maxcut, NotEqual
+from .csp import CspError
 from .data import (
     DataError,
     gen_coloring_dataset,
     gen_maxcut_dataset,
     gen_nurse_dataset,
-    load_gset,
     load_instances,
     load_sudoku,
     load_weights,
@@ -35,14 +33,7 @@ from .data import (
 )
 from .model import ModelConfig, init_weights
 from .penalty import pen_alldiff_atmost, pen_alldiff_exact, pen_cardinality, pen_not_equal
-from .solve import (
-    Budget,
-    direct_sgd_counts,
-    greedy_coloring,
-    instance_cut_value,
-    iterate,
-    multi_start,
-)
+from .solve import Budget, direct_sgd_counts, greedy_coloring, multi_start
 from .tensor import NumericError, Tensor, grad_check
 from .train import TrainConfig, train
 
@@ -58,7 +49,14 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _model_config(args, index_dim: int = 1) -> ModelConfig:
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
+def _model_config(args) -> ModelConfig:
     return ModelConfig(
         layers=args.layers,
         heads=args.heads,
@@ -168,15 +166,7 @@ def cmd_solve(args) -> int:
     iters_used = []
     out_lines = []
     for idx, inst in enumerate(instances):
-        if args.pool > 1:
-            report = multi_start(weights, inst, args.pool, budget, seed=args.seed + idx)
-        else:
-            rng = np.random.default_rng([args.seed + idx, 0])
-            init = rng.integers(0, inst.m, size=inst.n)
-            for i, v in enumerate(inst.fixed):
-                if v is not None:
-                    init[i] = v
-            report = iterate(weights, inst, init, budget, seed=args.seed + idx)
+        report = multi_start(weights, inst, args.pool, budget, seed=args.seed + idx)
         rec = {
             "instance": idx,
             "feasible": report.feasible,
@@ -226,8 +216,8 @@ def cmd_baseline(args) -> int:
     if args.kind == "greedy":
         instances = _load_dataset(args)
         for idx, inst in enumerate(instances):
-            edges = [(c.i, c.k) for c in inst.constraints if isinstance(c, NotEqual)]
-            _, k_greedy = greedy_coloring(inst.n, edges)
+            cc = inst.compiled
+            _, k_greedy = greedy_coloring(inst.n, zip(cc.edge_i.tolist(), cc.edge_k.tolist()))
             rec = {"instance": idx, "k_greedy": k_greedy, "k_posed": inst.m,
                    "solved_by_greedy": k_greedy <= inst.m,
                    "seed": args.seed, "config": chash}
@@ -333,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=["jsonl", "sudoku"], default="jsonl")
     s.add_argument("--iters", type=int, default=None)
     s.add_argument("--time-ms", type=float, default=None)
-    s.add_argument("--pool", type=int, default=1)
+    s.add_argument("--pool", type=_positive_int, default=1,
+                   help="candidates per instance; candidate 0 replays --pool 1")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--report", default=None, help="write report here instead of stdout")
     s.add_argument("--report-format", choices=["jsonl", "csv"], default="jsonl")

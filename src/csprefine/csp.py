@@ -1,6 +1,7 @@
 """Discrete CSP data model: instances, constraints, checking, violation
-degrees, constraint-graph extraction, and the four problem builders
-(sudoku, graph coloring, nurse rostering, maxcut).
+degrees, the compiled array form of an instance, constraint-graph
+extraction, and the four problem builders (sudoku, graph coloring, nurse
+rostering, maxcut).
 
 Domains are normalized to ``0..m-1`` internally; the builders shift
 1-based digits/colors down on the way in.
@@ -9,7 +10,11 @@ Domains are normalized to ``0..m-1`` internally; the builders shift
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 
 class CspError(Exception):
@@ -101,13 +106,10 @@ class CspInstance:
         for c in self.constraints:
             _validate_constraint(c, self.n, self.m)
 
-    @property
-    def index_dim(self) -> int:
-        return len(self.index_tuples[0])
-
-    @property
-    def fixed_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.fixed) if v is not None)
+    @cached_property
+    def compiled(self) -> "CompiledCsp":
+        """The array form, built on first use and kept with the instance."""
+        return compile_csp(self)
 
 
 def _validate_constraint(c: Constraint, n: int, m: int) -> None:
@@ -164,6 +166,76 @@ def is_feasible(inst: CspInstance, values) -> bool:
 
 def total_violation(inst: CspInstance, values) -> int:
     return sum(violation_degree(c, values) for c in inst.constraints)
+
+
+# ---------------------------------------------------------------------------
+# Compiled form
+
+
+@dataclass(frozen=True)
+class Scopes:
+    """The constraints of one scope kind: ``rows[r, i]`` counts how often
+    variable i occurs in the scope of constraint ``index[r]``."""
+
+    rows: np.ndarray  # (C, n) float
+    index: np.ndarray  # (C,) int, positions in inst.constraints
+
+
+@dataclass(frozen=True)
+class CompiledCsp:
+    """One instance as arrays: the not-equal edge list and, per scope kind,
+    membership rows. The penalty, the discrete checker, the cut objective
+    and training batches all read this form."""
+
+    edge_i: np.ndarray  # (E,) int
+    edge_k: np.ndarray  # (E,) int
+    edge_w: np.ndarray  # (E,) float
+    edge_index: np.ndarray  # (E,) int, positions in inst.constraints
+    exact: Scopes  # AllDifferentExact
+    atmost: Scopes  # AllDifferentAtMostOnce
+    card: Scopes  # Cardinality
+    card_value: np.ndarray  # (C,) int
+    card_count: np.ndarray  # (C,) float
+
+
+def _scopes(inst: CspInstance, index: list[int]) -> Scopes:
+    rows = np.zeros((len(index), inst.n))
+    if index:
+        scopes = [inst.constraints[j].scope for j in index]
+        sizes = np.fromiter(map(len, scopes), np.int64, len(scopes))
+        members = np.fromiter(chain.from_iterable(scopes), np.int64, int(sizes.sum()))
+        np.add.at(rows, (np.repeat(np.arange(len(scopes)), sizes), members), 1.0)
+    return Scopes(rows, np.array(index, dtype=np.int64))
+
+
+def compile_csp(inst: CspInstance) -> CompiledCsp:
+    edges: list[tuple[int, int, float, int]] = []
+    exact: list[int] = []
+    atmost: list[int] = []
+    card: list[int] = []
+    for idx, c in enumerate(inst.constraints):
+        if isinstance(c, NotEqual):
+            edges.append((c.i, c.k, c.weight, idx))
+        elif isinstance(c, AllDifferentExact):
+            exact.append(idx)
+        elif isinstance(c, AllDifferentAtMostOnce):
+            atmost.append(idx)
+        elif isinstance(c, Cardinality):
+            card.append(idx)
+        else:
+            raise TypeError(f"cannot compile constraint {type(c).__name__}")
+    e = np.array(edges, dtype=np.float64).reshape(-1, 4)  # indices are exact in float64
+    return CompiledCsp(
+        edge_i=e[:, 0].astype(np.int64),
+        edge_k=e[:, 1].astype(np.int64),
+        edge_w=e[:, 2].copy(),
+        edge_index=e[:, 3].astype(np.int64),
+        exact=_scopes(inst, exact),
+        atmost=_scopes(inst, atmost),
+        card=_scopes(inst, card),
+        card_value=np.array([inst.constraints[j].value for j in card], dtype=np.int64),
+        card_count=np.array([inst.constraints[j].count for j in card], dtype=np.float64),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ perturbed by Gumbel noise for differentiable discrete sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,20 +97,6 @@ def nonedge_indicator(graph: ConstraintGraph) -> np.ndarray:
         out[i, j] = 0.0
         out[j, i] = 0.0
     return out
-
-
-def rpe_bias(graph: ConstraintGraph, mode: str, c: float = -1.0) -> np.ndarray:
-    """Additive attention bias for a fixed (non-learned) c."""
-    if mode == "none":
-        return np.zeros((graph.n, graph.n))
-    ind = nonedge_indicator(graph)
-    if mode == "masked":
-        bias = np.zeros_like(ind)
-        bias[ind > 0] = -np.inf
-        return bias
-    if mode == "learned":
-        return c * ind
-    raise ValueError(f"rpe_mode must be one of {RPE_MODES}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +207,6 @@ def select_subset(fixed_mask: np.ndarray, p: float, rng: np.random.Generator) ->
         sel = (rng.random(fixed_mask.shape[0]) < p) & free
         if sel.any():
             return sel
-
-
-def select_subset_batch(fixed_mask: np.ndarray, p: float, rngs) -> np.ndarray:
-    """Stack of per-row subset draws; fixed_mask is (B, n) and rngs has B
-    independent generators (one stochastic stream per candidate)."""
-    return np.stack([select_subset(fixed_mask[b], p, rngs[b]) for b in range(fixed_mask.shape[0])])
 
 
 # ---------------------------------------------------------------------------

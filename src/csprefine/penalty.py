@@ -6,9 +6,10 @@ inputs exactly when the discrete constraint holds. The loss over an instance
 is ``sum_i lambda_i * f(p_i)`` with f quadratic by default (identity for
 maximization instances, so edge weights keep their sign).
 
-``compile_loss`` turns an instance into a vectorized evaluator that handles
-arbitrary leading batch dimensions; the ``pen_*`` functions are the direct
-single-constraint forms used for spot values and gradient checks.
+``LossProgram`` evaluates the loss from the instance's compiled form
+(``CspInstance.compiled``) over arbitrary leading batch dimensions; the
+``pen_*`` functions are the direct single-constraint forms used for spot
+values, gradient checks and as the reference the compiled loss must match.
 """
 
 from __future__ import annotations
@@ -120,14 +121,6 @@ def constraint_penalty(c, rel: Tensor) -> Tensor:
 # Compiled, batched loss
 
 
-def _membership(scopes, n: int) -> np.ndarray:
-    mat = np.zeros((len(scopes), n), dtype=np.float64)
-    for r, scope in enumerate(scopes):
-        for i in scope:
-            mat[r, i] += 1.0
-    return mat
-
-
 def _apply_f(p: Tensor, transform: str) -> Tensor:
     if transform == "quadratic":
         return T.square(p)
@@ -136,89 +129,96 @@ def _apply_f(p: Tensor, transform: str) -> Tensor:
     raise ValueError(f"unknown penalty transform {transform!r}")
 
 
+def _exact_pen(colsum: Tensor) -> Tensor:
+    return T.abs_(1.0 - colsum).sum(axis=-1)
+
+
+def _atmost_pen(colsum: Tensor) -> Tensor:
+    return (T.relu(colsum - 1.0) + colsum * T.abs_(1.0 - colsum)).sum(axis=-1)
+
+
+def _card_pen(colsum: Tensor, sel: np.ndarray, counts: np.ndarray) -> Tensor:
+    return T.abs_(Tensor(counts) - (colsum * Tensor(sel)).sum(axis=-1))
+
+
+def _pad_stack(arrays) -> np.ndarray:
+    """Stack along a new leading axis, zero-padding axis 0 to the longest."""
+    first = arrays[0]
+    out = np.zeros((len(arrays), max(len(a) for a in arrays)) + first.shape[1:], first.dtype)
+    for b, a in enumerate(arrays):
+        out[b, : len(a)] = a
+    return out
+
+
 class LossProgram:
-    """Vectorized penalty evaluator for one instance.
+    """Vectorized penalty evaluator over an instance's compiled form.
 
     Accepts relaxed assignments of shape ``(..., n, m)`` and returns the
-    per-sample loss with shape equal to the leading dimensions. Constraints
-    are grouped by kind so the whole evaluation is a handful of tensor ops.
+    per-sample loss with shape equal to the leading dimensions. The lambdas,
+    and each edge's weight under f, are folded into per-constraint
+    coefficients, so the whole evaluation is a handful of tensor ops: a
+    gather over the not-equal edge list and one membership matmul per scope
+    kind. :meth:`stack` gives each sample of a batch its own instance.
     """
 
     def __init__(self, inst: CspInstance, cfg: LossConfig | None = None):
         cfg = cfg or default_loss_config(inst)
-        self.inst = inst
         self.cfg = cfg
         self.n, self.m = inst.n, inst.m
+        cc = inst.compiled
+        lam = np.ones(len(inst.constraints)) if cfg.lambdas is None \
+            else np.asarray(cfg.lambdas, dtype=np.float64)
+        # f applies to w * dot(x_i, x_k), so lambda*w^2 (quadratic) or
+        # lambda*w (identity) folds in front of f(dot)
+        w = cc.edge_w**2 if cfg.transform == "quadratic" else cc.edge_w
+        self.edge_i, self.edge_k = cc.edge_i, cc.edge_k
+        self.edge_coeff = lam[cc.edge_index] * w
+        self.exact = (cc.exact.rows, lam[cc.exact.index])
+        self.atmost = (cc.atmost.rows, lam[cc.atmost.index])
+        self.card = (
+            cc.card.rows, one_hot(cc.card_value, inst.m), cc.card_count, lam[cc.card.index],
+        )
 
-        exact_scopes, exact_lam = [], []
-        atmost_scopes, atmost_lam = [], []
-        card, card_lam = [], []
-        # pair coefficient matrix; f applies to the dot product, so per-pair
-        # lambda*w (identity) or lambda*w^2 (quadratic) folds in linearly
-        pair_coeff = np.zeros((inst.n, inst.n), dtype=np.float64)
-        has_pairs = False
-        for idx, c in enumerate(inst.constraints):
-            lam = cfg.weight(idx)
-            if isinstance(c, AllDifferentExact):
-                exact_scopes.append(c.scope)
-                exact_lam.append(lam)
-            elif isinstance(c, AllDifferentAtMostOnce):
-                atmost_scopes.append(c.scope)
-                atmost_lam.append(lam)
-            elif isinstance(c, Cardinality):
-                card.append(c)
-                card_lam.append(lam)
-            elif isinstance(c, NotEqual):
-                w = lam * (c.weight**2 if cfg.transform == "quadratic" else c.weight)
-                pair_coeff[c.i, c.k] += w
-                pair_coeff[c.k, c.i] += w
-                has_pairs = True
-            else:
-                raise TypeError(f"no penalty for constraint {type(c).__name__}")
+    @classmethod
+    def stack(cls, programs) -> "LossProgram":
+        """One program whose arrays carry a leading sample axis: sample b of
+        a ``(B, n, m)`` input is scored against ``programs[b]``.
 
-        self._exact = (_membership(exact_scopes, inst.n), np.array(exact_lam)) if exact_scopes else None
-        self._atmost = (_membership(atmost_scopes, inst.n), np.array(atmost_lam)) if atmost_scopes else None
-        if card:
-            self._card = (
-                _membership([c.scope for c in card], inst.n),
-                one_hot(np.array([c.value for c in card]), inst.m),
-                np.array([float(c.count) for c in card]),
-                np.array(card_lam),
-            )
-        else:
-            self._card = None
-        self._pairs = Tensor(pair_coeff) if has_pairs else None
+        The programs must share n, m and the transform. Shorter edge lists
+        and scope groups are padded with zero-weight entries.
+        """
+        first = programs[0]
+        out = cls.__new__(cls)
+        out.cfg, out.n, out.m = first.cfg, first.n, first.m
+        out.edge_i, out.edge_k, out.edge_coeff = (
+            _pad_stack([getattr(p, a) for p in programs]) for a in ("edge_i", "edge_k", "edge_coeff")
+        )
+        for kind in ("exact", "atmost", "card"):
+            groups = [getattr(p, kind) for p in programs]
+            setattr(out, kind, tuple(_pad_stack(arrays) for arrays in zip(*groups)))
+        return out
+
+    def _edge_rows(self, rel: Tensor, idx: np.ndarray) -> Tensor:
+        """(..., E, m) rows of rel at the per-sample variable indices idx."""
+        batch = rel.shape[:-2]
+        offset = np.arange(int(np.prod(batch)), dtype=np.int64).reshape(batch + (1,)) * self.n
+        return T.gather_rows(rel.reshape(-1, self.m), offset + idx)
 
     def loss(self, rel: Tensor) -> Tensor:
         """Per-sample loss; shape = rel.shape[:-2]."""
-        batch = rel.shape[:-2]
-        total = Tensor(np.zeros(batch))
+        total = Tensor(np.zeros(rel.shape[:-2]))
         f = self.cfg.transform
 
-        if self._exact is not None:
-            mat, lam = self._exact
-            colsum = T.matmul(Tensor(mat), rel)  # (..., C, m)
-            p = T.abs_(1.0 - colsum).sum(axis=-1)
-            total = total + (_apply_f(p, f) * Tensor(lam)).sum(axis=-1)
+        for group, pen in ((self.exact, _exact_pen), (self.atmost, _atmost_pen),
+                           (self.card, _card_pen)):
+            mat, lam = group[0], group[-1]
+            if mat.shape[-2]:
+                p = pen(T.matmul(Tensor(mat), rel), *group[1:-1])  # colsum (..., C, m)
+                total = total + (_apply_f(p, f) * Tensor(lam)).sum(axis=-1)
 
-        if self._atmost is not None:
-            mat, lam = self._atmost
-            colsum = T.matmul(Tensor(mat), rel)
-            p = (T.relu(colsum - 1.0) + colsum * T.abs_(1.0 - colsum)).sum(axis=-1)
-            total = total + (_apply_f(p, f) * Tensor(lam)).sum(axis=-1)
-
-        if self._card is not None:
-            mat, sel, counts, lam = self._card
-            colsum = T.matmul(Tensor(mat), rel)
-            got = (colsum * Tensor(sel)).sum(axis=-1)  # (..., C)
-            p = T.abs_(Tensor(counts) - got)
-            total = total + (_apply_f(p, f) * Tensor(lam)).sum(axis=-1)
-
-        if self._pairs is not None:
-            axes = tuple(range(rel.data.ndim - 2)) + (rel.data.ndim - 1, rel.data.ndim - 2)
-            dots = T.matmul(rel, T.transpose(rel, axes))  # (..., n, n)
-            # each unordered pair appears twice in the symmetric matrix
-            total = total + 0.5 * (_apply_f(dots, f) * self._pairs).sum(axis=-1).sum(axis=-1)
+        if self.edge_coeff.shape[-1]:
+            dots = (self._edge_rows(rel, self.edge_i) * self._edge_rows(rel, self.edge_k)).sum(axis=-1)
+            total = total + (_apply_f(dots, f) * Tensor(self.edge_coeff)).sum(axis=-1)
 
         return total
 

@@ -3,8 +3,8 @@
 ``iterate`` feeds the model its own output assignment until the instance is
 feasible or the budget runs out. ``multi_start`` advances a pool of
 candidates in lockstep rounds and accepts the first feasible one; candidate
-0 replays the single-start stream, so a bigger pool can never do worse on
-the same seed. Maximization instances (maxcut) never exit early and just
+0 replays the pool of size 1, so a bigger pool can never do worse on the
+same seed. Maximization instances (maxcut) never exit early and just
 track the best cut found.
 """
 
@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .csp import (
-    AllDifferentAtMostOnce,
-    AllDifferentExact,
-    Cardinality,
-    CspInstance,
-    NotEqual,
-)
+from .csp import CspInstance, violation_degree
 from .model import (
     InstanceContext,
     ModelWeights,
@@ -33,6 +27,7 @@ from .model import (
 )
 from .penalty import LossProgram, one_hot
 from .tensor import Tape, Tensor, backward
+from .train import random_assignment
 
 
 @dataclass(frozen=True)
@@ -66,57 +61,27 @@ class SolveReport:
 
 
 class ViolationChecker:
-    """Batched discrete violation degrees for one instance."""
+    """Batched discrete violation degrees, read from the compiled instance."""
 
     def __init__(self, inst: CspInstance):
-        self.inst = inst
-        self.pair_i = np.array(
-            [c.i for c in inst.constraints if isinstance(c, NotEqual)], dtype=np.int64
-        )
-        self.pair_k = np.array(
-            [c.k for c in inst.constraints if isinstance(c, NotEqual)], dtype=np.int64
-        )
-        scopes = [
-            c.scope
-            for c in inst.constraints
-            if isinstance(c, (AllDifferentExact, AllDifferentAtMostOnce))
-        ]
-        if scopes:
-            member = np.zeros((len(scopes), inst.n))
-            for r, s in enumerate(scopes):
-                for i in s:
-                    member[r, i] += 1.0
-            self.member = member
-        else:
-            self.member = None
-        cards = [c for c in inst.constraints if isinstance(c, Cardinality)]
-        if cards:
-            cmember = np.zeros((len(cards), inst.n))
-            for r, c in enumerate(cards):
-                for i in c.scope:
-                    cmember[r, i] += 1.0
-            self.cmember = cmember
-            self.cvalue = np.array([c.value for c in cards], dtype=np.int64)
-            self.ccount = np.array([c.count for c in cards])
-        else:
-            self.cmember = None
+        self.m = inst.m
+        self.cc = cc = inst.compiled
+        # both alldifferent variants count surplus occupancy per value
+        self.member = np.concatenate([cc.exact.rows, cc.atmost.rows])
 
     def total(self, values: np.ndarray) -> np.ndarray:
         """Sum of violation degrees; values is (B, n), result (B,)."""
+        cc = self.cc
         out = np.zeros(values.shape[0])
-        if self.pair_i.size:
-            out += (values[:, self.pair_i] == values[:, self.pair_k]).sum(axis=1)
-        if self.member is not None or self.cmember is not None:
-            hot = one_hot(values, self.inst.m)  # (B, n, m)
-            if self.member is not None:
+        out += (values[:, cc.edge_i] == values[:, cc.edge_k]).sum(axis=1)
+        if len(self.member) or len(cc.card_value):
+            hot = one_hot(values, self.m)  # (B, n, m)
+            if len(self.member):
                 counts = np.matmul(self.member, hot)  # (B, C, m)
                 out += np.maximum(counts - 1.0, 0.0).sum(axis=(1, 2))
-            if self.cmember is not None:
-                counts = np.matmul(self.cmember, hot)
-                got = np.take_along_axis(
-                    counts, np.broadcast_to(self.cvalue[None, :, None], counts.shape[:2] + (1,)), axis=2
-                )[..., 0]
-                out += np.abs(self.ccount[None, :] - got).sum(axis=1)
+            if len(cc.card_value):
+                got = np.matmul(cc.card.rows, hot)[:, np.arange(len(cc.card_value)), cc.card_value]
+                out += np.abs(cc.card_count - got).sum(axis=1)
         return out
 
     def feasible(self, values: np.ndarray) -> np.ndarray:
@@ -135,9 +100,13 @@ def cut_value(weighted_edges, values) -> float:
     )
 
 
-def instance_cut_value(inst: CspInstance, values) -> float:
-    edges = [(c.i, c.k, c.weight) for c in inst.constraints if isinstance(c, NotEqual)]
-    return cut_value(edges, values)
+def instance_cut_value(inst: CspInstance, values):
+    """Cut of one assignment (n,), as a float, or of a pool (B, n), as (B,)."""
+    cc = inst.compiled
+    values = np.asarray(values)
+    cut = values[..., cc.edge_i] != values[..., cc.edge_k]
+    out = np.where(cut, cc.edge_w, 0.0).sum(axis=-1)
+    return float(out) if values.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +129,12 @@ def multi_start(
 ) -> SolveReport:
     """Advance ``pool_size`` candidates in lockstep refinement rounds.
 
-    Each candidate owns an rng seeded from (seed, index); candidate 0
-    therefore replays the single-start stream of ``iterate`` with the same
-    seed. First feasible candidate wins (lowest index on ties).
+    Each candidate owns an rng seeded from (seed, index) that draws its
+    initial assignment (unless ``inits`` is given) and then its subsets and
+    noise; candidate 0 therefore replays the pool of size 1 with the same
+    seed. First feasible candidate wins (lowest index on ties). In
+    maximization mode the best cut seen over all candidates and rounds is
+    kept.
     """
     if pool_size < 1:
         raise ValueError("pool size must be at least 1")
@@ -173,9 +145,7 @@ def multi_start(
     maximize = inst.mode == "maximization"
 
     if inits is None:
-        values = np.stack(
-            [_random_init(inst, rngs[c]) for c in range(pool_size)]
-        )
+        values = np.stack([random_assignment(inst, rng) for rng in rngs])
     else:
         inits = np.asarray(inits)
         values = np.array(inits if inits.ndim == 2 else inits[None], copy=True)
@@ -184,72 +154,25 @@ def multi_start(
 
     fixed_mask = np.broadcast_to(ctx.fixed_mask, values.shape) \
         if ctx.fixed_mask.ndim == 1 else ctx.fixed_mask
+    frozen = not (~fixed_mask).any()  # fully fixed: nothing can ever change
+    gumbel = weights.config.sampler == "gumbel"
     t0 = time.perf_counter()
     viol = checker.total(values)
-    best_viol = viol.copy()
-    best_values = values.copy()
     trace_rows: list[int] | None = [int(viol.min())] if trace else None
-    best_cut = None
-    if maximize:
-        cuts = np.array([instance_cut_value(inst, v) for v in values])
-        best_cut = float(cuts.max())
-        best_values = values[int(cuts.argmax())][None].repeat(pool_size, axis=0)
-
-    if not maximize:
-        feas = viol == 0
-        if feas.any():
-            win = int(np.argmax(feas))
-            return SolveReport(
-                feasible=True,
-                iterations_used=0,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-                final_assignment=values[win].copy(),
-                best_assignment=values[win].copy(),
-                violation_trace=trace_rows,
-                winner=win,
-            )
-    if not (~fixed_mask).any():
-        # fully fixed instance: nothing can ever change
-        return SolveReport(
-            feasible=bool((viol == 0).any()),
-            iterations_used=0,
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            final_assignment=values[0].copy(),
-            best_assignment=values[0].copy(),
-            violation_trace=trace_rows,
-            winner=0 if (viol == 0).any() else None,
-        )
-
-    gumbel = weights.config.sampler == "gumbel"
-    m = inst.m
+    best_viol = np.full(pool_size, np.inf)
+    best_values = values.copy()
+    best_cut = -np.inf
     rounds = 0
     while True:
-        if budget.max_iterations is not None and rounds >= budget.max_iterations:
-            break
-        if budget.time_limit_ms is not None and (time.perf_counter() - t0) * 1000.0 >= budget.time_limit_ms:
-            break
-        selected = np.stack(
-            [select_subset(fixed_mask[c], weights.config.select_p, rngs[c]) for c in range(pool_size)]
-        )
-        noise = None
-        if gumbel:
-            noise = np.stack([gumbel_noise(rngs[c], (inst.n, m)) for c in range(pool_size)])
-        yhat = forward(weights, ctx, values, selected, training=False, noise=noise)
-        values = apply_update(values, selected, yhat)
-        rounds += 1
-
-        viol = checker.total(values)
-        improved = viol < best_viol
-        best_viol = np.where(improved, viol, best_viol)
-        best_values[improved] = values[improved]
-        if trace_rows is not None:
-            trace_rows.append(int(viol.min()))
         if maximize:
-            cuts = np.array([instance_cut_value(inst, v) for v in values])
-            if float(cuts.max()) > best_cut:
+            cuts = instance_cut_value(inst, values)
+            if cuts.max() > best_cut:
                 best_cut = float(cuts.max())
-                best_values = values[int(cuts.argmax())][None].repeat(pool_size, axis=0)
+                best_values = values[int(cuts.argmax())][None].copy()
         else:
+            improved = viol < best_viol
+            best_viol = np.where(improved, viol, best_viol)
+            best_values[improved] = values[improved]
             feas = viol == 0
             if feas.any():
                 win = int(np.argmax(feas))
@@ -262,16 +185,32 @@ def multi_start(
                     violation_trace=trace_rows,
                     winner=win,
                 )
+        if frozen:
+            break
+        if budget.max_iterations is not None and rounds >= budget.max_iterations:
+            break
+        if budget.time_limit_ms is not None and (time.perf_counter() - t0) * 1000.0 >= budget.time_limit_ms:
+            break
+        selected = np.stack(
+            [select_subset(fixed_mask[c], weights.config.select_p, rngs[c]) for c in range(pool_size)]
+        )
+        noise = None
+        if gumbel:
+            noise = np.stack([gumbel_noise(rng, (inst.n, inst.m)) for rng in rngs])
+        yhat = forward(weights, ctx, values, selected, training=False, noise=noise)
+        values = apply_update(values, selected, yhat)
+        rounds += 1
+        viol = checker.total(values)
+        if trace_rows is not None:
+            trace_rows.append(int(viol.min()))
 
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    best_idx = int(best_viol.argmin())
     return SolveReport(
         feasible=False,
         iterations_used=rounds,
-        elapsed_ms=elapsed,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         final_assignment=values[0].copy(),
-        best_assignment=best_values[0].copy() if maximize else best_values[best_idx].copy(),
-        objective=best_cut,
+        best_assignment=best_values[0 if maximize else int(best_viol.argmin())].copy(),
+        objective=best_cut if maximize else None,
         violation_trace=trace_rows,
         winner=None,
     )
@@ -291,14 +230,6 @@ def iterate(
         weights, inst, 1, budget, seed=seed, inits=np.asarray(init)[None],
         ctx=ctx, trace=trace,
     )
-
-
-def _random_init(inst: CspInstance, rng: np.random.Generator) -> np.ndarray:
-    values = rng.integers(0, inst.m, size=inst.n)
-    for i, v in enumerate(inst.fixed):
-        if v is not None:
-            values[i] = v
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +285,6 @@ def direct_sgd_counts(
     rounded = np.argmax(z.data, axis=-1)
     rounded[:, ~free] = np.argmax(hard[~free], axis=-1)
     sat = np.zeros(runs, dtype=np.int64)
-    from .csp import violation_degree
-
     for r in range(runs):
         sat[r] = sum(1 for c in inst.constraints if violation_degree(c, rounded[r]) == 0)
     return sat

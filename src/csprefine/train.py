@@ -5,11 +5,10 @@ refinement forward pass, scores the soft outputs with the penalty loss, and
 takes one AdamW step. No multi-step unrolling: the model only ever sees a
 single improvement step during training.
 
-Batches are vectorized when the instances allow it: instances with identical
-constraint sets (sudoku, nurse rostering) share one loss program, and
-not-equal-only instances (coloring, maxcut) get their pair-coefficient
-matrices stacked along the batch axis. Anything else falls back to a
-per-instance loop inside the same tape.
+Batches are vectorized when the instances share n, m and index tuples: the
+compiled constraints of every instance are stacked along the batch axis
+into one loss program. Batches of differently sized instances fall back to
+a per-instance loop inside the same tape.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
-from .csp import CspInstance, NotEqual
+from .csp import CspInstance
 from .model import (
     InstanceContext,
     ModelConfig,
@@ -146,52 +144,29 @@ def prepare(instances, mcfg: ModelConfig, loss_cfg: LossConfig | None = None):
     ]
 
 
-class _StackedPairLoss:
-    """Per-sample loss for a batch of not-equal-only instances."""
-
-    def __init__(self, programs):
-        self.coeff = Tensor(np.stack([p._pairs.data for p in programs]))
-        self.transform = programs[0].cfg.transform
-
-    def loss(self, rel: Tensor) -> Tensor:
-        from .penalty import _apply_f
-
-        axes = (0, 2, 1)
-        dots = T.matmul(rel, T.transpose(rel, axes))
-        return 0.5 * (_apply_f(dots, self.transform) * self.coeff).sum(axis=-1).sum(axis=-1)
-
-
 def _collate(bundles):
-    """Batched (ctx, loss) when the instances permit, else None."""
-    first = bundles[0]
-    n, m = first.inst.n, first.inst.m
-    if any(b.inst.n != n or b.inst.m != m for b in bundles):
-        return None
-    if any(b.inst.index_tuples != first.inst.index_tuples for b in bundles):
-        return None
-
-    same_structure = all(b.inst.constraints == first.inst.constraints for b in bundles)
-    pairs_only = all(
-        all(isinstance(c, NotEqual) for c in b.inst.constraints) and b.program._pairs is not None
+    """Batched (ctx, loss program) when the instances share n, m and index
+    tuples, else None. Each sample keeps its own attention bias, fixed
+    variables and compiled constraints."""
+    first = bundles[0].inst
+    if any(
+        b.inst.n != first.n or b.inst.m != first.m or b.inst.index_tuples != first.index_tuples
         for b in bundles
-    )
-    if not same_structure and not pairs_only:
+    ):
         return None
-
-    fixed_mask = np.stack([b.ctx.fixed_mask for b in bundles])
-    fixed_values = np.stack([b.ctx.fixed_values for b in bundles])
-    if same_structure:
-        ctx = InstanceContext(
-            first.inst, first.ctx.ape, first.ctx.nonedge, first.ctx.masked_bias,
-            fixed_mask, fixed_values,
-        )
-        return ctx, first.program
-    nonedge = np.stack([b.ctx.nonedge for b in bundles])[:, None]  # (B,1,n,n)
+    ctxs = [b.ctx for b in bundles]
     masked = None
-    if first.ctx.masked_bias is not None:
-        masked = np.stack([b.ctx.masked_bias for b in bundles])[:, None]
-    ctx = InstanceContext(first.inst, first.ctx.ape, nonedge, masked, fixed_mask, fixed_values)
-    return ctx, _StackedPairLoss([b.program for b in bundles])
+    if ctxs[0].masked_bias is not None:
+        masked = np.stack([c.masked_bias for c in ctxs])[:, None]  # (B,1,n,n)
+    ctx = InstanceContext(
+        first,
+        ctxs[0].ape,
+        np.stack([c.nonedge for c in ctxs])[:, None],
+        masked,
+        np.stack([c.fixed_mask for c in ctxs]),
+        np.stack([c.fixed_values for c in ctxs]),
+    )
+    return ctx, LossProgram.stack([b.program for b in bundles])
 
 
 # ---------------------------------------------------------------------------

@@ -56,3 +56,15 @@ def tiny_config(**kw) -> ModelConfig:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # fixed examples and no wall-clock deadline keep the suite deterministic
+    settings.register_profile(
+        "csprefine", derandomize=True, deadline=None, max_examples=60, database=None
+    )
+    settings.load_profile("csprefine")

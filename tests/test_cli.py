@@ -103,6 +103,30 @@ def test_solve_pool_flag(tmp_path):
     assert rc == EXIT_OK
 
 
+def test_solve_bigger_pool_solves_a_superset(tmp_path, capsys):
+    # --pool 1 is candidate 0 of --pool 3 with the same seed
+    dataset = _generate_coloring(tmp_path, count=8, n=8, seed=5)
+    model = _train_tiny(tmp_path, dataset)
+    solved = {}
+    for pool in (1, 3):
+        capsys.readouterr()
+        rc = main([
+            "solve", "--weights", str(model), "--dataset", str(dataset),
+            "--iters", "20", "--pool", str(pool), "--seed", "4",
+        ])
+        assert rc == EXIT_OK
+        recs = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()[:-1]]
+        solved[pool] = {r["instance"] for r in recs if r["feasible"]}
+    assert solved[1]  # the comparison means something
+    assert solved[1] <= solved[3]
+
+
+def test_solve_pool_must_be_positive():
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--weights", "w.bin", "--dataset", "d.jsonl", "--pool", "0"])
+    assert exc.value.code == 2
+
+
 def test_solve_rerun_reproduces_report(tmp_path):
     dataset = _generate_coloring(tmp_path, count=3, n=6, seed=6)
     model = _train_tiny(tmp_path, dataset)

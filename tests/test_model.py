@@ -15,9 +15,7 @@ from csprefine.model import (
     gumbel_noise,
     init_weights,
     nonedge_indicator,
-    rpe_bias,
     select_subset,
-    select_subset_batch,
     sinusoidal_pe,
 )
 from conftest import sudoku_puzzle, tiny_config, toy_alldiff
@@ -81,13 +79,18 @@ def test_nonedge_indicator_diag_and_edges():
 
 
 def test_rpe_bias_modes():
-    g = constraint_graph(build_graph_coloring(3, [(0, 1)], 2))
-    masked = rpe_bias(g, "masked")
+    inst = build_graph_coloring(3, [(0, 1)], 2)
+    masked = InstanceContext.build(inst, tiny_config(rpe_mode="masked")).masked_bias
     assert masked[0, 2] == -np.inf
     assert masked[0, 1] == 0.0 and masked[0, 0] == 0.0
-    learned = rpe_bias(g, "learned", c=-0.5)
-    assert learned[0, 2] == -0.5 and learned[0, 1] == 0.0
-    assert np.all(rpe_bias(g, "none") == 0.0)
+    # learned mode adds c * nonedge with c = -softplus(rpe_theta), about -1 at init
+    cfg = tiny_config(rpe_mode="learned")
+    ctx = InstanceContext.build(inst, cfg)
+    assert ctx.masked_bias is None
+    c = -np.log1p(np.exp(init_weights(cfg, 2, np.random.default_rng(0))["rpe_theta"].item()))
+    learned = c * ctx.nonedge
+    assert np.isclose(learned[0, 2], -1.0) and learned[0, 1] == 0.0 and learned[0, 0] == 0.0
+    assert InstanceContext.build(inst, tiny_config(rpe_mode="none")).masked_bias is None
 
 
 def test_init_weights_shapes():
@@ -125,14 +128,6 @@ def test_select_subset_respects_fixed_and_nonempty():
 def test_select_subset_all_fixed_is_empty():
     sel = select_subset(np.array([True, True]), 0.9, np.random.default_rng(0))
     assert not sel.any()
-
-
-def test_select_subset_batch_shape():
-    rngs = [np.random.default_rng([7, c]) for c in range(3)]
-    fixed = np.zeros((3, 5), dtype=bool)
-    sel = select_subset_batch(fixed, 0.5, rngs)
-    assert sel.shape == (3, 5)
-    assert sel.any(axis=1).all()
 
 
 def test_gumbel_noise_deterministic():

@@ -1,0 +1,123 @@
+"""Property tests: the compiled, batched forms of each semantic against the
+reference per-constraint forms, on random small instances of every
+constraint kind (duplicates included), random lambdas and both transforms."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
+from csprefine.csp import (
+    AllDifferentAtMostOnce,
+    AllDifferentExact,
+    Cardinality,
+    CspInstance,
+    NotEqual,
+    violation_degree,
+)
+from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
+from csprefine.solve import ViolationChecker, cut_value, instance_cut_value
+from csprefine.tensor import Tape, Tensor, backward
+
+
+@st.composite
+def constraints(draw, n: int, m: int):
+    kinds = ["ne", "atmost", "card"] + (["exact"] if n >= m else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ne":
+        i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        return NotEqual(i, k, draw(st.floats(0.25, 3.0)))
+
+    def scope(size):
+        # repeated variables are legal and count once per occurrence
+        return tuple(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
+
+    if kind == "exact":
+        return AllDifferentExact(scope(m))
+    if kind == "atmost":
+        return AllDifferentAtMostOnce(scope(draw(st.integers(1, m - 1))))
+    s = scope(draw(st.integers(1, n)))
+    return Cardinality(draw(st.integers(0, m - 1)), draw(st.integers(0, len(s))), s)
+
+
+@st.composite
+def instances(draw, n: int | None = None, m: int | None = None):
+    n = draw(st.integers(2, 6)) if n is None else n
+    m = draw(st.integers(2, 4)) if m is None else m
+    cons = draw(st.lists(constraints(n, m), max_size=6))
+    if cons:
+        cons += draw(st.lists(st.sampled_from(cons), max_size=2))  # duplicates
+    return CspInstance(n, m, tuple((i,) for i in range(n)), tuple(cons), (None,) * n)
+
+
+@st.composite
+def loss_configs(draw, count: int):
+    lambdas = draw(st.none() | st.lists(st.floats(0.1, 3.0), min_size=count, max_size=count))
+    transform = draw(st.sampled_from(["quadratic", "identity"]))
+    return LossConfig(None if lambdas is None else tuple(lambdas), transform)
+
+
+def _relaxed(seed: int, shape) -> np.ndarray:
+    """Random probability rows of shape ``shape`` = (..., n, m)."""
+    return np.random.default_rng(seed).dirichlet(np.ones(shape[-1]), size=shape[:-1])
+
+
+def _reference_loss(inst, cfg, rel: Tensor) -> Tensor:
+    total = Tensor(0.0)
+    for idx, c in enumerate(inst.constraints):
+        p = constraint_penalty(c, rel)
+        total = total + cfg.weight(idx) * (p * p if cfg.transform == "quadratic" else p)
+    return total
+
+
+@given(st.data(), instances(), st.integers(0, 2**32 - 1))
+def test_compiled_loss_matches_reference(data, inst, seed):
+    cfg = data.draw(loss_configs(len(inst.constraints)))
+    program = LossProgram(inst, cfg)
+    rel = _relaxed(seed, (2, inst.n, inst.m))
+    batched = program.loss(Tensor(rel)).data
+    for r, got in zip(rel, batched):
+        x_compiled = Tensor(r, requires_grad=True)
+        x_reference = Tensor(r, requires_grad=True)
+        with Tape():
+            compiled = program.loss(x_compiled)
+            reference = _reference_loss(inst, cfg, x_reference)
+            backward(compiled + reference)
+        assert np.isclose(compiled.item(), reference.item(), rtol=1e-12, atol=1e-12)
+        assert np.isclose(got, reference.item(), rtol=1e-12, atol=1e-12)
+        if inst.constraints:
+            assert np.allclose(x_compiled.grad, x_reference.grad, rtol=1e-10, atol=1e-10)
+
+
+@given(st.data(), st.integers(2, 6), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_stacked_loss_matches_each_instance(data, n, m, seed):
+    insts = data.draw(st.lists(instances(n, m), min_size=1, max_size=4))
+    transform = data.draw(st.sampled_from(["quadratic", "identity"]))
+    programs = [
+        LossProgram(inst, LossConfig(data.draw(loss_configs(len(inst.constraints))).lambdas, transform))
+        for inst in insts
+    ]
+    rel = _relaxed(seed, (len(insts), n, m))
+    got = LossProgram.stack(programs).loss(Tensor(rel)).data
+    want = [p.loss(Tensor(r)).item() for p, r in zip(programs, rel)]
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_checker_matches_violation_degrees(inst, seed):
+    values = np.random.default_rng(seed).integers(0, inst.m, size=(5, inst.n))
+    want = [sum(violation_degree(c, v) for c in inst.constraints) for v in values]
+    checker = ViolationChecker(inst)
+    assert np.array_equal(checker.total(values), want)
+    assert np.array_equal(checker.feasible(values), np.array(want) == 0)
+
+
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_batched_cut_matches_cut_value(inst, seed):
+    values = np.random.default_rng(seed).integers(0, inst.m, size=(5, inst.n))
+    edges = [(c.i, c.k, c.weight) for c in inst.constraints if isinstance(c, NotEqual)]
+    want = [cut_value(edges, v) for v in values]
+    assert np.allclose(instance_cut_value(inst, values), want, rtol=1e-12, atol=0.0)
+    assert np.isclose(instance_cut_value(inst, values[0]), want[0], rtol=1e-12, atol=0.0)

@@ -11,7 +11,8 @@ from csprefine.csp import (
     is_feasible,
     total_violation,
 )
-from csprefine.model import init_weights
+from csprefine.data import gen_maxcut_dataset
+from csprefine.model import ModelConfig, init_weights
 from csprefine.solve import (
     Budget,
     ViolationChecker,
@@ -73,6 +74,8 @@ def test_cut_value():
     assert cut_value(edges, [0, 0, 0]) == 0.0
     inst = build_maxcut(3, edges)
     assert instance_cut_value(inst, [0, 1, 0]) == 3.0
+    # a whole pool in one call
+    assert np.array_equal(instance_cut_value(inst, [[0, 1, 0], [0, 0, 0], [1, 1, 0]]), [3.0, 0.0, 1.5])
 
 
 def _toy_model(seed=1, **cfg_kw):
@@ -187,6 +190,20 @@ def test_maxcut_solve_tracks_best_cut():
     assert report.objective is not None
     assert np.isclose(report.objective, instance_cut_value(inst, report.best_assignment))
     assert report.objective <= 4.0 + 1e-12  # enumerated maximum
+
+
+def test_maxcut_best_assignment_attains_objective():
+    # a pool member whose violation count improved used to overwrite the row
+    # that held the best cut, so best_assignment cut 257 against an objective
+    # of 261 here
+    inst = gen_maxcut_dataset(4, 100, seed=7)[0][3]
+    cfg = ModelConfig(layers=2, heads=2, d_model=64, select_p=0.3, rpe_mode="masked",
+                      ape_mode="none", tau=0.1, sampler="gumbel", dropout=0.0)
+    w = init_weights(cfg, inst.m, np.random.default_rng(7))
+    report = multi_start(w, inst, 10, Budget(max_iterations=30), seed=3)
+    edges = [(c.i, c.k, c.weight) for c in inst.constraints]
+    assert report.objective == 261.0
+    assert cut_value(edges, report.best_assignment) == report.objective
 
 
 def test_time_budget_stops():

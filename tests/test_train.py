@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csprefine.csp import build_graph_coloring, build_sudoku
-from csprefine.model import InstanceContext, init_weights
+from csprefine.model import InstanceContext, forward, init_weights, select_subset
 from csprefine.penalty import LossProgram, one_hot
 from csprefine.tensor import Tape, Tensor, backward
 from csprefine.train import (
@@ -148,19 +148,23 @@ def test_collate_identical_structure():
     assert isinstance(program, LossProgram)
 
 
-def test_collate_pairs_only_stacks():
+def test_collate_pairs_only_stacks(rng):
     insts = [
         build_graph_coloring(4, [(0, 1), (1, 2)], 3),
-        build_graph_coloring(4, [(0, 3), (2, 3)], 3),
+        build_graph_coloring(4, [(0, 3), (2, 3), (1, 3)], 3),
     ]
     cfg = tiny_config()
     bundles = prepare(insts, cfg)
     plan = _collate(bundles)
     assert plan is not None
     ctx, program = plan
-    assert program.__class__.__name__ == "_StackedPairLoss"
-    assert program.coeff.shape == (2, 4, 4)
     assert ctx.nonedge.shape == (2, 1, 4, 4)
+    # each sample of the stack is scored against its own instance
+    rel = rng.dirichlet(np.ones(3), size=(2, 4))
+    got = program.loss(Tensor(rel)).data
+    want = [b.program.loss(Tensor(r)).item() for b, r in zip(bundles, rel)]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert want[0] != want[1]
 
 
 def test_collate_mismatched_sizes_fall_back():
@@ -180,8 +184,19 @@ def test_collate_mixed_kinds_fall_back():
     assert _collate(mixed) is None
 
 
-def test_batch_loss_same_for_collated_and_loop(rng):
-    # stacked pair path must agree with the per-instance fallback
+def test_collate_stacks_mixed_kinds(rng):
+    # same n, m and index tuples is all a stack needs
+    bundles = prepare([toy_alldiff(4), build_graph_coloring(4, [(0, 1), (2, 3)], 4)], tiny_config())
+    plan = _collate(bundles)
+    assert plan is not None
+    rel = rng.dirichlet(np.ones(4), size=(2, 4))
+    got = plan[1].loss(Tensor(rel)).data
+    want = [b.program.loss(Tensor(r)).item() for b, r in zip(bundles, rel)]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_batch_loss_same_for_collated_and_loop():
+    # the collated batch must agree with each instance's own program
     insts = [
         build_graph_coloring(4, [(0, 1), (1, 2)], 3),
         build_graph_coloring(4, [(0, 3), (2, 3)], 3),
@@ -189,20 +204,19 @@ def test_batch_loss_same_for_collated_and_loop(rng):
     cfg = tiny_config(sampler="softmax", select_p=1.0)
     w = init_weights(cfg, 3, np.random.default_rng(2))
     bundles = prepare(insts, cfg)
+    assert _collate(bundles) is not None
 
     fast = _batch_loss(w, bundles, np.random.default_rng(11), training=False)
 
-    # disable the fast path by lying about the pair matrix
-    saved = [b.program._pairs for b in bundles]
-    for b in bundles:
-        b.program._pairs_backup, b.program._pairs = b.program._pairs, None
-    try:
-        assert _collate(bundles) is None
-    finally:
-        for b, p in zip(bundles, saved):
-            b.program._pairs = p
-    slow = _batch_loss(w, bundles, np.random.default_rng(11), training=False)
-    assert np.isclose(fast.item(), slow.item())
+    # same draws as _batch_loss; no dropout or gumbel noise is drawn here
+    rng = np.random.default_rng(11)
+    values = [random_assignment(b.inst, rng) for b in bundles]
+    selected = [select_subset(b.ctx.fixed_mask, cfg.select_p, rng) for b in bundles]
+    slow = 0.0
+    for b, vals, sel in zip(bundles, values, selected):
+        yhat = forward(w, b.ctx, vals[None], sel[None])
+        slow += b.program.loss(assemble_relaxed(vals[None], sel[None], yhat)).data[0]
+    assert np.isclose(fast.item(), slow / len(bundles), rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
