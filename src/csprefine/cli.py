@@ -31,7 +31,7 @@ from .data import (
     save_instances,
     save_weights,
 )
-from .model import ModelConfig, init_weights
+from .model import DomainMismatch, ModelConfig, init_weights
 from .penalty import pen_alldiff_atmost, pen_alldiff_exact, pen_cardinality, pen_not_equal
 from .solve import Budget, direct_sgd_counts, greedy_coloring, multi_start
 from .tensor import NumericError, Tensor, grad_check
@@ -41,6 +41,19 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+
+class UsageError(Exception):
+    """A command-line value that the library rejects."""
+
+
+def _from_args(cls, **kwargs):
+    """``cls(**kwargs)`` built from command-line values; a value that the
+    class rejects is a usage error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -57,7 +70,8 @@ def _positive_int(text: str) -> int:
 
 
 def _model_config(args) -> ModelConfig:
-    return ModelConfig(
+    return _from_args(
+        ModelConfig,
         layers=args.layers,
         heads=args.heads,
         d_model=args.d_model,
@@ -113,8 +127,8 @@ def _load_dataset(args) -> list:
 def cmd_train(args) -> int:
     from .train import AdamW
 
-    instances = _load_dataset(args)
-    tcfg = TrainConfig(
+    tcfg = _from_args(
+        TrainConfig,
         batch_size=args.batch_size,
         epochs=args.epochs,
         lr=args.lr,
@@ -122,6 +136,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         grad_clip=args.grad_clip,
     )
+    instances = _load_dataset(args)
     if args.resume:
         weights = load_weights(args.resume)
         mcfg = weights.config
@@ -155,12 +170,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    budget = _from_args(Budget, max_iterations=args.iters, time_limit_ms=args.time_ms)
     weights = load_weights(args.weights)
     instances = _load_dataset(args)
-    budget = Budget(
-        max_iterations=args.iters,
-        time_limit_ms=args.time_ms,
-    )
     chash = _config_hash(args)
     solved = 0
     iters_used = []
@@ -351,13 +363,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, DomainMismatch, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NumericError,) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except CspError as exc:
+    except (CspError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,7 +1,8 @@
 """Discrete CSP data model: instances, constraints, checking, violation
-degrees, the compiled array form of an instance, constraint-graph
-extraction, and the four problem builders (sudoku, graph coloring, nurse
-rostering, maxcut).
+degrees, the compiled array form of an instance (the one place that derives
+structure from the constraints and the fixed markers), the reference
+constraint graph, and the four problem builders (sudoku, graph coloring,
+nurse rostering, maxcut).
 
 Domains are normalized to ``0..m-1`` internally; the builders shift
 1-based digits/colors down on the way in.
@@ -133,11 +134,23 @@ def _validate_constraint(c: Constraint, n: int, m: int) -> None:
 
 
 def validate_assignment(inst: CspInstance, values) -> None:
-    if len(values) != inst.n:
-        raise CspError(f"assignment has {len(values)} values, expected {inst.n}")
-    for i, v in enumerate(values):
-        if not 0 <= v < inst.m:
-            raise CspError(f"value {v} at variable {i} outside domain [0,{inst.m})")
+    """Raise CspError unless ``values``, of shape (..., n), are integer
+    assignments of ``inst``: every value in the domain, every given kept."""
+    values = np.asarray(values)
+    if values.ndim == 0 or values.shape[-1] != inst.n:
+        raise CspError(f"assignment of shape {values.shape} does not have {inst.n} values")
+    if not np.issubdtype(values.dtype, np.integer):
+        raise CspError(f"assignment values must be integers, got {values.dtype}")
+    outside = (values < 0) | (values >= inst.m)
+    if outside.any():
+        at = tuple(np.argwhere(outside)[0])
+        raise CspError(f"value {values[at]} at variable {at[-1]} outside domain [0,{inst.m})")
+    cc = inst.compiled
+    moved = cc.fixed_mask & (values != cc.fixed_values)
+    if moved.any():
+        at = tuple(np.argwhere(moved)[0])
+        given = cc.fixed_values[at[-1]]
+        raise CspError(f"value {values[at]} at variable {at[-1]} differs from its given {given}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +185,13 @@ def total_violation(inst: CspInstance, values) -> int:
 # Compiled form
 
 
+def _freeze(obj) -> None:
+    """Make every array field of ``obj`` read-only."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class Scopes:
     """The constraints of one scope kind: ``rows[r, i]`` counts how often
@@ -180,13 +200,20 @@ class Scopes:
     rows: np.ndarray  # (C, n) float
     index: np.ndarray  # (C,) int, positions in inst.constraints
 
+    def __post_init__(self):
+        _freeze(self)
+
 
 @dataclass(frozen=True)
 class CompiledCsp:
-    """One instance as arrays: the not-equal edge list and, per scope kind,
-    membership rows. The penalty, the discrete checker, the cut objective
-    and training batches all read this form."""
+    """One instance as arrays: the fixed variables, the not-equal edge list
+    and, per scope kind, membership rows. The penalty, the discrete checker,
+    the cut objective, training batches, the attention graph and the
+    samplers all read this form. Every array is read-only: the form is
+    cached on the instance and shared by all of its users."""
 
+    fixed_mask: np.ndarray  # (n,) bool
+    fixed_values: np.ndarray  # (n,) int, 0 where the variable is free
     edge_i: np.ndarray  # (E,) int
     edge_k: np.ndarray  # (E,) int
     edge_w: np.ndarray  # (E,) float
@@ -196,6 +223,20 @@ class CompiledCsp:
     card: Scopes  # Cardinality
     card_value: np.ndarray  # (C,) int
     card_count: np.ndarray  # (C,) float
+
+    def __post_init__(self):
+        _freeze(self)
+
+    def adjacency(self) -> np.ndarray:
+        """(n, n) bool: i and j share a scope or a not-equal edge; every
+        variable is adjacent to itself. Built on each call, so the cached
+        form stays an edge list plus scope rows."""
+        rows = np.concatenate([self.exact.rows, self.atmost.rows, self.card.rows])
+        adj = rows.T @ rows > 0
+        adj[self.edge_i, self.edge_k] = True
+        adj[self.edge_k, self.edge_i] = True
+        np.fill_diagonal(adj, True)
+        return adj
 
 
 def _scopes(inst: CspInstance, index: list[int]) -> Scopes:
@@ -226,6 +267,8 @@ def compile_csp(inst: CspInstance) -> CompiledCsp:
             raise TypeError(f"cannot compile constraint {type(c).__name__}")
     e = np.array(edges, dtype=np.float64).reshape(-1, 4)  # indices are exact in float64
     return CompiledCsp(
+        fixed_mask=np.array([v is not None for v in inst.fixed], dtype=bool),
+        fixed_values=np.array([0 if v is None else v for v in inst.fixed], dtype=np.int64),
         edge_i=e[:, 0].astype(np.int64),
         edge_k=e[:, 1].astype(np.int64),
         edge_w=e[:, 2].copy(),
@@ -239,7 +282,7 @@ def compile_csp(inst: CspInstance) -> CompiledCsp:
 
 
 # ---------------------------------------------------------------------------
-# Constraint graph
+# Constraint graph (reference form; CompiledCsp.adjacency is the array form)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .csp import ConstraintGraph, CspInstance, constraint_graph
+from .csp import CspInstance
 from .tensor import NumericError, Tensor
 
 RPE_MODES = ("masked", "learned", "none")
@@ -86,21 +86,12 @@ def ape_table(inst: CspInstance, cfg: ModelConfig) -> np.ndarray:
     return np.stack([ape(t, cfg.d_model) for t in inst.index_tuples])
 
 
-def nonedge_indicator(graph: ConstraintGraph) -> np.ndarray:
-    """(n, n) matrix: 1 where no constraint links i and j, 0 otherwise.
-
-    The diagonal counts as an edge so every variable attends to itself.
-    """
-    out = np.ones((graph.n, graph.n))
-    np.fill_diagonal(out, 0.0)
-    for i, j in graph.edges:
-        out[i, j] = 0.0
-        out[j, i] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Weights
+
+
+class DomainMismatch(ValueError):
+    """Weights built for one domain size applied to an instance of another."""
 
 
 class ModelWeights:
@@ -122,6 +113,13 @@ class ModelWeights:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
+
+    def check_domain(self, inst: CspInstance) -> None:
+        """Raise DomainMismatch unless ``inst`` has this model's domain size."""
+        if inst.m != self.domain_size:
+            raise DomainMismatch(
+                f"instance has {inst.m} domain values, the model {self.domain_size}"
+            )
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -176,18 +174,20 @@ class InstanceContext:
     nonedge: np.ndarray  # (n, n)
     masked_bias: np.ndarray | None  # (n, n), -inf on non-edges
     fixed_mask: np.ndarray  # (n,) bool
-    fixed_values: np.ndarray  # (n,) int, arbitrary where not fixed
+    fixed_values: np.ndarray  # (n,) int, 0 where not fixed
 
     @staticmethod
     def build(inst: CspInstance, cfg: ModelConfig) -> "InstanceContext":
-        graph = constraint_graph(inst)
-        nonedge = nonedge_indicator(graph)
+        """The attention graph and the fixed variables come from the
+        compiled instance; the diagonal counts as an edge, so every
+        variable attends to itself."""
+        cc = inst.compiled
+        nonedge = (~cc.adjacency()).astype(np.float64)
         masked = None
         if cfg.rpe_mode == "masked":
             masked = np.where(nonedge > 0, -np.inf, 0.0)
-        fixed_mask = np.array([v is not None for v in inst.fixed])
-        fixed_values = np.array([v if v is not None else 0 for v in inst.fixed])
-        return InstanceContext(inst, ape_table(inst, cfg), nonedge, masked, fixed_mask, fixed_values)
+        return InstanceContext(inst, ape_table(inst, cfg), nonedge, masked,
+                               cc.fixed_mask, cc.fixed_values)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .csp import (
     CspInstance,
     NotEqual,
 )
-from .tensor import Tensor
+from .tensor import ShapeMismatch, Tensor
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,10 @@ class LossProgram:
 
     def __init__(self, inst: CspInstance, cfg: LossConfig | None = None):
         cfg = cfg or default_loss_config(inst)
+        if cfg.lambdas is not None and len(cfg.lambdas) != len(inst.constraints):
+            raise ValueError(
+                f"{len(cfg.lambdas)} lambdas for {len(inst.constraints)} constraints"
+            )
         self.cfg = cfg
         self.n, self.m = inst.n, inst.m
         cc = inst.compiled
@@ -206,6 +210,8 @@ class LossProgram:
 
     def loss(self, rel: Tensor) -> Tensor:
         """Per-sample loss; shape = rel.shape[:-2]."""
+        if rel.shape[-2:] != (self.n, self.m):
+            raise ShapeMismatch("loss over (..., n, m) rows", rel.shape, (self.n, self.m))
         total = Tensor(np.zeros(rel.shape[:-2]))
         f = self.cfg.transform
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .csp import CspInstance, violation_degree
+from .csp import CspError, CspInstance, validate_assignment, violation_degree
 from .model import (
     InstanceContext,
     ModelWeights,
@@ -134,10 +134,12 @@ def multi_start(
     noise; candidate 0 therefore replays the pool of size 1 with the same
     seed. First feasible candidate wins (lowest index on ties). In
     maximization mode the best cut seen over all candidates and rounds is
-    kept.
+    kept. Given ``inits`` must be assignments of ``inst`` that keep its
+    givens (CspError otherwise).
     """
     if pool_size < 1:
         raise ValueError("pool size must be at least 1")
+    weights.check_domain(inst)
     if ctx is None:
         ctx = InstanceContext.build(inst, weights.config)
     checker = ViolationChecker(inst)
@@ -151,6 +153,7 @@ def multi_start(
         values = np.array(inits if inits.ndim == 2 else inits[None], copy=True)
         if values.shape[0] != pool_size:
             raise ValueError("need one initial assignment per candidate")
+        validate_assignment(inst, values)
 
     fixed_mask = np.broadcast_to(ctx.fixed_mask, values.shape) \
         if ctx.fixed_mask.ndim == 1 else ctx.fixed_mask
@@ -266,12 +269,14 @@ def direct_sgd_counts(
     no projection is needed. Runs are batched along the leading axis and
     optimized independently.
     """
+    if inst.mode != "satisfaction":
+        raise CspError("direct gradient baseline targets satisfaction instances")
     rng = np.random.default_rng(seed)
     program = LossProgram(inst)
-    free = np.array([v is None for v in inst.fixed])
-    hard = one_hot(np.array([v if v is not None else 0 for v in inst.fixed]), inst.m)
+    cc = inst.compiled
+    hard = one_hot(cc.fixed_values, inst.m)
     fixed_rows = Tensor(np.broadcast_to(hard, (runs, inst.n, inst.m)).copy())
-    free_mask = Tensor(free.astype(np.float64)[None, :, None])
+    free_mask = Tensor((~cc.fixed_mask).astype(np.float64)[None, :, None])
 
     z = Tensor(rng.normal(0.0, 0.1, size=(runs, inst.n, inst.m)), requires_grad=True)
     for _ in range(steps):
@@ -282,16 +287,9 @@ def direct_sgd_counts(
             backward(loss)
         z.data -= lr * z.grad
 
-    rounded = np.argmax(z.data, axis=-1)
-    rounded[:, ~free] = np.argmax(hard[~free], axis=-1)
+    rounded = np.where(cc.fixed_mask, cc.fixed_values, np.argmax(z.data, axis=-1))
     sat = np.zeros(runs, dtype=np.int64)
     for r in range(runs):
         sat[r] = sum(1 for c in inst.constraints if violation_degree(c, rounded[r]) == 0)
     return sat
 
-
-def direct_sgd_baseline(inst: CspInstance, steps: int = 10000, lr: float = 0.1, seed: int = 0) -> int:
-    """Satisfied-constraint count for a single direct-descent run."""
-    if inst.mode != "satisfaction":
-        raise ValueError("direct gradient baseline targets satisfaction instances")
-    return int(direct_sgd_counts(inst, runs=1, steps=steps, lr=lr, seed=seed)[0])

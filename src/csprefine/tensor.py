@@ -92,16 +92,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._node: int | None = None
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def zeros(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
     # -- bookkeeping ---------------------------------------------------------
 
     @property
@@ -374,18 +364,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else a.shape[axis]
     return mul(reduce_sum(a, axis=axis, keepdims=keepdims), _wrap(1.0 / n))
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(out, tuple(tensors), bwd)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:

@@ -111,11 +111,8 @@ def adamw_step(weights: ModelWeights, opt: AdamW) -> None:
 
 def random_assignment(inst: CspInstance, rng: np.random.Generator) -> np.ndarray:
     """Uniform values on non-fixed variables, givens kept."""
-    values = rng.integers(0, inst.m, size=inst.n)
-    for i, v in enumerate(inst.fixed):
-        if v is not None:
-            values[i] = v
-    return values
+    cc = inst.compiled
+    return np.where(cc.fixed_mask, cc.fixed_values, rng.integers(0, inst.m, size=inst.n))
 
 
 def assemble_relaxed(values: np.ndarray, selected: np.ndarray, yhat: Tensor) -> Tensor:
@@ -239,6 +236,8 @@ def train(
         loss_cfg = default_loss_config(instances[0])
     if weights is None:
         weights = init_weights(mcfg, instances[0].m, rng)
+    for inst in instances:
+        weights.check_domain(inst)
     if opt is None:
         opt = AdamW(weights, tcfg)
     bundles = prepare(instances, mcfg, loss_cfg)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from csprefine.cli import EXIT_IO, EXIT_OK, main
+from csprefine.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from csprefine.data import load_instances, load_weights, save_instances, save_sudoku
 from conftest import sudoku_puzzle, toy_alldiff
 
@@ -195,6 +195,17 @@ def test_baseline_direct_sgd(tmp_path, capsys):
     assert len(rec["satisfied"]) == 2
 
 
+def test_baseline_direct_sgd_rejects_maxcut(tmp_path, capsys):
+    rc = main(["generate", "--problem", "maxcut", "--count", "1", "--n", "6",
+               "--out", str(tmp_path / "mc")])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    rc = main(["baseline", "--kind", "direct-sgd", "--steps", "5",
+               "--dataset", str(tmp_path / "mc" / "instances.jsonl")])
+    assert rc == EXIT_USAGE
+    assert "satisfaction" in capsys.readouterr().err
+
+
 def test_gradcheck_passes(capsys):
     rc = main(["gradcheck", "--seed", "0"])
     assert rc == EXIT_OK
@@ -224,3 +235,49 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_train_on_mixed_domain_sizes_is_a_compatibility_error(tmp_path, capsys):
+    # without --fixed-k the generated instances have m = [6, 3, 3, 3, 3, 3]
+    out = tmp_path / "mixed"
+    rc = main(["generate", "--problem", "coloring", "--count", "6", "--n", "10",
+               "--seed", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert len({inst.m for inst in load_instances(out / "instances.jsonl")}) > 1
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(out / "instances.jsonl"),
+               "--out", str(tmp_path / "m.bin"), "--epochs", "1", "--layers", "1",
+               "--heads", "1", "--d-model", "16"])
+    assert rc == EXIT_IO
+    assert "domain values" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_solve_with_weights_of_another_domain_size(tmp_path, capsys):
+    model = _train_tiny(tmp_path, _generate_coloring(tmp_path, count=2, n=6))
+    out = tmp_path / "k4"
+    rc = main(["generate", "--problem", "coloring", "--count", "2", "--n", "6",
+               "--fixed-k", "4", "--out", str(out)])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    rc = main(["solve", "--weights", str(model), "--dataset", str(out / "instances.jsonl"),
+               "--iters", "5"])
+    assert rc == EXIT_IO
+    assert "domain values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],  # neither --iters nor --time-ms
+    ["solve", "--iters", "0"],
+    ["train", "--batch-size", "0"],
+    ["train", "--heads", "3", "--d-model", "8"],
+], ids=["solve-no-budget", "solve-zero-iters", "train-zero-batch", "train-heads-d-model"])
+def test_rejected_configuration_is_a_usage_error(tmp_path, capsys, argv):
+    dataset = _generate_coloring(tmp_path, count=2, n=5)
+    # solve never reads its weights here: it rejects the budget first
+    target = ["--weights" if argv[0] == "solve" else "--out", str(tmp_path / "model.bin")]
+    capsys.readouterr()
+    rc = main([*argv, "--dataset", str(dataset), *target])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")

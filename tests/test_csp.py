@@ -72,6 +72,30 @@ def test_validate_assignment():
         validate_assignment(inst, [0, 1])
     with pytest.raises(CspError):
         validate_assignment(inst, [0, 1, 3])
+    with pytest.raises(CspError):
+        validate_assignment(inst, [0.0, 1.0, 2.0])
+    validate_assignment(inst, np.array([[0, 1, 2], [2, 2, 2]]))  # a pool
+    with pytest.raises(CspError, match="variable 1 outside"):
+        validate_assignment(inst, np.array([[0, 1, 2], [2, -1, 2]]))
+
+
+def test_validate_assignment_keeps_givens():
+    inst = build_sudoku([5] + [0] * 80)
+    validate_assignment(inst, [4] + [0] * 80)
+    with pytest.raises(CspError, match="variable 0 differs from its given 4"):
+        validate_assignment(inst, [0] * 81)
+
+
+def test_compiled_arrays_are_read_only():
+    inst = build_sudoku([0, 3] + [0] * 79)
+    cc = inst.compiled
+    for arr in (cc.fixed_mask, cc.fixed_values, cc.edge_i, cc.exact.rows, cc.card_value):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    # the adjacency is computed per call and belongs to the caller
+    adj = cc.adjacency()
+    adj[0, 1] = False
+    assert cc.adjacency()[0, 1]
 
 
 def test_not_equal_check_and_degree():

@@ -4,7 +4,7 @@ selection, the forward contract, and update semantics."""
 import numpy as np
 import pytest
 
-from csprefine.csp import build_graph_coloring, build_sudoku, constraint_graph
+from csprefine.csp import build_graph_coloring, build_sudoku
 from csprefine.model import (
     InstanceContext,
     ModelConfig,
@@ -14,7 +14,6 @@ from csprefine.model import (
     forward,
     gumbel_noise,
     init_weights,
-    nonedge_indicator,
     select_subset,
     sinusoidal_pe,
 )
@@ -72,10 +71,11 @@ def test_ape_table_modes():
     assert np.allclose(table1d[5], sinusoidal_pe(5, 16))
 
 
-def test_nonedge_indicator_diag_and_edges():
+def test_context_nonedge_diag_and_edges():
     inst = build_graph_coloring(3, [(0, 1)], 2)
-    ind = nonedge_indicator(constraint_graph(inst))
-    assert np.array_equal(ind, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    nonedge = InstanceContext.build(inst, tiny_config()).nonedge
+    assert nonedge.dtype == np.float64
+    assert np.array_equal(nonedge, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
 
 
 def test_rpe_bias_modes():

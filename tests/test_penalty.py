@@ -10,6 +10,7 @@ from csprefine.csp import (
     Cardinality,
     CspInstance,
     NotEqual,
+    build_graph_coloring,
     build_maxcut,
 )
 from csprefine.penalty import (
@@ -24,7 +25,7 @@ from csprefine.penalty import (
     pen_not_equal,
     total_loss,
 )
-from csprefine.tensor import Tensor
+from csprefine.tensor import ShapeMismatch, Tensor
 from conftest import toy_alldiff
 
 
@@ -124,6 +125,24 @@ def test_compiled_loss_respects_lambdas(rng):
     program = LossProgram(inst, cfg)
     rel = Tensor(rng.uniform(0.0, 1.0, size=(inst.n, inst.m)))
     assert np.isclose(program.loss(rel).item(), _naive_loss(inst, rel, cfg))
+
+
+def test_lambdas_must_match_the_constraint_count():
+    inst = build_graph_coloring(3, [(0, 1), (1, 2)], 2)
+    LossProgram(inst, LossConfig(lambdas=(1.0, 2.0)))
+    for lambdas in ((1.0, 2.0, 5.0), (1.0,)):
+        with pytest.raises(ValueError, match=f"{len(lambdas)} lambdas for 2 constraints"):
+            LossProgram(inst, LossConfig(lambdas=lambdas))
+
+
+def test_loss_rejects_rows_of_another_shape():
+    # rows of a 6-value domain scored by a 3-value program
+    program = LossProgram(build_graph_coloring(10, [(0, 1)], 3))
+    with pytest.raises(ShapeMismatch):
+        program.loss(Tensor(np.full((1, 10, 6), 1.0 / 6)))
+    with pytest.raises(ShapeMismatch):
+        program.loss(Tensor(np.full((1, 9, 3), 1.0 / 3)))
+    assert program.loss(Tensor(np.full((1, 10, 3), 1.0 / 3))).shape == (1,)
 
 
 def test_not_equal_weight_folding(rng):

@@ -1,6 +1,7 @@
 """Property tests: the compiled, batched forms of each semantic against the
 reference per-constraint forms, on random small instances of every
-constraint kind (duplicates included), random lambdas and both transforms."""
+constraint kind (duplicates and repeated scope entries included), random
+fixed variables, random lambdas and both transforms."""
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from csprefine.csp import (
     Cardinality,
     CspInstance,
     NotEqual,
+    constraint_graph,
     violation_degree,
 )
+from csprefine.model import InstanceContext
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, instance_cut_value
 from csprefine.tensor import Tape, Tensor, backward
+from conftest import tiny_config
 
 
 @st.composite
@@ -50,6 +54,14 @@ def instances(draw, n: int | None = None, m: int | None = None):
     if cons:
         cons += draw(st.lists(st.sampled_from(cons), max_size=2))  # duplicates
     return CspInstance(n, m, tuple((i,) for i in range(n)), tuple(cons), (None,) * n)
+
+
+@st.composite
+def with_fixed(draw, inst: CspInstance):
+    """``inst`` with random fixed markers."""
+    fixed = draw(st.lists(st.none() | st.integers(0, inst.m - 1),
+                          min_size=inst.n, max_size=inst.n))
+    return CspInstance(inst.n, inst.m, inst.index_tuples, inst.constraints, tuple(fixed))
 
 
 @st.composite
@@ -121,3 +133,34 @@ def test_batched_cut_matches_cut_value(inst, seed):
     want = [cut_value(edges, v) for v in values]
     assert np.allclose(instance_cut_value(inst, values), want, rtol=1e-12, atol=0.0)
     assert np.isclose(instance_cut_value(inst, values[0]), want[0], rtol=1e-12, atol=0.0)
+
+
+@given(instances())
+def test_adjacency_matches_constraint_graph(inst):
+    want = np.eye(inst.n, dtype=bool)
+    for i, j in constraint_graph(inst).edges:
+        want[i, j] = want[j, i] = True
+    assert np.array_equal(inst.compiled.adjacency(), want)
+
+
+@given(instances(), st.sampled_from(["masked", "learned", "none"]))
+def test_context_nonedge_is_the_adjacency_complement(inst, rpe_mode):
+    ctx = InstanceContext.build(inst, tiny_config(rpe_mode=rpe_mode))
+    adj = inst.compiled.adjacency()
+    assert ctx.nonedge.dtype == np.float64
+    assert np.array_equal(ctx.nonedge, np.where(adj, 0.0, 1.0))
+    if rpe_mode == "masked":
+        assert np.array_equal(ctx.masked_bias, np.where(adj, 0.0, -np.inf))
+    else:
+        assert ctx.masked_bias is None
+
+
+@given(st.data(), instances())
+def test_compiled_fixed_arrays_match_markers(data, inst):
+    inst = data.draw(with_fixed(inst))
+    cc = inst.compiled
+    assert cc.fixed_mask.tolist() == [v is not None for v in inst.fixed]
+    assert cc.fixed_values.tolist() == [0 if v is None else v for v in inst.fixed]
+    ctx = InstanceContext.build(inst, tiny_config())
+    assert np.array_equal(ctx.fixed_mask, cc.fixed_mask)
+    assert np.array_equal(ctx.fixed_values, cc.fixed_values)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from csprefine.csp import (
+    CspError,
     build_graph_coloring,
     build_maxcut,
     build_sudoku,
@@ -12,19 +13,18 @@ from csprefine.csp import (
     total_violation,
 )
 from csprefine.data import gen_maxcut_dataset
-from csprefine.model import ModelConfig, init_weights
+from csprefine.model import DomainMismatch, ModelConfig, init_weights
 from csprefine.solve import (
     Budget,
     ViolationChecker,
     cut_value,
-    direct_sgd_baseline,
     direct_sgd_counts,
     greedy_coloring,
     instance_cut_value,
     iterate,
     multi_start,
 )
-from conftest import sudoku_puzzle, tiny_config, toy_alldiff
+from conftest import full_sudoku_grid, sudoku_puzzle, tiny_config, toy_alldiff
 
 
 def test_budget_validation():
@@ -127,9 +127,35 @@ def test_iterate_keeps_fixed_variables():
             assert report.final_assignment[i] == v
 
 
-def test_fully_fixed_instance_short_circuits():
-    from conftest import full_sudoku_grid
+def test_inits_must_keep_the_givens():
+    # the valid grid relabelled to 0-based values is feasible, but it moves
+    # the givens of a puzzle posed from the 1-based grid
+    inst = sudoku_puzzle(30, 1)
+    w = init_weights(tiny_config(), 9, np.random.default_rng(0))
+    relabelled = full_sudoku_grid() % 9
+    with pytest.raises(CspError, match="differs from its given"):
+        iterate(w, inst, relabelled, Budget(max_iterations=5))
+    with pytest.raises(CspError, match="differs from its given"):
+        multi_start(w, inst, 2, Budget(max_iterations=5), inits=np.stack([relabelled] * 2))
 
+
+def test_inits_must_lie_in_the_domain():
+    inst = sudoku_puzzle(30, 1)
+    w = init_weights(tiny_config(), 9, np.random.default_rng(0))
+    with pytest.raises(CspError, match="outside domain"):
+        iterate(w, inst, np.full(81, 12), Budget(max_iterations=5))
+    with pytest.raises(CspError, match="81 values"):
+        iterate(w, inst, np.zeros(80, dtype=int), Budget(max_iterations=5))
+
+
+def test_multi_start_rejects_other_domain_size():
+    inst = build_graph_coloring(3, [(0, 1), (1, 2)], 4)
+    w = init_weights(tiny_config(), 3, np.random.default_rng(0))
+    with pytest.raises(DomainMismatch):
+        multi_start(w, inst, 2, Budget(max_iterations=5))
+
+
+def test_fully_fixed_instance_short_circuits():
     inst = build_sudoku(full_sudoku_grid().tolist())
     cfg = tiny_config()
     w = init_weights(cfg, 9, np.random.default_rng(0))
@@ -237,10 +263,8 @@ def test_greedy_coloring_known_cases():
 
 
 def test_direct_sgd_zero_missing_is_perfect():
-    from conftest import full_sudoku_grid
-
     inst = build_sudoku(full_sudoku_grid().tolist())
-    assert direct_sgd_baseline(inst, steps=1, lr=0.1, seed=0) == 27
+    assert direct_sgd_counts(inst, runs=1, steps=1, lr=0.1, seed=0).tolist() == [27]
 
 
 def test_direct_sgd_counts_batched_shape():
@@ -259,5 +283,5 @@ def test_direct_sgd_solves_single_edge():
 
 def test_direct_sgd_rejects_maximization():
     inst = build_maxcut(2, [(0, 1, 1.0)])
-    with pytest.raises(ValueError):
-        direct_sgd_baseline(inst)
+    with pytest.raises(CspError, match="satisfaction"):
+        direct_sgd_counts(inst)

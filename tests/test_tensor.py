@@ -171,13 +171,6 @@ def test_batched_matmul_gradient(rng):
     assert grad_check(lambda t: T.square(T.matmul(a, t)).sum(), b).passed
 
 
-def test_concat_gradient(rng):
-    a = Tensor(rng.normal(size=(2, 2)))
-    b = Tensor(rng.normal(size=(3, 2)))
-    assert grad_check(lambda t: T.square(T.concat([t, b], axis=0)).sum(), a).passed
-    assert grad_check(lambda t: T.square(T.concat([a, t], axis=0)).sum(), b).passed
-
-
 def test_gather_rows_values_and_gradient(rng):
     table = Tensor(rng.normal(size=(5, 3)))
     idx = np.array([[0, 2], [2, 4]])

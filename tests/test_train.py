@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csprefine.csp import build_graph_coloring, build_sudoku
-from csprefine.model import InstanceContext, forward, init_weights, select_subset
+from csprefine.model import DomainMismatch, InstanceContext, forward, init_weights, select_subset
 from csprefine.penalty import LossProgram, one_hot
 from csprefine.tensor import Tape, Tensor, backward
 from csprefine.train import (
@@ -41,6 +41,23 @@ def test_random_assignment_respects_fixed(rng):
     for i, v in enumerate(inst.fixed):
         if v is not None:
             assert values[i] == v
+
+
+def test_random_assignment_replays_the_per_variable_loop():
+    # the compiled fixed arrays give the same values as overwriting one
+    # uniform draw variable by variable, so every training stream is kept
+    inst = sudoku_puzzle(40, 3)
+    for seed in range(5):
+        want = np.random.default_rng(seed).integers(0, inst.m, size=inst.n)
+        for i, v in enumerate(inst.fixed):
+            if v is not None:
+                want[i] = v
+        got = random_assignment(inst, np.random.default_rng(seed))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # pinned: the first 12 values for seed 0
+    got = random_assignment(inst, np.random.default_rng(0))
+    assert got[:12].tolist() == [0, 5, 2, 2, 2, 5, 0, 0, 1, 7, 5, 5]
 
 
 def test_assemble_relaxed_mixes_rows(rng):
@@ -240,6 +257,17 @@ def test_train_epoch_rejects_empty_dataset():
     tcfg = TrainConfig()
     with pytest.raises(ValueError):
         train_epoch(w, AdamW(w, tcfg), [], tcfg, np.random.default_rng(0))
+
+
+def test_train_rejects_other_domain_sizes():
+    # a coloring dataset generated without a fixed k mixes domain sizes
+    insts = [build_graph_coloring(3, [(0, 1), (1, 2)], k) for k in (3, 4)]
+    tcfg = TrainConfig(batch_size=2, epochs=1, seed=0)
+    with pytest.raises(DomainMismatch):
+        train(insts, tiny_config(), tcfg)
+    w = init_weights(tiny_config(), 4, np.random.default_rng(0))
+    with pytest.raises(DomainMismatch):
+        train(insts[1:] + insts[:1], tiny_config(), tcfg, weights=w)
 
 
 def test_train_reduces_loss_and_tracks_best():
