@@ -31,7 +31,7 @@ from .data import (
     save_instances,
     save_weights,
 )
-from .model import DomainMismatch, ModelConfig, init_weights
+from .model import ArityMismatch, DomainMismatch, ModelConfig, init_weights
 from .penalty import pen_alldiff_atmost, pen_alldiff_exact, pen_cardinality, pen_not_equal
 from .solve import Budget, direct_sgd_counts, greedy_coloring, multi_start
 from .tensor import NumericError, Tensor, grad_check
@@ -137,6 +137,8 @@ def cmd_train(args) -> int:
         grad_clip=args.grad_clip,
     )
     instances = _load_dataset(args)
+    if not instances:
+        raise DataError(f"dataset {args.dataset} holds no instances")
     if args.resume:
         weights = load_weights(args.resume)
         mcfg = weights.config
@@ -363,7 +365,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, DomainMismatch, FileNotFoundError) as exc:
+    except (DataError, DomainMismatch, ArityMismatch, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NumericError,) as exc:

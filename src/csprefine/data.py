@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -383,8 +383,7 @@ def save_weights(weights: ModelWeights, path) -> None:
     names = sorted(weights.params)
     header = json.dumps(
         {
-            "config": vars(weights.config) if not hasattr(weights.config, "__dataclass_fields__")
-            else {f: getattr(weights.config, f) for f in weights.config.__dataclass_fields__},
+            "config": asdict(weights.config),
             "domain_size": weights.domain_size,
             "tensors": {name: list(weights.params[name].shape) for name in names},
         },

@@ -58,32 +58,28 @@ class ModelConfig:
 # Positional encodings
 
 
-def sinusoidal_pe(position: int, width: int) -> np.ndarray:
-    """Interleaved sin/cos encoding; position 0 gives [0, 1, 0, 1, ...]."""
-    out = np.zeros(width)
-    half = (width + 1) // 2
-    freqs = np.power(10000.0, -2.0 * np.arange(half) / width)
-    out[0::2] = np.sin(position * freqs)
-    out[1::2] = np.cos(position * freqs[: width // 2])
-    return out
-
-
-def ape(index_tuple, d_model: int) -> np.ndarray:
-    """Concatenation of per-dimension sinusoidal encodings."""
-    k = len(index_tuple)
-    if d_model % k != 0:
-        raise ValueError(f"d_model {d_model} not divisible by index arity {k}")
-    width = d_model // k
-    return np.concatenate([sinusoidal_pe(i, width) for i in index_tuple])
+class ArityMismatch(ValueError):
+    """A model width that the instance's index arity does not divide."""
 
 
 def ape_table(inst: CspInstance, cfg: ModelConfig) -> np.ndarray:
-    """(n, d_model) positional table for one instance, per cfg.ape_mode."""
+    """(n, d_model) positional table for one instance, per cfg.ape_mode: each
+    of the k index dimensions ("1d": the variable number, "multi": the index
+    tuple) gets a d_model/k wide interleaved sin/cos encoding."""
+    d = cfg.d_model
     if cfg.ape_mode == "none":
-        return np.zeros((inst.n, cfg.d_model))
-    if cfg.ape_mode == "1d":
-        return np.stack([sinusoidal_pe(i, cfg.d_model) for i in range(inst.n)])
-    return np.stack([ape(t, cfg.d_model) for t in inst.index_tuples])
+        return np.zeros((inst.n, d))
+    idx = np.arange(inst.n)[:, None] if cfg.ape_mode == "1d" else np.array(inst.index_tuples)
+    n, k = idx.shape
+    if d % k != 0:
+        raise ArityMismatch(f"d_model {d} not divisible by index arity {k}")
+    width = d // k
+    freqs = np.power(10000.0, -2.0 * np.arange((width + 1) // 2) / width)
+    angles = idx[:, :, None] * freqs  # (n, k, ceil(width/2))
+    out = np.empty((n, k, width))
+    out[..., 0::2] = np.sin(angles)
+    out[..., 1::2] = np.cos(angles[..., : width // 2])
+    return out.reshape(n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,7 @@ def multi_start(
             raise ValueError("need one initial assignment per candidate")
         validate_assignment(inst, values)
 
-    fixed_mask = np.broadcast_to(ctx.fixed_mask, values.shape) \
-        if ctx.fixed_mask.ndim == 1 else ctx.fixed_mask
-    frozen = not (~fixed_mask).any()  # fully fixed: nothing can ever change
+    frozen = bool(ctx.fixed_mask.all())  # fully fixed: nothing can ever change
     gumbel = weights.config.sampler == "gumbel"
     t0 = time.perf_counter()
     viol = checker.total(values)
@@ -195,7 +193,7 @@ def multi_start(
         if budget.time_limit_ms is not None and (time.perf_counter() - t0) * 1000.0 >= budget.time_limit_ms:
             break
         selected = np.stack(
-            [select_subset(fixed_mask[c], weights.config.select_p, rngs[c]) for c in range(pool_size)]
+            [select_subset(ctx.fixed_mask, weights.config.select_p, rng) for rng in rngs]
         )
         noise = None
         if gumbel:

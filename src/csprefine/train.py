@@ -5,10 +5,10 @@ refinement forward pass, scores the soft outputs with the penalty loss, and
 takes one AdamW step. No multi-step unrolling: the model only ever sees a
 single improvement step during training.
 
-Batches are vectorized when the instances share n, m and index tuples: the
-compiled constraints of every instance are stacked along the batch axis
-into one loss program. Batches of differently sized instances fall back to
-a per-instance loop inside the same tape.
+Each batch groups its instances by structure (index tuples, which fix n)
+and runs one stacked forward per group, with the group's compiled
+constraints stacked along the batch axis into one loss program. A training
+set may therefore mix sizes, but not domain sizes.
 """
 
 from __future__ import annotations
@@ -142,22 +142,17 @@ def prepare(instances, mcfg: ModelConfig, loss_cfg: LossConfig | None = None):
 
 
 def _collate(bundles):
-    """Batched (ctx, loss program) when the instances share n, m and index
-    tuples, else None. Each sample keeps its own attention bias, fixed
-    variables and compiled constraints."""
-    first = bundles[0].inst
-    if any(
-        b.inst.n != first.n or b.inst.m != first.m or b.inst.index_tuples != first.index_tuples
-        for b in bundles
-    ):
-        return None
+    """Batched (ctx, loss program) for bundles that share index tuples, and
+    so n and the positional table. Each sample keeps its own attention
+    bias, fixed variables and compiled constraints."""
     ctxs = [b.ctx for b in bundles]
+    first = ctxs[0]
     masked = None
-    if ctxs[0].masked_bias is not None:
+    if first.masked_bias is not None:
         masked = np.stack([c.masked_bias for c in ctxs])[:, None]  # (B,1,n,n)
     ctx = InstanceContext(
-        first,
-        ctxs[0].ape,
+        first.inst,
+        first.ape,
         np.stack([c.nonedge for c in ctxs])[:, None],
         masked,
         np.stack([c.fixed_mask for c in ctxs]),
@@ -171,24 +166,25 @@ def _collate(bundles):
 
 
 def _batch_loss(weights, bundles, rng, training=True):
-    """Forward one batch inside the active tape; returns the mean loss."""
-    B = len(bundles)
-    values = np.stack([random_assignment(b.inst, rng) for b in bundles])
-    selected = np.stack(
-        [select_subset(b.ctx.fixed_mask, weights.config.select_p, rng) for b in bundles]
-    )
-    plan = _collate(bundles)
-    if plan is not None:
-        ctx, program = plan
-        yhat = forward(weights, ctx, values, selected, rng=rng, training=training)
-        rel = assemble_relaxed(values, selected, yhat)
-        return program.loss(rel).mean()
-    total = Tensor(0.0)
-    for b, vals, sel in zip(bundles, values, selected):
-        yhat = forward(weights, b.ctx, vals[None], sel[None], rng=rng, training=training)
-        rel = assemble_relaxed(vals[None], sel[None], yhat)
-        total = total + b.program.loss(rel).sum()
-    return total * (1.0 / B)
+    """Forward one batch inside the active tape; returns the mean loss.
+
+    Assignments and subsets are drawn in batch order; then each group of
+    instances that share index tuples runs one stacked forward, in order of
+    first appearance.
+    """
+    values = [random_assignment(b.inst, rng) for b in bundles]
+    selected = [select_subset(b.ctx.fixed_mask, weights.config.select_p, rng) for b in bundles]
+    groups: dict[tuple, list] = {}
+    for row in zip(bundles, values, selected):
+        groups.setdefault(row[0].inst.index_tuples, []).append(row)
+    parts = []
+    for rows in groups.values():
+        group, vals, sel = zip(*rows)
+        ctx, program = _collate(group)
+        vals, sel = np.stack(vals), np.stack(sel)
+        yhat = forward(weights, ctx, vals, sel, rng=rng, training=training)
+        parts.append(program.loss(assemble_relaxed(vals, sel, yhat)).sum())
+    return sum(parts[1:], parts[0]) * (1.0 / len(bundles))
 
 
 def train_epoch(weights: ModelWeights, opt: AdamW, bundles, cfg: TrainConfig,
@@ -231,6 +227,8 @@ def train(
     log=None,
 ) -> TrainResult:
     """Train a refiner from scratch (or resume) on a list of instances."""
+    if not instances:
+        raise ValueError("empty training dataset")
     rng = np.random.default_rng(tcfg.seed)
     if loss_cfg is None:
         loss_cfg = default_loss_config(instances[0])

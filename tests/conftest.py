@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from csprefine.csp import AllDifferentExact, CspInstance, build_sudoku
-from csprefine.model import ModelConfig
+from csprefine.model import ModelConfig, forward, select_subset
+from csprefine.train import assemble_relaxed, random_assignment
 
 
 def toy_alldiff(n: int = 4) -> CspInstance:
@@ -51,6 +52,20 @@ def tiny_config(**kw) -> ModelConfig:
     )
     base.update(kw)
     return ModelConfig(**base)
+
+
+def replayed_mean_loss(w, bundles, seed: int) -> float:
+    """Mean of each instance's own program loss on the draws that
+    ``train._batch_loss`` makes from ``seed``: assignments, then subsets,
+    in batch order. Needs a model that draws no dropout or gumbel noise."""
+    rng = np.random.default_rng(seed)
+    values = [random_assignment(b.inst, rng) for b in bundles]
+    selected = [select_subset(b.ctx.fixed_mask, w.config.select_p, rng) for b in bundles]
+    total = 0.0
+    for b, vals, sel in zip(bundles, values, selected):
+        yhat = forward(w, b.ctx, vals[None], sel[None])
+        total += b.program.loss(assemble_relaxed(vals[None], sel[None], yhat)).data[0]
+    return total / len(bundles)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from csprefine.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from csprefine.csp import build_graph_coloring
 from csprefine.data import load_instances, load_weights, save_instances, save_sudoku
 from conftest import sudoku_puzzle, toy_alldiff
 
@@ -264,6 +265,47 @@ def test_solve_with_weights_of_another_domain_size(tmp_path, capsys):
                "--iters", "5"])
     assert rc == EXIT_IO
     assert "domain values" in capsys.readouterr().err
+
+
+def test_train_on_mixed_sizes(tmp_path, capsys):
+    dataset = tmp_path / "mixed.jsonl"
+    save_instances([build_graph_coloring(n, [(0, 1), (1, 2)], 3) for n in (4, 5, 4, 6)], dataset)
+    model = _train_tiny(tmp_path, dataset, extra=("--ape", "multi", "--batch-size", "3"))
+    assert load_weights(model).domain_size == 3
+    assert "trained 2 epochs" in capsys.readouterr().out
+
+
+def test_train_on_empty_dataset_is_an_io_error(tmp_path, capsys):
+    dataset = tmp_path / "empty.jsonl"
+    dataset.write_text("")
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "e.bin"),
+               "--epochs", "1"])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "e.bin").exists()
+
+
+def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_path, capsys):
+    # nurse variables are indexed (day, shift, slot): arity 3 does not divide 16
+    out = tmp_path / "nurse"
+    rc = main(["generate", "--problem", "nurse", "--count", "2", "--days", "2",
+               "--shifts", "2", "--per-shift", "1", "--nurses", "3", "--out", str(out)])
+    assert rc == EXIT_OK
+    nurse = out / "instances.jsonl"
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(nurse), "--out", str(tmp_path / "n.bin"),
+               "--epochs", "1", "--layers", "1", "--heads", "1", "--d-model", "16"])
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "index arity 3" in err
+    assert not (tmp_path / "n.bin").exists()
+    # 3-valued weights with the multi table, trained on arity-1 coloring
+    model = _train_tiny(tmp_path, _generate_coloring(tmp_path, count=2, n=5),
+                        extra=("--ape", "multi"))
+    capsys.readouterr()
+    rc = main(["solve", "--weights", str(model), "--dataset", str(nurse), "--iters", "5"])
+    assert rc == EXIT_IO
+    assert "index arity 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

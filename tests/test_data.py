@@ -1,6 +1,8 @@
 """Data tests: graph generators, dataset generation, and every file format
 round-trip."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,23 @@ def test_weights_round_trip(tmp_path):
     assert set(back.params) == set(w.params)
     for name, p in w.named_parameters():
         assert np.array_equal(back.params[name].data, p.data)
+
+
+def test_saved_weight_bytes_are_pinned(tmp_path):
+    # the container's header and blocks do not move with refactors
+    cfg = tiny_config(layers=2, rpe_mode="learned")
+    path = tmp_path / "model.bin"
+    save_weights(init_weights(cfg, 5, np.random.default_rng(3)), path)
+    raw = path.read_bytes()
+    assert raw[12:].startswith(
+        b'{"config": {"ape_mode": "none", "d_model": 16, "dropout": 0.0, "ffn_mult": 1, '
+        b'"heads": 1, "layers": 2, "rpe_mode": "learned", "sampler": "softmax", '
+        b'"select_p": 0.5, "tau": 0.5}, "domain_size": 5, '
+    )
+    assert len(raw) == 28657
+    assert hashlib.sha256(raw).hexdigest() == (
+        "4ce3ced0330e182e5008ca7c6162c0cda84a7087bdb0dc2ce71492929d3c7fd7"
+    )
 
 
 def test_load_weights_config_mismatch(tmp_path):

@@ -4,18 +4,17 @@ selection, the forward contract, and update semantics."""
 import numpy as np
 import pytest
 
-from csprefine.csp import build_graph_coloring, build_sudoku
+from csprefine.csp import CspInstance, build_graph_coloring, build_nurse_rostering, build_sudoku
 from csprefine.model import (
+    ArityMismatch,
     InstanceContext,
     ModelConfig,
     apply_update,
-    ape,
     ape_table,
     forward,
     gumbel_noise,
     init_weights,
     select_subset,
-    sinusoidal_pe,
 )
 from conftest import sudoku_puzzle, tiny_config, toy_alldiff
 
@@ -37,25 +36,41 @@ def test_config_validation():
         ModelConfig(tau=0.0)
 
 
+def _line(n: int) -> CspInstance:
+    """n unconstrained variables indexed 0..n-1."""
+    return build_graph_coloring(n, [], 2)
+
+
+def _grid_cell(row: int, col: int) -> CspInstance:
+    """One variable indexed (row, col)."""
+    return CspInstance(1, 2, ((row, col),), (), (None,))
+
+
 def test_sinusoidal_pe_position_zero():
-    pe = sinusoidal_pe(0, 8)
-    assert np.allclose(pe, [0, 1, 0, 1, 0, 1, 0, 1])
+    for mode in ("1d", "multi"):
+        table = ape_table(_line(4), tiny_config(d_model=8, ape_mode=mode))
+        assert np.allclose(table[0], [0, 1, 0, 1, 0, 1, 0, 1])
 
 
 def test_sinusoidal_pe_first_pair():
-    pe = sinusoidal_pe(3, 8)
-    assert np.isclose(pe[0], np.sin(3.0))
-    assert np.isclose(pe[1], np.cos(3.0))
-    assert np.all(np.abs(pe) <= 1.0)
+    table = ape_table(_line(4), tiny_config(d_model=8, ape_mode="1d"))
+    assert np.isclose(table[3, 0], np.sin(3.0))
+    assert np.isclose(table[3, 1], np.cos(3.0))
+    assert np.all(np.abs(table) <= 1.0)
 
 
 def test_multi_dim_ape_concatenates():
-    enc = ape((2, 5), 8)
-    assert enc.shape == (8,)
-    assert np.allclose(enc[:4], sinusoidal_pe(2, 4))
-    assert np.allclose(enc[4:], sinusoidal_pe(5, 4))
-    with pytest.raises(ValueError):
-        ape((0, 1, 2), 8)
+    enc = ape_table(_grid_cell(2, 5), tiny_config(d_model=8, ape_mode="multi"))
+    assert enc.shape == (1, 8)
+    half = ape_table(_line(6), tiny_config(d_model=4, ape_mode="1d"))
+    assert np.allclose(enc[0, :4], half[2])
+    assert np.allclose(enc[0, 4:], half[5])
+    nurse = build_nurse_rostering(1, 1, 1, 2)  # (day, shift, slot) indices
+    with pytest.raises(ArityMismatch, match="index arity 3"):
+        ape_table(nurse, tiny_config(d_model=8, ape_mode="multi"))
+    # "1d" has arity 1, and "none" no encoding
+    assert ape_table(nurse, tiny_config(d_model=8, ape_mode="1d")).shape == (nurse.n, 8)
+    assert ape_table(nurse, tiny_config(d_model=8, ape_mode="none")).shape == (nurse.n, 8)
 
 
 def test_ape_table_modes():
@@ -68,7 +83,11 @@ def test_ape_table_modes():
     assert np.allclose(table[10][:8], table[11][:8])
     assert not np.allclose(table[10][8:], table[11][8:])
     table1d = ape_table(inst, tiny_config(ape_mode="1d"))
-    assert np.allclose(table1d[5], sinusoidal_pe(5, 16))
+    assert np.allclose(table1d[5], ape_table(_line(6), tiny_config(ape_mode="1d"))[5])
+    # an odd half width: sin takes the extra column
+    odd = ape_table(inst, tiny_config(d_model=18, heads=1, ape_mode="multi"))
+    assert np.allclose(odd[13, :9:2], np.sin(1.0 * np.power(10000.0, -2.0 * np.arange(5) / 9)))
+    assert np.allclose(odd[13, 9::2], np.sin(4.0 * np.power(10000.0, -2.0 * np.arange(5) / 9)))
 
 
 def test_context_nonedge_diag_and_edges():

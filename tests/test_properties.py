@@ -19,11 +19,12 @@ from csprefine.csp import (
     constraint_graph,
     violation_degree,
 )
-from csprefine.model import InstanceContext
+from csprefine.model import InstanceContext, init_weights
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, instance_cut_value
 from csprefine.tensor import Tape, Tensor, backward
-from conftest import tiny_config
+from csprefine.train import _batch_loss, prepare
+from conftest import replayed_mean_loss, tiny_config
 
 
 @st.composite
@@ -164,3 +165,18 @@ def test_compiled_fixed_arrays_match_markers(data, inst):
     ctx = InstanceContext.build(inst, tiny_config())
     assert np.array_equal(ctx.fixed_mask, cc.fixed_mask)
     assert np.array_equal(ctx.fixed_values, cc.fixed_values)
+
+
+@given(st.data(), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_mixed_size_batch_loss_is_the_mean_of_own_losses(data, m, seed):
+    # one chunk of instances of random sizes and givens, in random order
+    insts = data.draw(st.lists(instances(m=m).flatmap(with_fixed), min_size=1, max_size=5))
+    cfg = tiny_config(
+        select_p=data.draw(st.sampled_from([0.3, 0.7, 1.0])),
+        rpe_mode=data.draw(st.sampled_from(["masked", "learned", "none"])),
+        ape_mode=data.draw(st.sampled_from(["none", "1d", "multi"])),
+    )
+    w = init_weights(cfg, m, np.random.default_rng(seed))
+    bundles = prepare(insts, cfg)
+    got = _batch_loss(w, bundles, np.random.default_rng(seed), training=False).item()
+    assert np.isclose(got, replayed_mean_loss(w, bundles, seed), rtol=1e-12, atol=1e-12)

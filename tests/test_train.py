@@ -1,11 +1,11 @@
-"""Training tests: optimizer behavior, batch assembly, collation paths, and
-a short end-to-end smoke run."""
+"""Training tests: optimizer behavior, batch assembly, collation, batches
+that mix structures, and a short end-to-end smoke run."""
 
 import numpy as np
 import pytest
 
-from csprefine.csp import build_graph_coloring, build_sudoku
-from csprefine.model import DomainMismatch, InstanceContext, forward, init_weights, select_subset
+from csprefine.csp import AllDifferentExact, CspInstance, build_graph_coloring
+from csprefine.model import DomainMismatch, init_weights
 from csprefine.penalty import LossProgram, one_hot
 from csprefine.tensor import Tape, Tensor, backward
 from csprefine.train import (
@@ -21,7 +21,7 @@ from csprefine.train import (
     train,
     train_epoch,
 )
-from conftest import sudoku_puzzle, tiny_config, toy_alldiff
+from conftest import replayed_mean_loss, sudoku_puzzle, tiny_config, toy_alldiff
 
 
 def test_train_config_validation():
@@ -158,9 +158,7 @@ def test_collate_identical_structure():
     insts = [sudoku_puzzle(20, s) for s in range(3)]
     cfg = tiny_config()
     bundles = prepare(insts, cfg)
-    plan = _collate(bundles)
-    assert plan is not None
-    ctx, program = plan
+    ctx, program = _collate(bundles)
     assert ctx.fixed_mask.shape == (3, 81)
     assert isinstance(program, LossProgram)
 
@@ -172,9 +170,7 @@ def test_collate_pairs_only_stacks(rng):
     ]
     cfg = tiny_config()
     bundles = prepare(insts, cfg)
-    plan = _collate(bundles)
-    assert plan is not None
-    ctx, program = plan
+    ctx, program = _collate(bundles)
     assert ctx.nonedge.shape == (2, 1, 4, 4)
     # each sample of the stack is scored against its own instance
     rel = rng.dirichlet(np.ones(3), size=(2, 4))
@@ -184,30 +180,42 @@ def test_collate_pairs_only_stacks(rng):
     assert want[0] != want[1]
 
 
-def test_collate_mismatched_sizes_fall_back():
+def test_batch_loss_mixes_sizes():
+    # 4- and 5-variable instances in one chunk, interleaved
     insts = [
-        build_graph_coloring(4, [(0, 1)], 3),
-        build_graph_coloring(5, [(0, 1)], 3),
+        build_graph_coloring(4, [(0, 1), (1, 2)], 3),
+        build_graph_coloring(5, [(0, 1), (3, 4)], 3),
+        build_graph_coloring(4, [(0, 3), (2, 3)], 3),
     ]
-    bundles = prepare(insts, tiny_config())
-    assert _collate(bundles) is None
+    cfg = tiny_config(sampler="softmax", ape_mode="1d")
+    w = init_weights(cfg, 3, np.random.default_rng(2))
+    bundles = prepare(insts, cfg)
+    got = _batch_loss(w, bundles, np.random.default_rng(11), training=False)
+    assert np.isclose(got.item(), replayed_mean_loss(w, bundles, 11), rtol=1e-12, atol=0.0)
 
 
-def test_collate_mixed_kinds_fall_back():
-    bundles = prepare([toy_alldiff(4), toy_alldiff(4)], tiny_config())
-    other = prepare([sudoku_puzzle(10, 0)], tiny_config())
-    assert _collate(bundles) is not None  # same structure
-    mixed = [bundles[0], other[0]]
-    assert _collate(mixed) is None
+def test_batch_loss_mixes_kinds():
+    # a toy alldiff and a sudoku puzzle share only the domain size; the
+    # 3x3 box has the toy's n but (row, col) indices, so its own table
+    box = CspInstance(9, 9, tuple((r, c) for r in range(3) for c in range(3)),
+                      (AllDifferentExact(tuple(range(9))),), (None,) * 9)
+    cfg = tiny_config(sampler="softmax", ape_mode="multi")
+    bundles = prepare([toy_alldiff(9), sudoku_puzzle(30, 0), box, toy_alldiff(9)], cfg)
+    w = init_weights(cfg, 9, np.random.default_rng(4))
+    got = _batch_loss(w, bundles, np.random.default_rng(5), training=False)
+    assert np.isclose(got.item(), replayed_mean_loss(w, bundles, 5), rtol=1e-12, atol=0.0)
+    # the mixed chunk backpropagates a finite gradient to every parameter
+    with Tape():
+        backward(_batch_loss(w, bundles, np.random.default_rng(5), training=False))
+    assert all(np.all(np.isfinite(p.grad)) for _, p in w.named_parameters())
 
 
 def test_collate_stacks_mixed_kinds(rng):
     # same n, m and index tuples is all a stack needs
     bundles = prepare([toy_alldiff(4), build_graph_coloring(4, [(0, 1), (2, 3)], 4)], tiny_config())
-    plan = _collate(bundles)
-    assert plan is not None
+    _, program = _collate(bundles)
     rel = rng.dirichlet(np.ones(4), size=(2, 4))
-    got = plan[1].loss(Tensor(rel)).data
+    got = program.loss(Tensor(rel)).data
     want = [b.program.loss(Tensor(r)).item() for b, r in zip(bundles, rel)]
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -221,19 +229,8 @@ def test_batch_loss_same_for_collated_and_loop():
     cfg = tiny_config(sampler="softmax", select_p=1.0)
     w = init_weights(cfg, 3, np.random.default_rng(2))
     bundles = prepare(insts, cfg)
-    assert _collate(bundles) is not None
-
     fast = _batch_loss(w, bundles, np.random.default_rng(11), training=False)
-
-    # same draws as _batch_loss; no dropout or gumbel noise is drawn here
-    rng = np.random.default_rng(11)
-    values = [random_assignment(b.inst, rng) for b in bundles]
-    selected = [select_subset(b.ctx.fixed_mask, cfg.select_p, rng) for b in bundles]
-    slow = 0.0
-    for b, vals, sel in zip(bundles, values, selected):
-        yhat = forward(w, b.ctx, vals[None], sel[None])
-        slow += b.program.loss(assemble_relaxed(vals[None], sel[None], yhat)).data[0]
-    assert np.isclose(fast.item(), slow / len(bundles), rtol=1e-12, atol=0.0)
+    assert np.isclose(fast.item(), replayed_mean_loss(w, bundles, 11), rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +254,21 @@ def test_train_epoch_rejects_empty_dataset():
     tcfg = TrainConfig()
     with pytest.raises(ValueError):
         train_epoch(w, AdamW(w, tcfg), [], tcfg, np.random.default_rng(0))
+
+
+def test_train_rejects_empty_dataset():
+    with pytest.raises(ValueError, match="empty training dataset"):
+        train([], tiny_config(), TrainConfig(epochs=1))
+
+
+def test_train_on_mixed_sizes():
+    insts = [build_graph_coloring(n, [(0, 1), (1, 2)], 3) for n in (4, 5, 4, 6, 5)]
+    cfg = tiny_config(sampler="gumbel", ape_mode="multi", dropout=0.1)
+    tcfg = TrainConfig(batch_size=3, epochs=3, lr=1e-3, seed=2)
+    a = train(insts, cfg, tcfg)
+    b = train(insts, cfg, tcfg)
+    assert len(a.history) == 3 and np.all(np.isfinite(a.history))
+    assert a.history == b.history
 
 
 def test_train_rejects_other_domain_sizes():
