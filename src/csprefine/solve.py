@@ -84,9 +84,6 @@ class ViolationChecker:
                 out += np.abs(cc.card_count - got).sum(axis=1)
         return out
 
-    def feasible(self, values: np.ndarray) -> np.ndarray:
-        return self.total(values) == 0
-
 
 # ---------------------------------------------------------------------------
 # MAXCUT helpers

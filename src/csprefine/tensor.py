@@ -6,6 +6,10 @@ executed while a :class:`Tape` is active records a backward rule onto that
 tape. Calling :func:`backward` on a scalar replays the tape in reverse and
 accumulates gradients into every reachable tensor that requires them.
 
+Every op computes its local derivative inside its backward closure, never in
+the forward, so a forward with no tape (inference) does forward work only.
+Shape errors come from numpy and are reported as :class:`ShapeMismatch`.
+
 Subgradient choices are deterministic: ``abs'(0) = 0`` and ``relu'(0) = 0``.
 """
 
@@ -180,9 +184,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+def _binary(fn, op: str, a: Tensor, b: Tensor) -> np.ndarray:
+    """``fn(a.data, b.data)``, with numpy's shape error as :class:`ShapeMismatch`."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return fn(a.data, b.data)
     except ValueError:
         raise ShapeMismatch(op, a.shape, b.shape) from None
 
@@ -193,8 +198,7 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_broadcast("add", a, b)
-    out = Tensor(a.data + b.data)
+    out = Tensor(_binary(np.add, "add", a, b))
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -204,8 +208,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_broadcast("sub", a, b)
-    out = Tensor(a.data - b.data)
+    out = Tensor(_binary(np.subtract, "sub", a, b))
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -215,8 +218,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_broadcast("mul", a, b)
-    out = Tensor(a.data * b.data)
+    out = Tensor(_binary(np.multiply, "mul", a, b))
 
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -226,20 +228,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def abs_(a: Tensor) -> Tensor:
     out = Tensor(np.abs(a.data))
-    sign = np.sign(a.data)  # sign(0) = 0: the chosen subgradient at the kink
 
     def bwd(g):
-        return (g * sign,)
+        return (g * np.sign(a.data),)  # sign(0) = 0: the chosen subgradient at the kink
 
     return _record(out, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
-    mask = (a.data > 0.0).astype(np.float64)
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (a.data > 0.0).astype(np.float64),)
 
     return _record(out, (a,), bwd)
 
@@ -253,21 +253,18 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     phi = 0.5 * (1.0 + erf(x / _SQRT2))
     out = Tensor(x * phi)
-    dens = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    local = phi + x * dens
 
     def bwd(g):
-        return (g * local,)
+        return (g * (phi + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))),)
 
     return _record(out, (a,), bwd)
 
 
 def pow_scalar(a: Tensor, p: float) -> Tensor:
     out = Tensor(np.power(a.data, p))
-    local = p * np.power(a.data, p - 1.0)
 
     def bwd(g):
-        return (g * local,)
+        return (g * (p * np.power(a.data, p - 1.0)),)
 
     return _record(out, (a,), bwd)
 
@@ -317,9 +314,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 1 or b.data.ndim < 1 or a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ShapeMismatch("matmul", a.shape, b.shape)
-    out = Tensor(np.matmul(a.data, b.data))
+    out = Tensor(_binary(np.matmul, "matmul", a, b))
 
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -353,9 +348,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
+        g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g2, a.shape).copy(),)
 
     return _record(out, (a,), bwd)
@@ -397,9 +390,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     xmax = np.max(x, axis=axis, keepdims=True)
     if np.any(np.isneginf(xmax)):
         raise NumericError("softmax: a slice is entirely -inf")
-    with np.errstate(invalid="ignore"):
-        e = np.exp(x - xmax)
-    e = np.where(np.isneginf(x), 0.0, e)
+    e = np.exp(x - xmax)
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 

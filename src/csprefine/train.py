@@ -99,12 +99,6 @@ class AdamW:
             p.data -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
 
 
-def adamw_step(weights: ModelWeights, opt: AdamW) -> None:
-    """One optimizer step from the gradients currently held by the weights."""
-    opt.step()
-    weights.zero_grad()
-
-
 # ---------------------------------------------------------------------------
 # Assignment sampling and relaxation
 
@@ -200,7 +194,7 @@ def train_epoch(weights: ModelWeights, opt: AdamW, bundles, cfg: TrainConfig,
         with Tape():
             loss = _batch_loss(weights, chunk, rng)
             backward(loss)
-        adamw_step(weights, opt)
+        opt.step()
         losses.append(loss.item())
     return float(np.mean(losses))
 

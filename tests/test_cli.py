@@ -181,6 +181,26 @@ def test_baseline_greedy(tmp_path, capsys):
     assert len(recs) == 3
     # posed at greedy k, so greedy itself solves every instance
     assert all(r["solved_by_greedy"] for r in recs)
+    assert all(r["k_greedy"] <= r["k_posed"] == 3 for r in recs)
+
+
+def test_baseline_greedy_checks_every_constraint(tmp_path, capsys):
+    # the greedy coloring of the not-equal edges fits in the domain, but
+    # it breaks the nurse alldifferent constraints
+    rc = main([
+        "generate", "--problem", "nurse", "--count", "2", "--days", "2",
+        "--shifts", "2", "--per-shift", "1", "--nurses", "3",
+        "--out", str(tmp_path / "nurse"),
+    ])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    rc = main(["baseline", "--kind", "greedy",
+               "--dataset", str(tmp_path / "nurse" / "instances.jsonl")])
+    assert rc == EXIT_OK
+    recs = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert len(recs) == 2
+    assert all(r["k_greedy"] <= r["k_posed"] for r in recs)
+    assert not any(r["solved_by_greedy"] for r in recs)
 
 
 def test_baseline_direct_sgd(tmp_path, capsys):

@@ -40,10 +40,32 @@ def test_operator_sugar():
 
 
 def test_shape_mismatch_raises():
-    with pytest.raises(ShapeMismatch):
-        Tensor(np.ones((2, 3))) + Tensor(np.ones((4, 5)))
-    with pytest.raises(ShapeMismatch):
-        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+    cases = [
+        (T.add, (2, 3), (4, 5)),
+        (T.sub, (2, 3), (4, 5)),
+        (T.mul, (2, 3), (4,)),
+        (T.matmul, (2, 3), (4, 5)),
+        (T.matmul, (2, 3, 4), (2, 5, 3)),
+        (T.matmul, (), (3, 2)),
+        (T.matmul, (3, 2), ()),
+    ]
+    for op, a, b in cases:
+        with pytest.raises(ShapeMismatch) as err:
+            op(Tensor(np.ones(a)), Tensor(np.ones(b)))
+        assert (err.value.op, err.value.shapes) == (op.__name__, (a, b))
+
+
+def test_forward_without_tape_does_no_backward_work(monkeypatch, rng):
+    # derivatives are built only in backward; numpy alone checks shapes
+    def forbidden(*args, **kwargs):
+        raise AssertionError("backward work in a forward with no tape")
+
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    monkeypatch.setattr(np, "exp", forbidden)
+    monkeypatch.setattr(np, "broadcast_shapes", forbidden)
+    T.gelu(x)
+    x + Tensor(np.ones(4))
+    x * Tensor(np.ones((3, 1)))
 
 
 def test_no_tape_records_nothing():
@@ -206,6 +228,15 @@ def test_softmax_neg_inf_gives_exact_zero():
     y = T.softmax(x, axis=-1)
     assert y.data[1] == 0.0
     assert np.isclose(y.data.sum(), 1.0)
+
+
+def test_softmax_gradient_is_zero_at_neg_inf():
+    x = Tensor(np.array([[0.0, -np.inf, 1.0], [-np.inf, 2.0, -np.inf]]), requires_grad=True)
+    w = Tensor(np.array([[1.0, 2.0, -3.0], [0.5, 4.0, 1.5]]))
+    with Tape():
+        backward((T.softmax(x, axis=-1) * w).sum())
+    assert np.all(x.grad[np.isneginf(x.data)] == 0.0)
+    assert np.all(np.isfinite(x.grad))
 
 
 def test_softmax_all_neg_inf_raises():

@@ -14,7 +14,6 @@ from csprefine.train import (
     TrainConfig,
     _batch_loss,
     _collate,
-    adamw_step,
     assemble_relaxed,
     prepare,
     random_assignment,
@@ -141,13 +140,18 @@ def test_adamw_grad_clip_scales_global_norm():
         assert np.all(np.abs(p.data - before[name]) <= 0.1 + 1e-12)
 
 
-def test_adamw_step_helper_zeroes_grads():
-    w = _quadratic_weights()
-    opt = AdamW(w, TrainConfig())
-    for _, p in w.named_parameters():
-        p.grad = np.ones_like(p.data)
-    adamw_step(w, opt)
-    assert all(p.grad is None for _, p in w.named_parameters())
+def test_train_epoch_ignores_stale_grads():
+    # gradients left on the weights before an epoch do not leak into its steps
+    cfg = tiny_config(sampler="softmax")
+    tcfg = TrainConfig(batch_size=4, epochs=1, lr=1e-2, seed=0)
+    bundles = prepare([toy_alldiff(4)] * 8, cfg)
+    clean, stale = (init_weights(cfg, 4, np.random.default_rng(0)) for _ in range(2))
+    for _, p in stale.named_parameters():
+        p.grad = np.full_like(p.data, 1e3)
+    for w in (clean, stale):
+        train_epoch(w, AdamW(w, tcfg), bundles, tcfg, np.random.default_rng(0))
+    for name, p in clean.named_parameters():
+        assert np.array_equal(p.data, stale[name].data), name
 
 
 # ---------------------------------------------------------------------------
