@@ -46,6 +46,9 @@ class Budget:
 
 @dataclass
 class SolveReport:
+    """One solve's outcome. When no candidate is feasible, ``final_assignment`` is candidate
+    0's last row and ``best_assignment`` the lowest-violation (or best-cut) row seen."""
+
     feasible: bool
     iterations_used: int
     elapsed_ms: float

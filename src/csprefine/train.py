@@ -37,9 +37,6 @@ class TrainConfig:
     epochs: int = 5000
     lr: float = 1e-4
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     grad_clip: float | None = None
 
@@ -54,6 +51,9 @@ class TrainConfig:
 
 class OptimizerError(Exception):
     pass
+
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam moment decays and denominator floor
 
 
 def _decays(name: str, p: Tensor) -> bool:
@@ -75,8 +75,8 @@ class AdamW:
         cfg = self.cfg
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - cfg.beta1**t
-        bc2 = 1.0 - cfg.beta2**t
+        bc1 = 1.0 - _BETA1**t
+        bc2 = 1.0 - _BETA2**t
         grads = {}
         for name, p in self.weights.named_parameters():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -90,13 +90,13 @@ class AdamW:
                 grads = {k: g * scale for k, g in grads.items()}
         for name, p in self.weights.named_parameters():
             g = grads[name]
-            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
+            self.m[name] = _BETA1 * self.m[name] + (1.0 - _BETA1) * g
+            self.v[name] = _BETA2 * self.v[name] + (1.0 - _BETA2) * g * g
             mhat = self.m[name] / bc1
             vhat = self.v[name] / bc2
             if _decays(name, p):
                 p.data *= 1.0 - cfg.lr * cfg.weight_decay
-            p.data -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+            p.data -= cfg.lr * mhat / (np.sqrt(vhat) + _EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 report formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csprefine
 from csprefine.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from csprefine.csp import build_graph_coloring
 from csprefine.data import load_instances, load_weights, save_instances, save_sudoku
@@ -233,6 +238,19 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("pass") == 6
     assert "FAIL" not in out
+
+
+def test_package_runs_without_scipy():
+    # numpy is the only runtime dependency: block scipy before the first import
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import csprefine.cli\n"
+        "sys.exit(csprefine.cli.main(['gradcheck']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(csprefine.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == EXIT_OK, done.stderr
 
 
 def test_missing_dataset_is_io_error(tmp_path, capsys):

@@ -19,11 +19,11 @@ from csprefine.csp import (
     constraint_graph,
     violation_degree,
 )
-from csprefine.model import InstanceContext, init_weights
+from csprefine.model import InstanceContext, apply_update, init_weights, select_subset
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, instance_cut_value
 from csprefine.tensor import Tape, Tensor, backward
-from csprefine.train import _batch_loss, prepare
+from csprefine.train import _batch_loss, prepare, random_assignment
 from conftest import replayed_mean_loss, tiny_config
 
 
@@ -165,6 +165,18 @@ def test_compiled_fixed_arrays_match_markers(data, inst):
     ctx = InstanceContext.build(inst, tiny_config())
     assert np.array_equal(ctx.fixed_mask, cc.fixed_mask)
     assert np.array_equal(ctx.fixed_values, cc.fixed_values)
+
+
+@given(instances().flatmap(with_fixed), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_update_moves_only_selected_free_variables(inst, p, seed):
+    rng = np.random.default_rng(seed)
+    fixed = inst.compiled.fixed_mask
+    selected = np.stack([select_subset(fixed, p, rng) for _ in range(3)])
+    assert not (selected & fixed).any()
+    assert (selected.any(axis=1) == (~fixed).any()).all()
+    values = np.stack([random_assignment(inst, rng) for _ in range(3)])
+    updated = apply_update(values, selected, _relaxed(seed, (3, inst.n, inst.m)))
+    assert np.array_equal(updated[~selected], values[~selected])
 
 
 @given(st.data(), st.integers(2, 4), st.integers(0, 2**32 - 1))
