@@ -10,6 +10,12 @@ Every op computes its local derivative inside its backward closure, never in
 the forward, so a forward with no tape (inference) does forward work only.
 Shape errors come from numpy and are reported as :class:`ShapeMismatch`.
 
+A backward closure (``bwd``) maps the output gradient ``g`` to one entry per
+input: ``None`` for an input that needs no gradient (``requires_grad``
+false), otherwise a fresh array or a view of ``g``. :func:`backward` owns a
+fresh first gradient as it is, and copies a view of ``g``, a read-only
+array, or an array already handed to another input of the same op.
+
 Subgradient choices are deterministic: ``abs'(0) = 0`` and ``relu'(0) = 0``.
 """
 
@@ -103,11 +109,17 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
+    def accumulate_grad(self, g: np.ndarray, taken=()) -> None:
+        """Add ``g`` to ``self.grad``. A first gradient is kept as it is when
+        it is a writeable float64 array that shares no memory with any array
+        in ``taken``; otherwise the tensor keeps a copy."""
+        if self.grad is not None:
             self.grad += g
+        elif (g.dtype == np.float64 and g.flags.writeable
+              and not any(np.may_share_memory(g, h) for h in taken)):
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=np.float64, copy=True)
 
     def item(self) -> float:
         return float(self.data)
@@ -199,7 +211,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_binary(np.add, "add", a, b))
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -209,7 +222,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_binary(np.subtract, "sub", a, b))
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -219,7 +233,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_binary(np.multiply, "mul", a, b))
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -248,12 +263,33 @@ _GELU_A, _GELU_C = 0.044715, np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor) -> Tensor:
     """GeLU, tanh form (Hendrycks & Gimpel, arXiv:1606.08415); within 5e-4 of x*Phi(x)."""
     x = a.data
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    out = Tensor(0.5 * x * (1.0 + t))
+    t = np.multiply(_GELU_A, x, out=np.empty_like(x))  # an array even when x is 0-d
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    out = Tensor(y)
 
     def bwd(g):
-        dt = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dt),)
+        # dt = c*(1 + 3a*x*x), the derivative of tanh's argument
+        d = np.multiply(3.0 * _GELU_A, x, out=np.empty_like(x))
+        d *= x
+        d += 1.0
+        d *= _GELU_C
+        s = np.multiply(t, t, out=np.empty_like(x))
+        np.subtract(1.0, s, out=s)
+        s *= x
+        s *= 0.5
+        s *= d  # 0.5*x*(1 - t*t)*dt
+        np.add(t, 1.0, out=d)
+        d *= 0.5
+        d += s
+        d *= g
+        return (d,)
 
     return _record(out, (a,), bwd)
 
@@ -317,9 +353,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_binary(np.matmul, "matmul", a, b))
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if b.data.ndim == 2:  # a weight: contract all rows of a at once, one GEMM per gradient
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                ga = (g2 @ b.data.T).reshape(a.shape)
+            if b.requires_grad:
+                gb = a.data.reshape(-1, b.shape[0]).T @ g2
+        else:
+            if a.requires_grad:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+            if b.requires_grad:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
     return _record(out, (a, b), bwd)
 
@@ -349,7 +395,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.shape).copy(),)
+        return (np.broadcast_to(g2, a.shape),)
 
     return _record(out, (a,), bwd)
 
@@ -418,10 +464,11 @@ def backward(loss: Tensor) -> None:
     for out, inputs, bwd in reversed(tape.ops[: loss._node + 1]):
         if out.grad is None:
             continue
-        grads = bwd(out.grad)
-        for t, g in zip(inputs, grads):
+        taken = [out.grad]
+        for t, g in zip(inputs, bwd(out.grad)):
             if t.requires_grad and g is not None:
-                t.accumulate_grad(g)
+                t.accumulate_grad(g, taken)
+                taken.append(t.grad)
 
 
 # ---------------------------------------------------------------------------

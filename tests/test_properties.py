@@ -1,7 +1,8 @@
 """Property tests: the compiled, batched forms of each semantic against the
 reference per-constraint forms, on random small instances of every
 constraint kind (duplicates and repeated scope entries included), random
-fixed variables, random lambdas and both transforms."""
+fixed variables, random lambdas and both transforms; and matmul's
+gradients against an einsum reference."""
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from csprefine.csp import (
 from csprefine.model import InstanceContext, apply_update, init_weights, select_subset
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, instance_cut_value
-from csprefine.tensor import Tape, Tensor, backward
+from csprefine.tensor import Tape, Tensor, backward, matmul
 from csprefine.train import _batch_loss, prepare, random_assignment
 from conftest import replayed_mean_loss, tiny_config
 
@@ -192,3 +193,33 @@ def test_mixed_size_batch_loss_is_the_mean_of_own_losses(data, m, seed):
     bundles = prepare(insts, cfg)
     got = _batch_loss(w, bundles, np.random.default_rng(seed), training=False).item()
     assert np.isclose(got, replayed_mean_loss(w, bundles, seed), rtol=1e-12, atol=1e-12)
+
+
+@given(st.sampled_from(["weight", "batched", "broadcast"]),
+       st.lists(st.integers(1, 4), min_size=0, max_size=2),
+       st.lists(st.integers(1, 6), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
+def test_matmul_gradients_match_einsum(kind, batch, nkf, seed):
+    # (B.., n, k) @ (k, f) takes one GEMM per gradient; (B, H, n, k) @ (B, H, k, f)
+    # and a broadcast 3-D weight (1, k, f) keep the batched form
+    rng = np.random.default_rng(seed)
+    n, k, f = nkf
+    if kind == "weight":
+        shape_a, shape_b, sub_b = (*batch, n, k), (k, f), "kf"
+    elif kind == "batched":
+        batch = (batch + [2, 3])[:2]
+        shape_a, shape_b, sub_b = (*batch, n, k), (*batch, k, f), "...kf"
+    else:
+        batch = batch[:1] or [2]
+        shape_a, shape_b, sub_b = (*batch, n, k), (1, k, f), "kf"
+    a, b = Tensor(rng.normal(size=shape_a), True), Tensor(rng.normal(size=shape_b), True)
+    g = rng.normal(size=(*shape_a[:-1], f))
+    with Tape():
+        backward((matmul(a, b) * Tensor(g)).sum())
+    wb = b.data[0] if kind == "broadcast" else b.data
+    ref_a = np.einsum(f"...nf,{sub_b}->...nk", g, wb)
+    ref_b = np.einsum("...nk,...nf->...kf", a.data, g)
+    if kind != "batched":
+        ref_b = ref_b.reshape(-1, k, f).sum(axis=0).reshape(shape_b)
+    for got, ref in ((a.grad, ref_a), (b.grad, ref_b)):
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())

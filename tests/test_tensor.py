@@ -65,6 +65,26 @@ def test_gelu_tanh_form_is_close_to_exact_gelu():
     assert np.max(np.abs(T.gelu(Tensor(x)).data - exact)) < 5e-4
 
 
+def _gelu_reference(x):
+    # the tanh-form GeLU and its derivative, written out plainly
+    a, c = 0.044715, np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x + a * x * x * x))
+    dt = c * (1.0 + 3.0 * a * x * x)
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dt
+
+
+@pytest.mark.parametrize("shape", [(2001,), (), (4, 20, 64), (2, 81, 96)])
+def test_gelu_matches_the_plain_expression_bit_for_bit(shape, rng):
+    x = np.linspace(-8.0, 8.0, 2001) if shape == (2001,) else rng.normal(0.0, 2.0, shape)
+    g = rng.normal(size=x.shape)
+    y_ref, dy_ref = _gelu_reference(x)
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        y = T.gelu(xt)
+    assert np.array_equal(y.data, y_ref)
+    assert np.array_equal(tape.ops[-1][2](g)[0], g * dy_ref)
+
+
 def test_forward_without_tape_does_no_backward_work(monkeypatch, rng):
     # derivatives are built only in backward; numpy alone checks shapes
     def forbidden(*args, **kwargs):
@@ -75,7 +95,13 @@ def test_forward_without_tape_does_no_backward_work(monkeypatch, rng):
     class Counted(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *args, **kwargs):
             calls.append(ufunc.__name__)
-            args = [a.view(np.ndarray) if isinstance(a, Counted) else a for a in args]
+
+            def plain(a):
+                return a.view(np.ndarray) if isinstance(a, Counted) else a
+
+            args = [plain(a) for a in args]
+            if "out" in kwargs:
+                kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
             return getattr(ufunc, method)(*args, **kwargs).view(Counted)
 
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -156,6 +182,46 @@ def test_nested_tapes_are_independent():
         backward(outer)
     assert np.isclose(float(inner_grad), 5.0)
     assert np.isclose(float(a.grad), 6.0)
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (4, 3)), ((2, 3, 4), (2, 4, 3))])
+@pytest.mark.parametrize("const", [0, 1])
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.matmul])
+def test_backward_builds_no_gradient_for_a_constant(op, const, shapes, rng):
+    if op is not T.matmul:
+        shapes = (shapes[0], shapes[0])
+    x = [Tensor(rng.normal(size=s), requires_grad=i != const) for i, s in enumerate(shapes)]
+    with Tape() as tape:
+        out = op(*x)
+    grads = tape.ops[-1][2](np.ones(out.shape))
+    assert grads[const] is None
+    assert grads[1 - const].shape == x[1 - const].shape
+
+
+def test_first_gradients_share_no_memory(rng):
+    # add hands one g to both inputs, x + x hands it twice to one tensor, and
+    # reshape and transpose hand back views of g
+    a, b, x, v = (Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4))
+    w = rng.normal(size=(2, 3))
+
+    def run():
+        with Tape():
+            loss = T.square(a + b).sum() + (x + x).sum()
+            backward(loss + (T.transpose(v.reshape(3, 2), (1, 0)) * Tensor(w)).sum())
+
+    run()
+    grads = [t.grad for t in (a, b, x, v)]
+    for i, g in enumerate(grads):
+        assert g.flags.writeable
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
+    assert np.array_equal(a.grad, 2.0 * (a.data + b.data))
+    assert np.array_equal(b.grad, a.grad)
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+    assert np.array_equal(v.grad, w.T.reshape(2, 3))
+    first = [g.copy() for g in grads]
+    run()  # a second use accumulates into each tensor's own array
+    for t, g in zip((a, b, x, v), first):
+        assert np.array_equal(t.grad, 2.0 * g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
 """Training tests: optimizer behavior, batch assembly, collation, batches
 that mix structures, and a short end-to-end smoke run."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import csprefine
 
 from csprefine.csp import AllDifferentExact, CspInstance, build_graph_coloring
 from csprefine.model import DomainMismatch, init_weights
@@ -310,3 +318,40 @@ def test_train_is_deterministic_given_seed():
     assert a.history == b.history
     for name, p in a.weights.named_parameters():
         assert np.array_equal(p.data, b.weights.params[name].data)
+
+
+_SUDOKU_TRAIN = """
+import json, sys
+import numpy as np
+from conftest import sudoku_puzzle
+from csprefine.model import ModelConfig
+from csprefine.train import TrainConfig, train
+cfg = ModelConfig(layers=3, heads=3, d_model=96, select_p=0.5, rpe_mode="masked",
+                  ape_mode="multi", tau=0.1, sampler="gumbel", dropout=0.1)
+insts = [sudoku_puzzle(40, i) for i in range(32)]
+result = train(insts, cfg, TrainConfig(batch_size=16, epochs=2, lr=1e-3, seed=0))
+np.savez(sys.argv[1], **{k: p.data for k, p in result.weights.named_parameters()})
+print(json.dumps(result.history))
+"""
+
+
+def test_training_agrees_across_blas_thread_counts(tmp_path):
+    # OpenBLAS may split a large GEMM (here a weight gradient over 16x81
+    # rows) across threads, which changes its summation order. Over six seeds
+    # of this run, 1 and 2 threads gave weights within 2.8e-15 and losses
+    # within 1.3e-15 relative after four steps; 1e-12 is 350 times the widest.
+    src = Path(csprefine.__file__).parents[1]
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+        out = tmp_path / f"weights{threads}.npz"
+        done = subprocess.run([sys.executable, "-c", _SUDOKU_TRAIN, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append((json.loads(done.stdout), dict(np.load(out))))
+    (h1, w1), (h2, w2) = runs
+    assert np.allclose(h1, h2, rtol=1e-12, atol=0.0)
+    assert w1.keys() == w2.keys()
+    for name in w1:
+        assert np.allclose(w1[name], w2[name], rtol=0.0, atol=1e-12), name
