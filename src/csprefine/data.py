@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import accumulate, repeat
+from operator import truediv
 
 import numpy as np
 
@@ -72,30 +75,44 @@ def gen_erdos_renyi(n: int, p: float, rng: np.random.Generator) -> WeightedGraph
 def gen_barabasi_albert(n: int, m_attach: int, rng: np.random.Generator) -> WeightedGraph:
     """Preferential attachment growing from a clique on m_attach vertices;
     each newcomer links to m_attach distinct existing vertices with
-    probability proportional to degree."""
+    probability proportional to degree.
+
+    Draw contract: each pick consumes one ``rng.random()`` draw u and takes
+    the first vertex whose normalized cumulative probability exceeds u. That
+    is the arithmetic of ``rng.choice(v, p=w / w.sum())``, done here in
+    Python floats: a dataset keeps its bytes for a seed, whatever numpy's
+    ``choice`` does, and skips ``choice``'s per-call overhead. Degrees are
+    whole numbers, so every total and quotient is exact or correctly
+    rounded as in numpy, and ``accumulate`` adds left to right as
+    ``cumsum`` does.
+    """
     if not 1 <= m_attach < n:
         raise DataError(f"barabasi-albert needs 1 <= m_attach < n, got {m_attach}, {n}")
     edges = []
-    degree = np.zeros(n)
+    degree = [0.0] * n
     for u in range(m_attach):
         for v in range(u + 1, m_attach):
             edges.append((u, v, 1.0))
-            degree[u] += 1
-            degree[v] += 1
+            degree[u] += 1.0
+            degree[v] += 1.0
     for v in range(m_attach, n):
-        targets: set[int] = set()
-        weights = degree[:v].copy()
-        if weights.sum() == 0:  # m_attach == 1: seed vertex has degree 0
-            weights[:] = 1.0
-        while len(targets) < m_attach:
-            w = weights.copy()
-            w[list(targets)] = 0.0
-            pick = int(rng.choice(v, p=w / w.sum()))
-            targets.add(pick)
+        weights = degree[:v]
+        total = sum(weights)
+        if total == 0.0:  # m_attach == 1: seed vertex has degree 0
+            weights = [1.0] * v
+            total = float(v)
+        targets = []
+        for _ in range(m_attach):
+            cdf = list(accumulate(map(truediv, weights, repeat(total))))
+            last = cdf[-1]
+            pick = bisect_right(cdf, rng.random(), key=lambda c: c / last)
+            targets.append(pick)
+            total -= weights[pick]
+            weights[pick] = 0.0  # drawn without replacement
         for u in sorted(targets):
             edges.append((u, v, 1.0))
-            degree[u] += 1
-            degree[v] += 1
+            degree[u] += 1.0
+            degree[v] += 1.0
     return WeightedGraph(n, tuple(edges))
 
 
@@ -153,6 +170,13 @@ def posed_color_count(k_greedy: int) -> int:
     return max(3, min(10, k_greedy - 1))
 
 
+# A fixed_k inside the posable range can still be unreachable: posed at
+# greedy, k = n needs a complete graph, which no generator draws beyond 11
+# vertices. Some reachable k are rare too: at n <= 100 a few come up once in
+# 600 to 750 draws, and such a k hits this cap with odds near 2e-6.
+MAX_REJECTED_DRAWS = 10_000
+
+
 def gen_coloring_dataset(
     count: int,
     n_vertices: int,
@@ -165,17 +189,34 @@ def gen_coloring_dataset(
 
     ``fixed_k`` keeps only instances posed with that exact k (the generator
     keeps drawing until ``count`` of them exist). ``pose_at_greedy`` poses
-    at k = k' instead, which makes every instance satisfiable.
+    at k = k' instead, which makes every instance satisfiable. A ``fixed_k``
+    that posing cannot give, or that ``MAX_REJECTED_DRAWS`` draws in a row
+    miss, raises ``DataError``.
     """
+    if fixed_k is not None:
+        lo, hi = (1, n_vertices) if pose_at_greedy else (3, posed_color_count(n_vertices))
+        if not lo <= fixed_k <= hi:
+            raise DataError(
+                f"fixed_k={fixed_k} cannot be posed at n={n_vertices}: "
+                f"posing gives k in {lo}..{hi}"
+            )
     rng = np.random.default_rng(seed)
     instances: list[CspInstance] = []
     records: list[dict] = []
+    rejected = 0
     while len(instances) < count:
         kind, graph = _sample_graph(n_vertices, rng, distributions)
         _, k_greedy = greedy_coloring(graph.n, graph.unweighted())
         k = k_greedy if pose_at_greedy else posed_color_count(k_greedy)
         if fixed_k is not None and k != fixed_k:
+            rejected += 1
+            if rejected == MAX_REJECTED_DRAWS:
+                raise DataError(
+                    f"no graph posed with k={fixed_k} at n={n_vertices} "
+                    f"in {MAX_REJECTED_DRAWS} draws in a row"
+                )
             continue
+        rejected = 0
         instances.append(build_graph_coloring(graph.n, graph.unweighted(), k))
         records.append({"distribution": kind, "k_greedy": k_greedy, "k": k,
                         "edges": len(graph.edges)})

@@ -243,14 +243,14 @@ def greedy_coloring(n_vertices: int, edges) -> tuple[np.ndarray, int]:
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    colors = np.full(n_vertices, -1, dtype=np.int64)
+    colors = [-1] * n_vertices
     for v in range(n_vertices):
-        used = {colors[u] for u in adj[v] if colors[u] >= 0}
+        used = {colors[u] for u in adj[v]}
         c = 0
         while c in used:
             c += 1
         colors[v] = c
-    return colors, int(colors.max()) + 1 if n_vertices else 0
+    return np.array(colors, dtype=np.int64), max(colors) + 1 if n_vertices else 0
 
 
 def direct_sgd_counts(

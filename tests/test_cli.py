@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import csprefine
+from csprefine import data
 from csprefine.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from csprefine.csp import build_graph_coloring
 from csprefine.data import load_instances, load_weights, save_instances, save_sudoku
@@ -274,6 +275,21 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing required flags
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "20", "--fixed-k", "2"],
+    ["--n", "20", "--fixed-k", "20", "--pose-at-greedy"],
+])
+def test_generate_with_an_unposable_fixed_k_exits_3(tmp_path, capsys, monkeypatch, flags):
+    # the first is outside what posing gives; the second needs K20, which no
+    # generator draws, so a small draw cap keeps the test short
+    monkeypatch.setattr(data, "MAX_REJECTED_DRAWS", 50)
+    rc = main(["generate", "--problem", "coloring", "--count", "1", *flags,
+               "--out", str(tmp_path / "ds")])
+    assert rc == EXIT_IO
+    assert "k=" in capsys.readouterr().err
+    assert not (tmp_path / "ds" / "instances.jsonl").exists()
 
 
 def test_train_on_mixed_domain_sizes_is_a_compatibility_error(tmp_path, capsys):

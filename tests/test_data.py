@@ -107,6 +107,42 @@ def test_coloring_dataset_fixed_k_filters():
     assert all(inst.m == 5 for inst in instances)
 
 
+@pytest.mark.parametrize("n, fixed_k, pose_at_greedy", [
+    (20, 2, False), (20, 11, False), (4, 4, False), (20, 0, True), (20, 21, True),
+])
+def test_coloring_dataset_rejects_a_fixed_k_posing_cannot_give(n, fixed_k, pose_at_greedy):
+    # posing gives 3..max(3, min(10, n-1)), or 1..n at greedy
+    with pytest.raises(DataError, match=f"fixed_k={fixed_k} cannot be posed"):
+        gen_coloring_dataset(1, n, seed=0, fixed_k=fixed_k, pose_at_greedy=pose_at_greedy)
+
+
+def test_coloring_dataset_gives_up_on_an_unreachable_fixed_k():
+    # greedy k = 12 at n = 12 needs a complete graph, which no generator draws
+    with pytest.raises(DataError, match="k=12 at n=12 in 10000 draws"):
+        gen_coloring_dataset(1, 12, seed=0, fixed_k=12, pose_at_greedy=True)
+
+
+def _digest(instances, manifest):
+    h = hashlib.sha256()
+    for inst in instances:
+        h.update((instance_to_json(inst) + "\n").encode())
+    h.update(manifest.to_text().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: gen_coloring_dataset(64, 20, seed=11, fixed_k=5, pose_at_greedy=True),
+     "3445e756a39e40882b19e22abdb8127662314b529c8f46f66761f9325196389a"),
+    (lambda: gen_coloring_dataset(32, 15, seed=3),
+     "7ac2c246648edd3d00b9e2ed3a2b52589a61a1077f5cc3f75eaca9d61e9b1a29"),
+    (lambda: gen_maxcut_dataset(8, 100, seed=7),
+     "06f51c34a4188ad8eb59f17cfcd2df11686ae0674d683304a04f456f6306888e"),
+], ids=["coloring20-k5-greedy", "coloring15", "maxcut100"])
+def test_generated_dataset_bytes_are_pinned(make, digest):
+    # a dataset is byte-identical for a seed: instance lines, then manifest
+    assert _digest(*make()) == digest
+
+
 def test_nurse_dataset_inits_cover_all_nurses():
     instances, inits, manifest = gen_nurse_dataset(4, 10, 3, 3, 10, seed=0)
     assert len(instances) == 4 and len(inits) == 4

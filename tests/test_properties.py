@@ -1,8 +1,9 @@
 """Property tests: the compiled, batched forms of each semantic against the
 reference per-constraint forms, on random small instances of every
 constraint kind (duplicates and repeated scope entries included), random
-fixed variables, random lambdas and both transforms; and matmul's
-gradients against an einsum reference."""
+fixed variables, random lambdas and both transforms; matmul's gradients
+against an einsum reference; and the graph generator and greedy coloring
+against their numpy forms."""
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from csprefine.csp import (
     constraint_graph,
     violation_degree,
 )
+from csprefine.data import WeightedGraph, gen_barabasi_albert
 from csprefine.model import InstanceContext, apply_update, init_weights, select_subset
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
-from csprefine.solve import ViolationChecker, cut_value, instance_cut_value
+from csprefine.solve import ViolationChecker, cut_value, greedy_coloring, instance_cut_value
 from csprefine.tensor import Tape, Tensor, backward, matmul
 from csprefine.train import _batch_loss, prepare, random_assignment
 from conftest import replayed_mean_loss, tiny_config
@@ -223,3 +225,71 @@ def test_matmul_gradients_match_einsum(kind, batch, nkf, seed):
     for got, ref in ((a.grad, ref_a), (b.grad, ref_b)):
         assert got.shape == ref.shape
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def reference_barabasi_albert(n, m_attach, rng):
+    """``gen_barabasi_albert`` as written on ``rng.choice``: the draw oracle."""
+    edges = []
+    degree = np.zeros(n)
+    for u in range(m_attach):
+        for v in range(u + 1, m_attach):
+            edges.append((u, v, 1.0))
+            degree[u] += 1
+            degree[v] += 1
+    for v in range(m_attach, n):
+        targets: set[int] = set()
+        weights = degree[:v].copy()
+        if weights.sum() == 0:  # m_attach == 1: seed vertex has degree 0
+            weights[:] = 1.0
+        while len(targets) < m_attach:
+            w = weights.copy()
+            w[list(targets)] = 0.0
+            pick = int(rng.choice(v, p=w / w.sum()))
+            targets.add(pick)
+        for u in sorted(targets):
+            edges.append((u, v, 1.0))
+            degree[u] += 1
+            degree[v] += 1
+    return WeightedGraph(n, tuple(edges))
+
+
+def reference_greedy_coloring(n_vertices, edges):
+    """``greedy_coloring`` as written on an int64 array."""
+    adj: list[set[int]] = [set() for _ in range(n_vertices)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    colors = np.full(n_vertices, -1, dtype=np.int64)
+    for v in range(n_vertices):
+        used = {colors[u] for u in adj[v] if colors[u] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    return colors, int(colors.max()) + 1 if n_vertices else 0
+
+
+def assert_same_graph_and_stream(n, m_attach, seed):
+    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert gen_barabasi_albert(n, m_attach, fast) == reference_barabasi_albert(n, m_attach, ref)
+    assert fast.random() == ref.random()
+
+
+@given(st.data(), st.integers(2, 120), st.integers(0, 2**32 - 1))
+def test_barabasi_albert_matches_the_choice_reference(data, n, seed):
+    assert_same_graph_and_stream(n, data.draw(st.integers(1, n - 1)), seed)
+
+
+def test_barabasi_albert_matches_the_choice_reference_at_800_vertices():
+    assert_same_graph_and_stream(800, 10, 5)
+
+
+@given(st.data(), st.integers(0, 30))
+def test_greedy_coloring_matches_the_array_reference(data, n):
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    edges = data.draw(st.lists(pair, max_size=4 * n)) if n >= 2 else []
+    colors, k = greedy_coloring(n, edges)
+    ref_colors, ref_k = reference_greedy_coloring(n, edges)
+    assert colors.dtype == ref_colors.dtype == np.int64
+    assert np.array_equal(colors, ref_colors)
+    assert k == ref_k and type(k) is int
