@@ -89,8 +89,6 @@ def _model_config(args) -> ModelConfig:
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.problem == "coloring":
         instances, manifest = gen_coloring_dataset(
             args.count, args.n, args.seed,
@@ -105,6 +103,8 @@ def cmd_generate(args) -> int:
     else:
         print(f"unknown problem {args.problem!r}", file=sys.stderr)
         return EXIT_USAGE
+    out = Path(args.out)  # made only once generation has succeeded
+    out.mkdir(parents=True, exist_ok=True)
     save_instances(instances, out / "instances.jsonl")
     (out / "manifest.txt").write_text(manifest.to_text())
     print(f"wrote {len(instances)} {args.problem} instances to {out}")
@@ -281,6 +281,11 @@ def cmd_gradcheck(args) -> int:
     report("gelu", grad_check(lambda t: T.gelu(t).sum(), x))
     coeff = Tensor(rng.normal(size=5))  # fixed projection, drawn once
     report("softmax", grad_check(lambda t: (T.softmax(t) * coeff).sum(), x))
+    rows = Tensor(rng.normal(size=(3, 5)))
+    gain, shift = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
+    report("layer_norm", grad_check(lambda t: (T.layer_norm(t, gain, shift) * coeff).sum(), rows))
+    w, b = Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=2))
+    report("linear", grad_check(lambda t: T.square(T.linear(t, w, b)).sum(), rows))
     return EXIT_OK if ok else 1
 
 

@@ -5,9 +5,10 @@ produces, for every variable, a probability row over the domain. Inputs mix
 three encodings: a learned embedding of the current value, a sinusoidal
 positional encoding of the variable's index tuple, and a learned marker for
 the variables chosen for update this step. The constraint graph enters the
-attention as an additive bias on the logits (hard mask or a learned
-non-positive offset). The output head is a temperature softmax, optionally
-perturbed by Gumbel noise for differentiable discrete sampling.
+attention as a 0/1 mask on the softmax ("masked") or as a learned
+non-positive offset added to the logits ("learned"). The output head is a
+temperature softmax, optionally perturbed by Gumbel noise for
+differentiable discrete sampling.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class InstanceContext:
     inst: CspInstance
     ape: np.ndarray  # (n, d)
     nonedge: np.ndarray  # (n, n)
-    masked_bias: np.ndarray | None  # (n, n), -inf on non-edges
+    masked_bias: np.ndarray | None  # (n, n), -inf on non-edges; forward masks by nonedge
     fixed_mask: np.ndarray  # (n,) bool
     fixed_values: np.ndarray  # (n,) int, 0 where not fixed
 
@@ -209,14 +210,6 @@ def select_subset(fixed_mask: np.ndarray, p: float, rng: np.random.Generator) ->
 # Forward pass
 
 
-def _layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = T.square(centered).mean(axis=-1, keepdims=True)
-    inv = T.pow_scalar(var + eps, -0.5)
-    return centered * inv * g + b
-
-
 def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
     u = rng.random(shape)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
@@ -248,36 +241,36 @@ def forward(
     emb = T.gather_rows(w["embed"], values)  # (B, n, d)
     h = w["alpha"] * emb + w["beta"] * Tensor(ctx.ape) + w["gamma"] * (sel * w["select_embed"])
 
+    bias = keep = None
     if cfg.rpe_mode == "masked":
-        bias = Tensor(ctx.masked_bias)
+        keep = 1.0 - ctx.nonedge  # the adjacency, diagonal included
     elif cfg.rpe_mode == "learned":
         c = -T.log(1.0 + T.exp(w["rpe_theta"]))  # softplus keeps c <= 0
         bias = c * Tensor(ctx.nonedge)
-    else:
-        bias = None
 
     scale = 1.0 / math.sqrt(dh)
     for l in range(cfg.layers):
-        x = _layer_norm(h, w[f"l{l}.ln1.g"], w[f"l{l}.ln1.b"])
+        x = T.layer_norm(h, w[f"l{l}.ln1.g"], w[f"l{l}.ln1.b"])
         q = T.transpose((x @ w[f"l{l}.wq"]).reshape(B, n, H, dh), (0, 2, 1, 3))
         k = T.transpose((x @ w[f"l{l}.wk"]).reshape(B, n, H, dh), (0, 2, 1, 3))
         v = T.transpose((x @ w[f"l{l}.wv"]).reshape(B, n, H, dh), (0, 2, 1, 3))
         logits = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale  # (B, H, n, n)
         if bias is not None:
             logits = logits + bias
-        attn = T.softmax(logits, axis=-1)
+        attn = T.softmax(logits, axis=-1, keep=keep)
         z = T.matmul(attn, v)  # (B, H, n, dh)
         z = T.transpose(z, (0, 2, 1, 3)).reshape(B, n, d) @ w[f"l{l}.wo"]
         z = T.dropout(z, cfg.dropout, rng, training) if rng is not None else z
         h = h + z
 
-        x = _layer_norm(h, w[f"l{l}.ln2.g"], w[f"l{l}.ln2.b"])
-        x = T.gelu(x @ w[f"l{l}.w1"] + w[f"l{l}.b1"]) @ w[f"l{l}.w2"] + w[f"l{l}.b2"]
+        x = T.layer_norm(h, w[f"l{l}.ln2.g"], w[f"l{l}.ln2.b"])
+        x = T.gelu(T.linear(x, w[f"l{l}.w1"], w[f"l{l}.b1"]))
+        x = T.linear(x, w[f"l{l}.w2"], w[f"l{l}.b2"])
         x = T.dropout(x, cfg.dropout, rng, training) if rng is not None else x
         h = h + x
 
-    h = _layer_norm(h, w["lnf.g"], w["lnf.b"])
-    out_logits = h @ w["w_out"] + w["b_out"]  # (B, n, m)
+    h = T.layer_norm(h, w["lnf.g"], w["lnf.b"])
+    out_logits = T.linear(h, w["w_out"], w["b_out"])  # (B, n, m)
     if not np.all(np.isfinite(out_logits.data)):
         raise NumericError("non-finite output logits")
 

@@ -9,12 +9,18 @@ accumulates gradients into every reachable tensor that requires them.
 Every op computes its local derivative inside its backward closure, never in
 the forward, so a forward with no tape (inference) does forward work only.
 Shape errors come from numpy and are reported as :class:`ShapeMismatch`.
+Three fused ops keep the tape short, each with a closed-form backward:
+:func:`layer_norm`, :func:`linear` (``x @ w + b`` as one flat GEMM) and a
+0/1 ``keep`` mask on :func:`softmax` that never exponentiates -inf.
 
 A backward closure (``bwd``) maps the output gradient ``g`` to one entry per
 input: ``None`` for an input that needs no gradient (``requires_grad``
-false), otherwise a fresh array or a view of ``g``. :func:`backward` owns a
-fresh first gradient as it is, and copies a view of ``g``, a read-only
-array, or an array already handed to another input of the same op.
+false), otherwise a fresh array or a view of ``g``. :func:`backward`
+releases each recorded op's output gradient (``grad`` becomes ``None``)
+once its ``bwd`` has run, so only leaves, the tensors that no op on the
+tape produced, keep their gradients. The first input handed ``g`` or a
+view of it owns that memory without a copy; a second holder of the same
+memory, or a read-only array, gets a copy.
 
 Subgradient choices are deterministic: ``abs'(0) = 0`` and ``relu'(0) = 0``.
 """
@@ -426,18 +432,29 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _record(out, (table,), bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor:
     """Softmax along ``axis``; -inf entries become exact zeros.
 
-    Raises :class:`NumericError` when a whole slice is -inf (nothing to
-    attend to).
+    ``keep``, a 0/1 array that broadcasts to ``a``, masks entries out: they
+    become exact zeros with a zero gradient, the max is taken over the kept
+    entries only, and the shifted logits are multiplied by ``keep`` before
+    and after ``exp``, so no masked entry is exponentiated as -inf. Masked
+    entries must be finite. Raises :class:`NumericError` when a whole slice
+    is -inf or masked (nothing to attend to).
     """
     x = a.data
-    xmax = np.max(x, axis=axis, keepdims=True)
+    if keep is not None and np.broadcast_shapes(x.shape, keep.shape) != x.shape:
+        raise ShapeMismatch("softmax", x.shape, keep.shape)
+    xmax = np.max(x if keep is None else np.where(keep, x, -np.inf), axis=axis, keepdims=True)
     if np.any(np.isneginf(xmax)):
-        raise NumericError("softmax: a slice is entirely -inf")
-    e = np.exp(x - xmax)
-    y = e / e.sum(axis=axis, keepdims=True)
+        raise NumericError("softmax: a slice is entirely -inf or masked")
+    y = x - xmax
+    if keep is not None:
+        y *= keep
+    np.exp(y, out=y)
+    if keep is not None:
+        y *= keep
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def bwd(g):
@@ -445,6 +462,60 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (y * (g - dot),)
 
     return _record(out, (a,), bwd)
+
+
+def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
+    """Layer normalization over the last axis (Ba et al., arXiv:1607.06450),
+    ``(x - mean) / sqrt(var + eps) * g + b``, with the closed-form backward."""
+    d = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
+    xhat = x.data - mu
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / d)
+    inv = np.power(var + eps, -0.5)
+    xhat *= inv
+    try:
+        y = xhat * g.data
+        y += b.data
+    except ValueError:
+        raise ShapeMismatch("layer_norm", x.shape, g.shape, b.shape) from None
+    out = Tensor(y)
+
+    def bwd(gy):
+        gx = gg = gb = None
+        if x.requires_grad:
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = gy * g
+            dxhat = gy * g.data
+            proj = (dxhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / d)
+            gx = dxhat - dxhat.sum(axis=-1, keepdims=True) * (1.0 / d)
+            gx -= xhat * proj
+            gx *= inv
+        if g.requires_grad:
+            gg = _unbroadcast(gy * xhat, g.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(gy, b.shape)
+        return gx, gg, gb
+
+    return _record(out, (x, g, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D weight ``w`` (k, f) and a bias ``b`` (f,): one
+    GEMM over the rows of ``x`` flattened to (-1, k), forward and backward."""
+    if x.data.ndim < 1 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatch("linear", x.shape, w.shape, b.shape)
+    k, f = w.shape
+    x2 = x.data.reshape(-1, k)
+    y = x2 @ w.data
+    y += b.data
+    out = Tensor(y.reshape(*x.shape[:-1], f))
+
+    def bwd(g):
+        g2 = g.reshape(-1, f)
+        return ((g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+                x2.T @ g2 if w.requires_grad else None,
+                g2.sum(0) if b.requires_grad else None)
+
+    return _record(out, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +533,11 @@ def backward(loss: Tensor) -> None:
         return  # loss does not depend on any recorded op
     loss.accumulate_grad(np.ones_like(loss.data))
     for out, inputs, bwd in reversed(tape.ops[: loss._node + 1]):
-        if out.grad is None:
+        g_out, out.grad = out.grad, None  # released: no later op reads it
+        if g_out is None:
             continue
-        taken = [out.grad]
-        for t, g in zip(inputs, bwd(out.grad)):
+        taken = []
+        for t, g in zip(inputs, bwd(g_out)):
             if t.requires_grad and g is not None:
                 t.accumulate_grad(g, taken)
                 taken.append(t.grad)

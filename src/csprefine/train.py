@@ -89,14 +89,15 @@ class AdamW:
                 scale = cfg.grad_clip / norm
                 grads = {k: g * scale for k, g in grads.items()}
         for name, p in self.weights.named_parameters():
-            g = grads[name]
-            self.m[name] = _BETA1 * self.m[name] + (1.0 - _BETA1) * g
-            self.v[name] = _BETA2 * self.v[name] + (1.0 - _BETA2) * g * g
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
+            # the moments update in place, in the order of b1*m + (1-b1)*g
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
             if _decays(name, p):
                 p.data *= 1.0 - cfg.lr * cfg.weight_decay
-            p.data -= cfg.lr * mhat / (np.sqrt(vhat) + _EPS)
+            p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 # ---------------------------------------------------------------------------

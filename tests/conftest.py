@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import csprefine.tensor as T
 from csprefine.csp import AllDifferentExact, CspInstance, build_sudoku
 from csprefine.model import ModelConfig, forward, select_subset
+from csprefine.tensor import Tensor
 from csprefine.train import assemble_relaxed, random_assignment
 
 
@@ -52,6 +54,36 @@ def tiny_config(**kw) -> ModelConfig:
     )
     base.update(kw)
     return ModelConfig(**base)
+
+
+# The fused ops written out of elementwise ops: the references that
+# ``tensor.layer_norm``, ``tensor.linear`` and a masked ``tensor.softmax``
+# must match in value and gradient.
+
+
+def composed_layer_norm(x, g, b, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = T.square(centered).mean(axis=-1, keepdims=True)
+    inv = T.pow_scalar(var + eps, -0.5)
+    return centered * inv * g + b
+
+
+def composed_linear(x, w, b):
+    return x @ w + b
+
+
+_fused_softmax = T.softmax  # the op itself, before any test patches it
+
+
+def composed_softmax(x, axis=-1, keep=None):
+    if keep is not None:
+        x = x + Tensor(np.where(keep, 0.0, -np.inf))
+    return _fused_softmax(x, axis=axis)
+
+
+COMPOSED_OPS = {"layer_norm": composed_layer_norm, "linear": composed_linear,
+                "softmax": composed_softmax}
 
 
 def replayed_mean_loss(w, bundles, seed: int) -> float:

@@ -237,7 +237,8 @@ def test_gradcheck_passes(capsys):
     rc = main(["gradcheck", "--seed", "0"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("pass") == 6
+    assert out.count("pass") == 8
+    assert "gradcheck layer_norm" in out and "gradcheck linear" in out
     assert "FAIL" not in out
 
 
@@ -289,7 +290,7 @@ def test_generate_with_an_unposable_fixed_k_exits_3(tmp_path, capsys, monkeypatc
                "--out", str(tmp_path / "ds")])
     assert rc == EXIT_IO
     assert "k=" in capsys.readouterr().err
-    assert not (tmp_path / "ds" / "instances.jsonl").exists()
+    assert not (tmp_path / "ds").exists()
 
 
 def test_train_on_mixed_domain_sizes_is_a_compatibility_error(tmp_path, capsys):

@@ -2,7 +2,8 @@
 reference per-constraint forms, on random small instances of every
 constraint kind (duplicates and repeated scope entries included), random
 fixed variables, random lambdas and both transforms; matmul's gradients
-against an einsum reference; and the graph generator and greedy coloring
+against an einsum reference; the fused tensor ops against their composed
+forms; and the graph generator and greedy coloring
 against their numpy forms."""
 
 import numpy as np
@@ -25,9 +26,9 @@ from csprefine.data import WeightedGraph, gen_barabasi_albert
 from csprefine.model import InstanceContext, apply_update, init_weights, select_subset
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, greedy_coloring, instance_cut_value
-from csprefine.tensor import Tape, Tensor, backward, matmul
+from csprefine.tensor import Tape, Tensor, backward, layer_norm, linear, matmul, softmax
 from csprefine.train import _batch_loss, prepare, random_assignment
-from conftest import replayed_mean_loss, tiny_config
+from conftest import COMPOSED_OPS, replayed_mean_loss, tiny_config
 
 
 @st.composite
@@ -225,6 +226,37 @@ def test_matmul_gradients_match_einsum(kind, batch, nkf, seed):
     for got, ref in ((a.grad, ref_a), (b.grad, ref_b)):
         assert got.shape == ref.shape
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@given(st.sampled_from(["layer_norm", "linear", "softmax"]),
+       st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(1, 6),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_fused_ops_match_their_composed_references(name, batch, k, f, seed):
+    # layer_norm against the elementwise expression, linear against x @ w + b,
+    # and a keep mask against adding where(keep, 0, -inf) to the logits
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 3.0, size=(*batch, k))
+    kwargs = {}
+    if name == "layer_norm":
+        consts = [rng.normal(size=k), rng.normal(size=k)]
+    elif name == "linear":
+        consts = [rng.normal(size=(k, f)), rng.normal(size=f)]
+    else:
+        consts = []
+        r = rng.random(x.shape[-2:])  # one mask for every leading index
+        kwargs["keep"] = ((r < 0.5) | (r == r.max(axis=-1, keepdims=True))).astype(np.float64)
+    fused = {"layer_norm": layer_norm, "linear": linear, "softmax": softmax}[name]
+    g = rng.normal(size=fused(Tensor(x), *map(Tensor, consts), **kwargs).shape)
+    results = []
+    for op in (fused, COMPOSED_OPS[name]):
+        inputs = [Tensor(a, requires_grad=True) for a in (x, *consts)]
+        with Tape():
+            y = op(*inputs, **kwargs)
+            backward((y * Tensor(g)).sum())
+        results.append([y.data] + [t.grad for t in inputs])
+    for got, ref in zip(*results):
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
 
 def reference_barabasi_albert(n, m_attach, rng):

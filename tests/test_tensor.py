@@ -199,28 +199,38 @@ def test_backward_builds_no_gradient_for_a_constant(op, const, shapes, rng):
 
 
 def test_first_gradients_share_no_memory(rng):
-    # add hands one g to both inputs, x + x hands it twice to one tensor, and
-    # reshape and transpose hand back views of g
-    a, b, x, v = (Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4))
-    w = rng.normal(size=(2, 3))
+    # add hands one g to both inputs, x + x hands it twice to one tensor,
+    # reshape and transpose hand back views of g, and c is the gain, the
+    # shift and a bias of the fused ops at once
+    a, b, x, v, y = (Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(5))
+    w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    c = Tensor(rng.normal(size=3), requires_grad=True)
+    leaves = (a, b, x, v, y, w, c)
+    proj = rng.normal(size=(2, 3))
 
     def run():
-        with Tape():
+        with Tape() as tape:
             loss = T.square(a + b).sum() + (x + x).sum()
-            backward(loss + (T.transpose(v.reshape(3, 2), (1, 0)) * Tensor(w)).sum())
+            loss = loss + (T.transpose(v.reshape(3, 2), (1, 0)) * Tensor(proj)).sum()
+            loss = loss + T.square(T.linear(T.layer_norm(y, c, c), w, c)).sum()
+            backward(loss)
+        # every recorded intermediate released its gradient; leaves keep theirs
+        assert all(out.grad is None for out, _, _ in tape.ops)
+        assert all(t.grad is not None for t in leaves)
 
     run()
-    grads = [t.grad for t in (a, b, x, v)]
+    grads = [t.grad for t in leaves]
     for i, g in enumerate(grads):
         assert g.flags.writeable
         assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
     assert np.array_equal(a.grad, 2.0 * (a.data + b.data))
     assert np.array_equal(b.grad, a.grad)
     assert np.array_equal(x.grad, np.full((2, 3), 2.0))
-    assert np.array_equal(v.grad, w.T.reshape(2, 3))
+    assert np.array_equal(v.grad, proj.T.reshape(2, 3))
     first = [g.copy() for g in grads]
-    run()  # a second use accumulates into each tensor's own array
-    for t, g in zip((a, b, x, v), first):
+    run()  # a second use accumulates into each leaf's own array
+    for t, g, g1 in zip(leaves, first, grads):
+        assert t.grad is g1
         assert np.array_equal(t.grad, 2.0 * g)
 
 
@@ -253,6 +263,32 @@ def test_op_gradients(name, fn, rng):
     x = Tensor(_away_from_kinks(rng, (2, 3)))
     report = grad_check(fn, x)
     assert report.passed, f"{name}: max rel err {report.max_rel_err}"
+
+
+_KEEP = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "name,shapes,fn",
+    [
+        ("layer_norm", [(2, 3, 4), (4,), (4,)],
+         lambda x, g, b: T.square(T.layer_norm(x, g, b)).sum()),
+        ("linear", [(2, 3, 4), (4, 5), (5,)],
+         lambda x, w, b: T.square(T.linear(x, w, b)).sum()),
+        ("linear_1d", [(4,), (4, 5), (5,)],
+         lambda x, w, b: T.square(T.linear(x, w, b)).sum()),
+        ("masked_softmax", [(2, 3, 4)],
+         lambda x: T.square(T.softmax(x, axis=-1, keep=_KEEP)).sum()),
+    ],
+)
+def test_fused_op_gradients_for_every_input(name, shapes, fn, rng):
+    xs = [Tensor(rng.normal(size=s)) for s in shapes]
+    for i in range(len(xs)):
+        def f(t):
+            return fn(*(t if j == i else x for j, x in enumerate(xs)))
+        report = grad_check(f, xs[i])
+        assert report.passed, f"{name} input {i}: max rel err {report.max_rel_err}"
+        xs[i].requires_grad = False
 
 
 def test_log_gradient(rng):
@@ -329,6 +365,56 @@ def test_softmax_all_neg_inf_raises():
     x = Tensor(np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
     with pytest.raises(NumericError):
         T.softmax(x, axis=-1)
+
+
+def test_masked_softmax_zeros_masked_entries_and_their_gradient(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3, 4)))
+    with Tape():
+        y = T.softmax(x, axis=-1, keep=_KEEP)
+        backward((y * w).sum())
+    masked = np.broadcast_to(_KEEP == 0.0, x.shape)
+    assert np.all(y.data[masked] == 0.0)
+    assert np.allclose(y.data.sum(axis=-1), 1.0)
+    assert np.all(x.grad[masked] == 0.0)
+    assert np.all(np.isfinite(x.grad))
+
+
+def test_masked_softmax_never_exponentiates_minus_inf(rng, monkeypatch):
+    seen = []
+    exp = np.exp
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.isneginf(a).any())
+        return exp(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    T.softmax(Tensor(rng.normal(size=(3, 4)) * 50.0), axis=-1, keep=_KEEP)
+    assert seen == [False]
+
+
+def test_masked_softmax_raises_on_a_slice_masked_entirely(rng):
+    keep = _KEEP.copy()
+    keep[1] = 0.0
+    with pytest.raises(NumericError):
+        T.softmax(Tensor(rng.normal(size=(3, 4))), axis=-1, keep=keep)
+
+
+@pytest.mark.parametrize("op,args", [
+    (T.softmax, [(3, 4)]),
+    (T.layer_norm, [(3, 4), (5,), (4,)]),
+    (T.linear, [(3, 4), (4, 2), (3,)]),
+    (T.linear, [(3, 4), (5, 2), (2,)]),
+    (T.linear, [(3, 4), (4,), (4,)]),
+])
+def test_fused_op_shape_mismatch_raises(op, args):
+    tensors = [Tensor(np.ones(s)) for s in args]
+    with pytest.raises(ShapeMismatch) as err:
+        if op is T.softmax:
+            op(*tensors, keep=np.ones((2, 3, 4)))
+        else:
+            op(*tensors)
+    assert err.value.op == op.__name__
 
 
 def test_dropout_identity_when_not_training(rng):

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import csprefine
+import csprefine.tensor as T
 
 from csprefine.csp import AllDifferentExact, CspInstance, build_graph_coloring
-from csprefine.model import DomainMismatch, init_weights
+from csprefine.data import gen_coloring_dataset
+from csprefine.model import DomainMismatch, ModelConfig, init_weights
 from csprefine.penalty import LossProgram, one_hot
 from csprefine.tensor import Tape, Tensor, backward
 from csprefine.train import (
@@ -28,7 +30,7 @@ from csprefine.train import (
     train,
     train_epoch,
 )
-from conftest import replayed_mean_loss, sudoku_puzzle, tiny_config, toy_alldiff
+from conftest import COMPOSED_OPS, replayed_mean_loss, sudoku_puzzle, tiny_config, toy_alldiff
 
 
 def test_train_config_validation():
@@ -146,6 +148,70 @@ def test_adamw_grad_clip_scales_global_norm():
     # update magnitude must stay bounded by lr
     for name, p in w.named_parameters():
         assert np.all(np.abs(p.data - before[name]) <= 0.1 + 1e-12)
+
+
+@pytest.mark.parametrize("grad_clip", [None, 1.0])
+def test_adamw_bytes_match_the_plain_update(grad_clip):
+    # three steps against the update written out as whole-array expressions
+    w = _quadratic_weights()
+    cfg = TrainConfig(lr=0.01, weight_decay=0.1, grad_clip=grad_clip)
+    opt = AdamW(w, cfg)
+    p_ref = {k: p.data.copy() for k, p in w.named_parameters()}
+    m_ref = {k: np.zeros_like(p) for k, p in p_ref.items()}
+    v_ref = {k: np.zeros_like(p) for k, p in p_ref.items()}
+    rng = np.random.default_rng(4)
+    for t in range(1, 4):
+        grads = {k: rng.normal(size=p.shape) for k, p in p_ref.items()}
+        grads["alpha"] = np.zeros(())  # a parameter that got no gradient
+        for k, p in w.named_parameters():
+            p.grad = None if k == "alpha" else grads[k].copy()
+        opt.step()
+        if grad_clip is not None:
+            norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            assert norm > grad_clip
+            grads = {k: g * (grad_clip / norm) for k, g in grads.items()}
+        for k, g in grads.items():
+            m_ref[k] = 0.9 * m_ref[k] + (1.0 - 0.9) * g
+            v_ref[k] = 0.999 * v_ref[k] + (1.0 - 0.999) * g * g
+            mhat = m_ref[k] / (1.0 - 0.9**t)
+            vhat = v_ref[k] / (1.0 - 0.999**t)
+            if p_ref[k].ndim > 0 and "ln" not in k:
+                p_ref[k] *= 1.0 - cfg.lr * cfg.weight_decay
+            p_ref[k] -= cfg.lr * mhat / (np.sqrt(vhat) + 1e-8)
+    for k, p in w.named_parameters():
+        assert p.data.tobytes() == p_ref[k].tobytes(), k
+        assert opt.m[k].tobytes() == m_ref[k].tobytes(), k
+        assert opt.v[k].tobytes() == v_ref[k].tobytes(), k
+
+
+def test_fused_ops_give_the_composed_gradients_on_a_coloring_step(monkeypatch):
+    # one training step of the coloring20 benchmark model, batch 16
+    cfg = ModelConfig(layers=2, heads=2, d_model=64, select_p=0.3, rpe_mode="masked",
+                      ape_mode="none", tau=0.1, sampler="gumbel", dropout=0.0)
+    instances, _ = gen_coloring_dataset(16, 20, seed=1, fixed_k=5, pose_at_greedy=True)
+    w = init_weights(cfg, 5, np.random.default_rng(1))
+    bundles = prepare(instances, cfg)
+
+    def step():
+        w.zero_grad()
+        with Tape() as tape:
+            loss = _batch_loss(w, bundles, np.random.default_rng(2))
+            backward(loss)
+        # intermediate gradients are released; every parameter has its own
+        assert all(out.grad is None for out, _, _ in tape.ops)
+        grads = [p.grad for _, p in w.named_parameters()]
+        assert all(g is not None for g in grads)
+        assert not any(np.shares_memory(g, h) for i, g in enumerate(grads) for h in grads[i + 1:])
+        return loss.item(), len(tape.ops), {k: p.grad for k, p in w.named_parameters()}
+
+    loss, ops, grads = step()
+    for name, op in COMPOSED_OPS.items():
+        monkeypatch.setattr(T, name, op)
+    ref_loss, ref_ops, ref_grads = step()
+    assert ops < ref_ops
+    assert np.isclose(loss, ref_loss, rtol=1e-12, atol=0.0)
+    for k, ref in ref_grads.items():
+        assert np.allclose(grads[k], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()), k
 
 
 def test_train_epoch_ignores_stale_grads():
