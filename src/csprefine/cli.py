@@ -95,7 +95,7 @@ def cmd_generate(args) -> int:
             fixed_k=args.fixed_k, pose_at_greedy=args.pose_at_greedy,
         )
     elif args.problem == "nurse":
-        instances, _inits, manifest = gen_nurse_dataset(
+        instances, manifest = gen_nurse_dataset(
             args.count, args.days, args.shifts, args.per_shift, args.nurses, args.seed
         )
     elif args.problem == "maxcut":
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a dataset")
     g.add_argument("--problem", required=True, choices=["coloring", "nurse", "maxcut"])
-    g.add_argument("--count", type=int, required=True)
+    g.add_argument("--count", type=_positive_int, required=True)
     g.add_argument("--n", type=int, default=50, help="vertex count (coloring/maxcut)")
     g.add_argument("--days", type=int, default=10)
     g.add_argument("--shifts", type=int, default=3)

@@ -234,27 +234,18 @@ def gen_coloring_dataset(
 
 def gen_nurse_dataset(
     count: int, days: int, shifts: int, per_shift: int, nurses: int, seed: int
-) -> tuple[list[CspInstance], list[np.ndarray], DatasetManifest]:
-    """Nurse instances plus an initial assignment per instance where every
-    nurse holds at least one slot. The fixed-variable set stays empty."""
-    rng = np.random.default_rng(seed)
+) -> tuple[list[CspInstance], DatasetManifest]:
+    """``count`` copies of one nurse-rostering instance, with no fixed
+    variables; the seed draws nothing and is only recorded."""
     inst = build_nurse_rostering(days, shifts, per_shift, nurses)
-    instances = [inst] * count
-    inits = []
-    for _ in range(count):
-        init = rng.integers(0, nurses, size=inst.n)
-        # give each nurse one random slot so everyone appears at least once
-        slots = rng.permutation(inst.n)[:nurses]
-        init[slots] = np.arange(nurses)
-        inits.append(init)
     manifest = DatasetManifest(
         problem="nurse",
         count=count,
         seed=seed,
         params={"days": days, "shifts": shifts, "per_shift": per_shift, "nurses": nurses},
-        per_instance=[{"init_covers_all_nurses": True}] * count,
+        per_instance=[],
     )
-    return instances, inits, manifest
+    return [inst] * count, manifest
 
 
 def gen_maxcut_dataset(count: int, n_vertices: int, seed: int) -> tuple[list[CspInstance], DatasetManifest]:
@@ -444,19 +435,26 @@ def load_weights(path, expect_config: ModelConfig | None = None) -> ModelWeights
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise DataError(f"{path}: not a weight file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        preamble = fh.read(8)
+        if len(preamble) != 8:
+            raise DataError(f"{path}: truncated preamble")
+        version, hlen = struct.unpack("<II", preamble)
         if version != _VERSION:
             raise DataError(f"{path}: unsupported weight format version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        config = ModelConfig(**header["config"])
+        try:
+            header = json.loads(fh.read(hlen).decode())
+            config = ModelConfig(**header["config"])
+            domain_size = header["domain_size"]
+            shapes = {name: tuple(dims) for name, dims in header["tensors"].items()}
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            # not UTF-8, not JSON, a missing or unknown key, or a rejected config
+            raise DataError(f"{path}: bad header: {exc!r}") from None
         if expect_config is not None and config != expect_config:
             raise DataError(
                 f"{path}: stored model config {config} does not match expected {expect_config}"
             )
         params: dict[str, Tensor] = {}
-        for name in sorted(header["tensors"]):
-            shape = tuple(header["tensors"][name])
+        for name, shape in sorted(shapes.items()):
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
@@ -465,4 +463,4 @@ def load_weights(path, expect_config: ModelConfig | None = None) -> ModelWeights
             params[name] = Tensor(arr)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after tensor blocks")
-    return ModelWeights(config, header["domain_size"], params)
+    return ModelWeights(config, domain_size, params)

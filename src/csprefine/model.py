@@ -51,8 +51,10 @@ class ModelConfig:
             raise ValueError(f"ape_mode must be one of {APE_MODES}")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}")
-        if self.tau <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("temperature must be positive and finite")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout {self.dropout} outside [0,1)")
 
 
 # ---------------------------------------------------------------------------
@@ -164,27 +166,19 @@ def init_weights(config: ModelConfig, domain_size: int, rng: np.random.Generator
 
 @dataclass
 class InstanceContext:
-    """Constant per-instance arrays shared across forward passes."""
+    """The per-instance arrays that ``forward`` reads, built once and shared
+    across forward passes. The fixed variables are read from
+    ``inst.compiled``, not from here."""
 
-    inst: CspInstance
     ape: np.ndarray  # (n, d)
-    nonedge: np.ndarray  # (n, n)
-    masked_bias: np.ndarray | None  # (n, n), -inf on non-edges; forward masks by nonedge
-    fixed_mask: np.ndarray  # (n,) bool
-    fixed_values: np.ndarray  # (n,) int, 0 where not fixed
+    keep: np.ndarray  # (n, n) 0/1 float, the adjacency; (B, 1, n, n) when stacked
 
     @staticmethod
     def build(inst: CspInstance, cfg: ModelConfig) -> "InstanceContext":
-        """The attention graph and the fixed variables come from the
-        compiled instance; the diagonal counts as an edge, so every
-        variable attends to itself."""
-        cc = inst.compiled
-        nonedge = (~cc.adjacency()).astype(np.float64)
-        masked = None
-        if cfg.rpe_mode == "masked":
-            masked = np.where(nonedge > 0, -np.inf, 0.0)
-        return InstanceContext(inst, ape_table(inst, cfg), nonedge, masked,
-                               cc.fixed_mask, cc.fixed_values)
+        """The attention graph comes from the compiled instance; the
+        diagonal counts as an edge, so every variable attends to itself."""
+        keep = inst.compiled.adjacency().astype(np.float64)
+        return InstanceContext(ape_table(inst, cfg), keep)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +237,10 @@ def forward(
 
     bias = keep = None
     if cfg.rpe_mode == "masked":
-        keep = 1.0 - ctx.nonedge  # the adjacency, diagonal included
+        keep = ctx.keep
     elif cfg.rpe_mode == "learned":
         c = -T.log(1.0 + T.exp(w["rpe_theta"]))  # softplus keeps c <= 0
-        bias = c * Tensor(ctx.nonedge)
+        bias = c * Tensor(1.0 - ctx.keep)  # c on every non-edge
 
     scale = 1.0 / math.sqrt(dh)
     for l in range(cfg.layers):

@@ -10,6 +10,7 @@ track the best cut found.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -40,8 +41,8 @@ class Budget:
             raise ValueError("budget needs an iteration or time limit")
         if self.max_iterations is not None and self.max_iterations <= 0:
             raise ValueError("iteration limit must be positive")
-        if self.time_limit_ms is not None and self.time_limit_ms <= 0:
-            raise ValueError("time limit must be positive")
+        if self.time_limit_ms is not None and not 0.0 < self.time_limit_ms < math.inf:
+            raise ValueError("time limit must be positive and finite")
 
 
 @dataclass
@@ -155,7 +156,8 @@ def multi_start(
             raise ValueError("need one initial assignment per candidate")
         validate_assignment(inst, values)
 
-    frozen = bool(ctx.fixed_mask.all())  # fully fixed: nothing can ever change
+    fixed_mask = inst.compiled.fixed_mask
+    frozen = bool(fixed_mask.all())  # fully fixed: nothing can ever change
     gumbel = weights.config.sampler == "gumbel"
     t0 = time.perf_counter()
     viol = checker.total(values)
@@ -193,7 +195,7 @@ def multi_start(
         if budget.time_limit_ms is not None and (time.perf_counter() - t0) * 1000.0 >= budget.time_limit_ms:
             break
         selected = np.stack(
-            [select_subset(ctx.fixed_mask, weights.config.select_p, rng) for rng in rngs]
+            [select_subset(fixed_mask, weights.config.select_p, rng) for rng in rngs]
         )
         noise = None
         if gumbel:

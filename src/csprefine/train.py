@@ -13,6 +13,7 @@ set may therefore mix sizes, but not domain sizes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .model import (
     select_subset,
 )
 from .penalty import LossConfig, LossProgram, default_loss_config, one_hot
-from .tensor import Tape, Tensor, backward
+from .tensor import NumericError, Tape, Tensor, backward
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,22 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 0 or self.lr <= 0:
-            raise ValueError("batch size, epochs and learning rate must be positive")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("batch size must be positive and epochs non-negative")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("learning rate must be positive and finite")
+        if not math.isfinite(self.weight_decay):
+            raise ValueError("weight decay must be finite")
+        if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
+            raise ValueError("gradient clip must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
 # Optimizer
 
 
-class OptimizerError(Exception):
-    pass
+class OptimizerError(NumericError):
+    """A non-finite gradient reached the optimizer."""
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam moment decays and denominator floor
@@ -139,20 +146,8 @@ def prepare(instances, mcfg: ModelConfig, loss_cfg: LossConfig | None = None):
 def _collate(bundles):
     """Batched (ctx, loss program) for bundles that share index tuples, and
     so n and the positional table. Each sample keeps its own attention
-    bias, fixed variables and compiled constraints."""
-    ctxs = [b.ctx for b in bundles]
-    first = ctxs[0]
-    masked = None
-    if first.masked_bias is not None:
-        masked = np.stack([c.masked_bias for c in ctxs])[:, None]  # (B,1,n,n)
-    ctx = InstanceContext(
-        first.inst,
-        first.ape,
-        np.stack([c.nonedge for c in ctxs])[:, None],
-        masked,
-        np.stack([c.fixed_mask for c in ctxs]),
-        np.stack([c.fixed_values for c in ctxs]),
-    )
+    mask, stacked to (B, 1, n, n), and its own compiled constraints."""
+    ctx = InstanceContext(bundles[0].ctx.ape, np.stack([b.ctx.keep for b in bundles])[:, None])
     return ctx, LossProgram.stack([b.program for b in bundles])
 
 
@@ -168,7 +163,8 @@ def _batch_loss(weights, bundles, rng, training=True):
     first appearance.
     """
     values = [random_assignment(b.inst, rng) for b in bundles]
-    selected = [select_subset(b.ctx.fixed_mask, weights.config.select_p, rng) for b in bundles]
+    selected = [select_subset(b.inst.compiled.fixed_mask, weights.config.select_p, rng)
+                for b in bundles]
     groups: dict[tuple, list] = {}
     for row in zip(bundles, values, selected):
         groups.setdefault(row[0].inst.index_tuples, []).append(row)

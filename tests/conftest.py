@@ -92,7 +92,8 @@ def replayed_mean_loss(w, bundles, seed: int) -> float:
     in batch order. Needs a model that draws no dropout or gumbel noise."""
     rng = np.random.default_rng(seed)
     values = [random_assignment(b.inst, rng) for b in bundles]
-    selected = [select_subset(b.ctx.fixed_mask, w.config.select_p, rng) for b in bundles]
+    selected = [select_subset(b.inst.compiled.fixed_mask, w.config.select_p, rng)
+                for b in bundles]
     total = 0.0
     for b, vals, sel in zip(bundles, values, selected):
         yhat = forward(w, b.ctx, vals[None], sel[None])

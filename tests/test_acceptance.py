@@ -304,10 +304,8 @@ def test_criterion_07_subset_identity_invariants():
     scfg = tiny_config(sampler="softmax", tau=0.1)
     sw = init_weights(scfg, 9, np.random.default_rng(5))
     ctxs = [InstanceContext.build(p, scfg) for p in puzzles]
-    fixed_mask = np.stack([c.fixed_mask for c in ctxs])
-    fixed_values = np.stack([c.fixed_values for c in ctxs])
-    batch_ctx = InstanceContext(puzzles[0], ctxs[0].ape, ctxs[0].nonedge,
-                                ctxs[0].masked_bias, fixed_mask, fixed_values)
+    fixed_mask = np.stack([p.compiled.fixed_mask for p in puzzles])
+    batch_ctx = InstanceContext(ctxs[0].ape, ctxs[0].keep)
     values = np.stack([random_assignment(p, rng) for p in puzzles])
     givens = values.copy()
     for _ in range(10000):

@@ -1,8 +1,10 @@
 """CLI tests: each subcommand end to end on tiny inputs, exit codes, and
 report formats."""
 
+import importlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +14,10 @@ import pytest
 
 import csprefine
 from csprefine import data
-from csprefine.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from csprefine.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from csprefine.csp import build_graph_coloring
-from csprefine.data import load_instances, load_weights, save_instances, save_sudoku
+from csprefine.data import load_instances, load_weights, save_instances, save_sudoku, save_weights
+from csprefine.model import ModelConfig, init_weights
 from conftest import sudoku_puzzle, toy_alldiff
 
 
@@ -366,15 +369,82 @@ def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_p
 @pytest.mark.parametrize("argv", [
     ["solve"],  # neither --iters nor --time-ms
     ["solve", "--iters", "0"],
+    ["solve", "--time-ms", "nan"],
     ["train", "--batch-size", "0"],
     ["train", "--heads", "3", "--d-model", "8"],
-], ids=["solve-no-budget", "solve-zero-iters", "train-zero-batch", "train-heads-d-model"])
+    ["train", "--tau", "nan"],
+    ["train", "--dropout", "1"],
+    ["train", "--lr", "nan"],
+    ["train", "--weight-decay", "inf"],
+    ["train", "--grad-clip", "nan"],
+    ["train", "--grad-clip", "0"],
+    ["generate", "--problem", "coloring", "--count", "-1"],
+], ids=["solve-no-budget", "solve-zero-iters", "solve-nan-time", "train-zero-batch",
+        "train-heads-d-model", "train-nan-tau", "train-dropout-one", "train-nan-lr",
+        "train-inf-weight-decay", "train-nan-grad-clip", "train-zero-grad-clip",
+        "generate-negative-count"])
 def test_rejected_configuration_is_a_usage_error(tmp_path, capsys, argv):
     dataset = _generate_coloring(tmp_path, count=2, n=5)
+    out = tmp_path / "model.bin"
     # solve never reads its weights here: it rejects the budget first
-    target = ["--weights" if argv[0] == "solve" else "--out", str(tmp_path / "model.bin")]
+    target = {"solve": ["--dataset", str(dataset), "--weights", str(out)],
+              "train": ["--dataset", str(dataset), "--out", str(out)],
+              "generate": ["--out", str(out)]}[argv[0]]
     capsys.readouterr()
-    rc = main([*argv, "--dataset", str(dataset), *target])
+    try:
+        rc = main([*argv, *target])
+    except SystemExit as exc:  # a value that the argument parser itself rejects
+        rc = exc.code
     assert rc == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(("error: ", f"csprefine {argv[0]}: error: "))
+    assert not out.exists()
+
+
+def test_non_finite_gradient_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    dataset = _generate_coloring(tmp_path, count=2, n=5)
+    train_module = importlib.import_module("csprefine.train")  # the package exports train()
+    real_backward = train_module.backward
+    monkeypatch.setattr(train_module, "backward", lambda loss: real_backward(loss * np.nan))
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "model.bin"),
+               "--epochs", "1", "--layers", "1", "--d-model", "8"])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric failure: non-finite gradient")
+    assert not (tmp_path / "model.bin").exists()
+
+
+def _header_variants(blob: bytes):
+    """``blob`` with its JSON header replaced by malformed ones."""
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header, rest = json.loads(blob[12:12 + hlen]), blob[12 + hlen:]
+
+    def repack(text: bytes) -> bytes:
+        return blob[:8] + struct.pack("<I", len(text)) + text + rest
+
+    extra_key = {**header, "config": {**header["config"], "colour": 1}}
+    rejected = {**header, "config": {**header["config"], "tau": -1.0}}
+    no_domain = {k: v for k, v in header.items() if k != "domain_size"}
+    listed_tensors = {**header, "tensors": list(header["tensors"])}
+    for variant in (extra_key, rejected, no_domain, listed_tensors):
+        yield repack(json.dumps(variant).encode())
+    yield repack(b"\xff" + json.dumps(header).encode())
+    yield repack(b"[]")
+
+
+def test_every_malformed_weights_file_is_an_io_error(tmp_path, capsys):
+    dataset = _generate_coloring(tmp_path, count=1, n=5)
+    cfg = ModelConfig(layers=1, heads=1, d_model=2, ape_mode="none", ffn_mult=1)
+    good = tmp_path / "good.bin"
+    save_weights(init_weights(cfg, 3, np.random.default_rng(0)), good)
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.bin"
+    # every prefix: an empty file, a short preamble, a cut header, a cut tensor block
+    for raw in [blob[:cut] for cut in range(len(blob))] + list(_header_variants(blob)):
+        bad.write_bytes(raw)
+        rc = main(["solve", "--weights", str(bad), "--dataset", str(dataset), "--iters", "1"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_IO, raw[:40]
+        assert err.startswith("error: "), err
+    rc = main(["solve", "--weights", str(good), "--dataset", str(dataset), "--iters", "1"])
+    assert rc == EXIT_OK

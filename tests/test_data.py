@@ -17,7 +17,6 @@ from csprefine.data import (
     gen_erdos_renyi,
     gen_geometric,
     gen_maxcut_dataset,
-    gen_nurse_dataset,
     instance_from_json,
     instance_to_json,
     load_gset,
@@ -141,13 +140,6 @@ def _digest(instances, manifest):
 def test_generated_dataset_bytes_are_pinned(make, digest):
     # a dataset is byte-identical for a seed: instance lines, then manifest
     assert _digest(*make()) == digest
-
-
-def test_nurse_dataset_inits_cover_all_nurses():
-    instances, inits, manifest = gen_nurse_dataset(4, 10, 3, 3, 10, seed=0)
-    assert len(instances) == 4 and len(inits) == 4
-    for init in inits:
-        assert set(init.tolist()) == set(range(10))
 
 
 def test_maxcut_dataset(rng):

@@ -16,7 +16,7 @@ from csprefine.model import (
     init_weights,
     select_subset,
 )
-from conftest import sudoku_puzzle, tiny_config, toy_alldiff
+from conftest import tiny_config, toy_alldiff
 
 
 def test_config_validation():
@@ -90,26 +90,26 @@ def test_ape_table_modes():
     assert np.allclose(odd[13, 9::2], np.sin(4.0 * np.power(10000.0, -2.0 * np.arange(5) / 9)))
 
 
-def test_context_nonedge_diag_and_edges():
+def test_context_keep_diag_and_edges():
     inst = build_graph_coloring(3, [(0, 1)], 2)
-    nonedge = InstanceContext.build(inst, tiny_config()).nonedge
-    assert nonedge.dtype == np.float64
-    assert np.array_equal(nonedge, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    keep = InstanceContext.build(inst, tiny_config()).keep
+    assert keep.dtype == np.float64
+    assert np.array_equal(keep, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
 
 def test_rpe_bias_modes():
     inst = build_graph_coloring(3, [(0, 1)], 2)
-    masked = InstanceContext.build(inst, tiny_config(rpe_mode="masked")).masked_bias
-    assert masked[0, 2] == -np.inf
-    assert masked[0, 1] == 0.0 and masked[0, 0] == 0.0
-    # learned mode adds c * nonedge with c = -softplus(rpe_theta), about -1 at init
+    masked = InstanceContext.build(inst, tiny_config(rpe_mode="masked")).keep
+    # masked mode attends only where keep is 1: the edges and the diagonal
+    assert masked[0, 2] == 0.0
+    assert masked[0, 1] == 1.0 and masked[0, 0] == 1.0
+    # learned mode adds c * (1 - keep) with c = -softplus(rpe_theta), about -1 at init
     cfg = tiny_config(rpe_mode="learned")
     ctx = InstanceContext.build(inst, cfg)
-    assert ctx.masked_bias is None
+    assert np.array_equal(ctx.keep, masked)
     c = -np.log1p(np.exp(init_weights(cfg, 2, np.random.default_rng(0))["rpe_theta"].item()))
-    learned = c * ctx.nonedge
+    learned = c * (1.0 - ctx.keep)
     assert np.isclose(learned[0, 2], -1.0) and learned[0, 1] == 0.0 and learned[0, 0] == 0.0
-    assert InstanceContext.build(inst, tiny_config(rpe_mode="none")).masked_bias is None
 
 
 def test_init_weights_shapes():
@@ -122,17 +122,6 @@ def test_init_weights_shapes():
     assert all(p.requires_grad for _, p in w.named_parameters())
     # softplus of the initial theta puts the learned offset near -1
     assert np.isclose(np.log1p(np.exp(w["rpe_theta"].item())), 1.0)
-
-
-def test_instance_context_fixed_arrays():
-    inst = sudoku_puzzle(40, 0)
-    ctx = InstanceContext.build(inst, tiny_config())
-    assert ctx.fixed_mask.sum() == 41
-    fixed_idx = np.flatnonzero(ctx.fixed_mask)
-    assert all(ctx.fixed_values[i] == inst.fixed[i] for i in fixed_idx)
-    assert ctx.masked_bias is not None
-    ctx2 = InstanceContext.build(inst, tiny_config(rpe_mode="learned"))
-    assert ctx2.masked_bias is None
 
 
 def test_select_subset_respects_fixed_and_nonempty():

@@ -237,7 +237,7 @@ def test_collate_identical_structure():
     cfg = tiny_config()
     bundles = prepare(insts, cfg)
     ctx, program = _collate(bundles)
-    assert ctx.fixed_mask.shape == (3, 81)
+    assert ctx.keep.shape == (3, 1, 81, 81)
     assert isinstance(program, LossProgram)
 
 
@@ -249,7 +249,7 @@ def test_collate_pairs_only_stacks(rng):
     cfg = tiny_config()
     bundles = prepare(insts, cfg)
     ctx, program = _collate(bundles)
-    assert ctx.nonedge.shape == (2, 1, 4, 4)
+    assert ctx.keep.shape == (2, 1, 4, 4)
     # each sample of the stack is scored against its own instance
     rel = rng.dirichlet(np.ones(3), size=(2, 4))
     got = program.loss(Tensor(rel)).data
