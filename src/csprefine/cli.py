@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .csp import CspError, is_feasible
+from .csp import AllDifferentExact, CspError, CspInstance, is_feasible
 from .data import (
     DataError,
     gen_coloring_dataset,
@@ -31,11 +31,24 @@ from .data import (
     save_instances,
     save_weights,
 )
-from .model import ArityMismatch, DomainMismatch, ModelConfig, init_weights
-from .penalty import pen_alldiff_atmost, pen_alldiff_exact, pen_cardinality, pen_not_equal
+from .model import (
+    ArityMismatch,
+    DomainMismatch,
+    InstanceContext,
+    ModelConfig,
+    forward,
+    init_weights,
+)
+from .penalty import (
+    LossProgram,
+    pen_alldiff_atmost,
+    pen_alldiff_exact,
+    pen_cardinality,
+    pen_not_equal,
+)
 from .solve import Budget, direct_sgd_counts, greedy_coloring, multi_start
 from .tensor import NumericError, Tensor, grad_check
-from .train import TrainConfig, train
+from .train import TrainConfig, assemble_relaxed, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -147,9 +160,9 @@ def cmd_train(args) -> int:
         if state_path.exists():
             state = np.load(state_path)
             opt.step_count = int(state["step_count"])
-            for name in weights.params:
-                opt.m[name] = state[f"m::{name}"]
-                opt.v[name] = state[f"v::{name}"]
+            for name, p in weights.named_parameters():  # the moments follow the weights' dtype
+                opt.m[name] = state[f"m::{name}"].astype(p.data.dtype)
+                opt.v[name] = state[f"v::{name}"].astype(p.data.dtype)
     else:
         mcfg = _model_config(args)
         weights = init_weights(mcfg, instances[0].m, np.random.default_rng(args.seed))
@@ -286,7 +299,35 @@ def cmd_gradcheck(args) -> int:
     report("layer_norm", grad_check(lambda t: (T.layer_norm(t, gain, shift) * coeff).sum(), rows))
     w, b = Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=2))
     report("linear", grad_check(lambda t: T.square(T.linear(t, w, b)).sum(), rows))
+    for name, res in _model_grad_checks(rng):
+        report(f"model.{name}", res)
     return EXIT_OK if ok else 1
+
+
+def _model_grad_checks(rng: np.random.Generator):
+    """Criterion 03's end-to-end check: the penalty loss of one refinement
+    step through ``forward`` on a 2-layer float64 toy model (one exact
+    alldifferent over 4 variables), against finite differences in the
+    input embedding and in a weight of each layer. Yields (name, report)."""
+    inst = CspInstance(4, 4, tuple((i,) for i in range(4)),
+                       (AllDifferentExact((0, 1, 2, 3)),), (None,) * 4)
+    cfg = ModelConfig(layers=2, heads=2, d_model=8, select_p=0.5, rpe_mode="masked",
+                      ape_mode="multi", tau=0.5, sampler="softmax", dropout=0.0, ffn_mult=2)
+    w = init_weights(cfg, inst.m, rng, dtype=np.float64)
+    ctx = InstanceContext.build(inst, cfg)
+    program = LossProgram(inst)
+    values = np.array([[0, 2, 2, 1]])
+    selected = np.array([[True, True, False, True]])
+
+    for name in ("embed", "l0.wq", "l1.w2"):
+        def loss(x):
+            w.params[name] = x
+            yhat = forward(w, ctx, values, selected)
+            return program.loss(assemble_relaxed(values, selected, yhat)).sum()
+
+        x = Tensor(w[name].data.copy())
+        yield name, grad_check(loss, x)
+        w.params[name] = x
 
 
 # ---------------------------------------------------------------------------

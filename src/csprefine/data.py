@@ -32,7 +32,7 @@ from .csp import (
 )
 from .model import ModelConfig, ModelWeights
 from .solve import greedy_coloring
-from .tensor import Tensor
+from .tensor import NumericError, Tensor
 
 
 class DataError(Exception):
@@ -407,16 +407,26 @@ def save_gset(graph: WeightedGraph, path) -> None:
 
 
 _MAGIC = b"CSPW"
-_VERSION = 1
+_VERSION = 2
+# the dtypes a weight file may hold, and their little-endian block layout;
+# version 1 files carry no dtype and hold float64 blocks
+_BLOCK = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
 
 def save_weights(weights: ModelWeights, path) -> None:
-    """Binary container: magic, version, JSON header, float64 LE blocks."""
+    """Binary container: magic, version, JSON header, then one little-endian
+    block per tensor in the weights' dtype, which the header names.
+    Raises NumericError, and writes nothing, if any value is not finite."""
     names = sorted(weights.params)
+    for name in names:
+        if not np.all(np.isfinite(weights.params[name].data)):
+            raise NumericError(f"parameter {name!r} holds non-finite values; nothing saved")
+    dtype = weights.dtype.name
     header = json.dumps(
         {
             "config": asdict(weights.config),
             "domain_size": weights.domain_size,
+            "dtype": dtype,
             "tensors": {name: list(weights.params[name].shape) for name in names},
         },
         sort_keys=True,
@@ -427,11 +437,13 @@ def save_weights(weights: ModelWeights, path) -> None:
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for name in names:
-            data = np.ascontiguousarray(weights.params[name].data, dtype="<f8")
+            data = np.ascontiguousarray(weights.params[name].data, dtype=_BLOCK[dtype])
             fh.write(data.tobytes())
 
 
 def load_weights(path, expect_config: ModelConfig | None = None) -> ModelWeights:
+    """Read a weight file of version 1 (float64) or 2 (the dtype its header
+    names); the tensors come back in that dtype."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise DataError(f"{path}: not a weight file (bad magic)")
@@ -439,13 +451,15 @@ def load_weights(path, expect_config: ModelConfig | None = None) -> ModelWeights
         if len(preamble) != 8:
             raise DataError(f"{path}: truncated preamble")
         version, hlen = struct.unpack("<II", preamble)
-        if version != _VERSION:
+        if version not in (1, _VERSION):
             raise DataError(f"{path}: unsupported weight format version {version}")
         try:
             header = json.loads(fh.read(hlen).decode())
             config = ModelConfig(**header["config"])
             domain_size = header["domain_size"]
             shapes = {name: tuple(dims) for name, dims in header["tensors"].items()}
+            dtype = "float64" if version == 1 else header["dtype"]
+            block = _BLOCK[dtype]
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             # not UTF-8, not JSON, a missing or unknown key, or a rejected config
             raise DataError(f"{path}: bad header: {exc!r}") from None
@@ -455,12 +469,11 @@ def load_weights(path, expect_config: ModelConfig | None = None) -> ModelWeights
             )
         params: dict[str, Tensor] = {}
         for name, shape in sorted(shapes.items()):
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            size = (int(np.prod(shape)) if shape else 1) * block.itemsize
+            raw = fh.read(size)
+            if len(raw) != size:
                 raise DataError(f"{path}: truncated tensor block {name!r}")
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            params[name] = Tensor(arr)
+            params[name] = Tensor(np.frombuffer(raw, dtype=block).reshape(shape).astype(dtype))
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after tensor blocks")
     return ModelWeights(config, domain_size, params)

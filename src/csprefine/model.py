@@ -106,6 +106,11 @@ class ModelWeights:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which every forward computes in."""
+        return self.params["embed"].data.dtype
+
     def named_parameters(self):
         return self.params.items()
 
@@ -126,38 +131,42 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_weights(config: ModelConfig, domain_size: int, rng: np.random.Generator) -> ModelWeights:
+def init_weights(config: ModelConfig, domain_size: int, rng: np.random.Generator,
+                 dtype=np.float32) -> ModelWeights:
+    """Fresh parameters in ``dtype``: the float64 draws, cast once, so both
+    dtypes start from the same values."""
     d = config.d_model
     ff = config.ffn_mult * d
     m = domain_size
-    p: dict[str, Tensor] = {
-        "embed": Tensor(rng.normal(0.0, 0.02, size=(m, d))),
-        "select_embed": Tensor(rng.normal(0.0, 0.02, size=(d,))),
-        "alpha": Tensor(1.0),
-        "beta": Tensor(1.0),
-        "gamma": Tensor(1.0),
-        "w_out": Tensor(_xavier(rng, d, m)),
-        "b_out": Tensor(np.zeros(m)),
-        "lnf.g": Tensor(np.ones(d)),
-        "lnf.b": Tensor(np.zeros(d)),
+    p = {
+        "embed": rng.normal(0.0, 0.02, size=(m, d)),
+        "select_embed": rng.normal(0.0, 0.02, size=(d,)),
+        "alpha": 1.0,
+        "beta": 1.0,
+        "gamma": 1.0,
+        "w_out": _xavier(rng, d, m),
+        "b_out": np.zeros(m),
+        "lnf.g": np.ones(d),
+        "lnf.b": np.zeros(d),
     }
     if config.rpe_mode == "learned":
         # c = -softplus(theta); this value puts c near -1
-        p["rpe_theta"] = Tensor(math.log(math.e - 1.0))
+        p["rpe_theta"] = math.log(math.e - 1.0)
     for l in range(config.layers):
-        p[f"l{l}.ln1.g"] = Tensor(np.ones(d))
-        p[f"l{l}.ln1.b"] = Tensor(np.zeros(d))
-        p[f"l{l}.wq"] = Tensor(_xavier(rng, d, d))
-        p[f"l{l}.wk"] = Tensor(_xavier(rng, d, d))
-        p[f"l{l}.wv"] = Tensor(_xavier(rng, d, d))
-        p[f"l{l}.wo"] = Tensor(_xavier(rng, d, d))
-        p[f"l{l}.ln2.g"] = Tensor(np.ones(d))
-        p[f"l{l}.ln2.b"] = Tensor(np.zeros(d))
-        p[f"l{l}.w1"] = Tensor(_xavier(rng, d, ff))
-        p[f"l{l}.b1"] = Tensor(np.zeros(ff))
-        p[f"l{l}.w2"] = Tensor(_xavier(rng, ff, d))
-        p[f"l{l}.b2"] = Tensor(np.zeros(d))
-    return ModelWeights(config, domain_size, p)
+        p[f"l{l}.ln1.g"] = np.ones(d)
+        p[f"l{l}.ln1.b"] = np.zeros(d)
+        p[f"l{l}.wq"] = _xavier(rng, d, d)
+        p[f"l{l}.wk"] = _xavier(rng, d, d)
+        p[f"l{l}.wv"] = _xavier(rng, d, d)
+        p[f"l{l}.wo"] = _xavier(rng, d, d)
+        p[f"l{l}.ln2.g"] = np.ones(d)
+        p[f"l{l}.ln2.b"] = np.zeros(d)
+        p[f"l{l}.w1"] = _xavier(rng, d, ff)
+        p[f"l{l}.b1"] = np.zeros(ff)
+        p[f"l{l}.w2"] = _xavier(rng, ff, d)
+        p[f"l{l}.b2"] = np.zeros(d)
+    return ModelWeights(config, domain_size,
+                        {k: Tensor(np.asarray(v, dtype=dtype)) for k, v in p.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +233,27 @@ def forward(
     values: (B, n) ints; selected: (B, n) bool. Returns (B, n, m)
     probability rows; only the selected rows are meaningful downstream.
     Gumbel noise comes from ``noise`` when given, else from ``rng``.
+    Everything runs in the weights' dtype: the context, the selection mask
+    and the noise are cast to it.
     """
     cfg = w.config
     B, n = values.shape
     d = cfg.d_model
     H = cfg.heads
     dh = d // H
+    dt = w.dtype
 
-    sel = Tensor(selected.astype(np.float64)[..., None])  # (B, n, 1)
+    sel = Tensor(selected[..., None].astype(dt))  # (B, n, 1)
     emb = T.gather_rows(w["embed"], values)  # (B, n, d)
-    h = w["alpha"] * emb + w["beta"] * Tensor(ctx.ape) + w["gamma"] * (sel * w["select_embed"])
+    ape = Tensor(ctx.ape.astype(dt, copy=False))
+    h = w["alpha"] * emb + w["beta"] * ape + w["gamma"] * (sel * w["select_embed"])
 
     bias = keep = None
     if cfg.rpe_mode == "masked":
-        keep = ctx.keep
+        keep = ctx.keep.astype(dt, copy=False)
     elif cfg.rpe_mode == "learned":
         c = -T.log(1.0 + T.exp(w["rpe_theta"]))  # softplus keeps c <= 0
-        bias = c * Tensor(1.0 - ctx.keep)  # c on every non-edge
+        bias = c * Tensor(1.0 - ctx.keep.astype(dt, copy=False))  # c on every non-edge
 
     scale = 1.0 / math.sqrt(dh)
     for l in range(cfg.layers):
@@ -273,7 +286,7 @@ def forward(
             if rng is None:
                 raise ValueError("gumbel sampler needs an rng or explicit noise")
             noise = gumbel_noise(rng, out_logits.shape)
-        out_logits = out_logits + Tensor(noise)
+        out_logits = out_logits + Tensor(noise.astype(dt, copy=False))
     return T.softmax(out_logits * (1.0 / cfg.tau), axis=-1)
 
 

@@ -1,10 +1,16 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Everything the refinement model and the penalty functions need runs through
 the ``Tensor`` class below: values live in numpy arrays, and every operation
 executed while a :class:`Tape` is active records a backward rule onto that
 tape. Calling :func:`backward` on a scalar replays the tape in reverse and
 accumulates gradients into every reachable tensor that requires them.
+
+A tensor keeps float32 data as float32 and stores anything else as
+float64. Every op computes in the dtype of its tensor inputs: a Python
+number that meets a tensor takes the tensor's dtype, and masks are cast to
+the input's dtype, so a float32 forward and backward never promote to
+float64.
 
 Every op computes its local derivative inside its backward closure, never in
 the forward, so a forward with no tape (inference) does forward work only.
@@ -27,6 +33,7 @@ Subgradient choices are deterministic: ``abs'(0) = 0`` and ``relu'(0) = 0``.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -97,11 +104,16 @@ def no_grad():
 # Tensor
 
 
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        # identity with numpy's native dtype singletons: the cheapest test
+        self.data = data if data.dtype is _F64 or data.dtype is _F32 else data.astype(_F64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: int | None = None
@@ -117,15 +129,16 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray, taken=()) -> None:
         """Add ``g`` to ``self.grad``. A first gradient is kept as it is when
-        it is a writeable float64 array that shares no memory with any array
-        in ``taken``; otherwise the tensor keeps a copy."""
+        it is a writeable array of this tensor's dtype that shares no memory
+        with any array in ``taken``; otherwise the tensor keeps a copy in its
+        own dtype."""
         if self.grad is not None:
             self.grad += g
-        elif (g.dtype == np.float64 and g.flags.writeable
+        elif (g.dtype == self.data.dtype and g.flags.writeable
               and not any(np.may_share_memory(g, h) for h in taken)):
             self.grad = g
         else:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
 
     def item(self) -> float:
         return float(self.data)
@@ -136,28 +149,28 @@ class Tensor:
     # -- operator sugar ------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return mul(self, _wrap(1.0 / other))
+            return mul(self, _wrap(1.0 / other, self))
         return mul(self, pow_scalar(other, -1.0))
 
     def __neg__(self):
-        return mul(self, _wrap(-1.0))
+        return mul(self, _wrap(-1.0, self))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -177,8 +190,12 @@ class Tensor:
         return transpose(self, axes)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _wrap(x, like: Tensor | None = None) -> Tensor:
+    """``x`` as a tensor; a non-tensor takes the dtype of ``like``, the
+    other operand, so that a Python number never promotes a float32 op."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, dtype=np.float64 if like is None else like.data.dtype))
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -258,12 +275,12 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
 
     def bwd(g):
-        return (g * (a.data > 0.0).astype(np.float64),)
+        return (g * (a.data > 0.0).astype(a.data.dtype),)
 
     return _record(out, (a,), bwd)
 
 
-_GELU_A, _GELU_C = 0.044715, np.sqrt(2.0 / np.pi)
+_GELU_A, _GELU_C = 0.044715, math.sqrt(2.0 / math.pi)  # Python floats: no promotion
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -340,7 +357,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     """Inverted dropout; the identity when not training or rate == 0."""
     if not training or rate <= 0.0:
         return a
-    keep = (rng.random(a.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    keep = (rng.random(a.shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
     out = Tensor(a.data * keep)
 
     def bwd(g):
@@ -408,7 +425,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else a.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), _wrap(1.0 / n))
+    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), _wrap(1.0 / n, a))
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -443,8 +460,10 @@ def softmax(a: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor
     is -inf or masked (nothing to attend to).
     """
     x = a.data
-    if keep is not None and np.broadcast_shapes(x.shape, keep.shape) != x.shape:
-        raise ShapeMismatch("softmax", x.shape, keep.shape)
+    if keep is not None:
+        if np.broadcast_shapes(x.shape, keep.shape) != x.shape:
+            raise ShapeMismatch("softmax", x.shape, keep.shape)
+        keep = keep.astype(x.dtype, copy=False)
     xmax = np.max(x if keep is None else np.where(keep, x, -np.inf), axis=axis, keepdims=True)
     if np.any(np.isneginf(xmax)):
         raise NumericError("softmax: a slice is entirely -inf or masked")

@@ -29,7 +29,7 @@ from .model import (
     select_subset,
 )
 from .penalty import LossConfig, LossProgram, default_loss_config, one_hot
-from .tensor import NumericError, Tape, Tensor, backward
+from .tensor import NumericError, Tape, Tensor, backward, no_grad
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,9 @@ class AdamW:
                 raise OptimizerError(f"non-finite gradient in parameter {name!r}")
             grads[name] = g
         if cfg.grad_clip is not None:
-            norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
             if norm > cfg.grad_clip:
-                scale = cfg.grad_clip / norm
+                scale = cfg.grad_clip / norm  # a Python float keeps each g's dtype
                 grads = {k: g * scale for k, g in grads.items()}
         for name, p in self.weights.named_parameters():
             # the moments update in place, in the order of b1*m + (1-b1)*g
@@ -118,10 +118,11 @@ def random_assignment(inst: CspInstance, rng: np.random.Generator) -> np.ndarray
 
 
 def assemble_relaxed(values: np.ndarray, selected: np.ndarray, yhat: Tensor) -> Tensor:
-    """Soft rows for selected variables, exact one-hot rows elsewhere."""
-    m = yhat.shape[-1]
-    sel = Tensor(selected.astype(np.float64)[..., None])
-    hard = Tensor(one_hot(values, m))
+    """Soft rows for selected variables, exact one-hot rows elsewhere, in
+    ``yhat``'s dtype."""
+    m, dt = yhat.shape[-1], yhat.data.dtype
+    sel = Tensor(selected[..., None].astype(dt))
+    hard = Tensor(one_hot(values, m).astype(dt, copy=False))
     return sel * yhat + (1.0 - sel) * hard
 
 
@@ -208,6 +209,17 @@ class TrainResult:
         return self.weights
 
 
+def _probe_loss(weights: ModelWeights, bundles, cfg: TrainConfig) -> float:
+    """Mean loss of the current weights on a pinned batch: the first
+    ``batch_size`` bundles, with assignments, subsets and noise drawn from
+    their own rng, so every call scores the same draws and the training
+    stream is untouched. Dropout is off."""
+    with no_grad():
+        loss = _batch_loss(weights, bundles[: cfg.batch_size],
+                           np.random.default_rng([cfg.seed, 1]), training=False)
+    return loss.item()
+
+
 def train(
     instances,
     mcfg: ModelConfig,
@@ -217,7 +229,13 @@ def train(
     opt: AdamW | None = None,
     log=None,
 ) -> TrainResult:
-    """Train a refiner from scratch (or resume) on a list of instances."""
+    """Train a refiner from scratch (or resume) on a list of instances.
+
+    Weights made here (``weights=None``) are float32. After each epoch the
+    weights are scored on the
+    pinned probe batch (:func:`_probe_loss`); the best weights are those
+    with the lowest finite probe loss, or the starting weights if no epoch
+    gives one."""
     if not instances:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(tcfg.seed)
@@ -237,10 +255,11 @@ def train(
         t0 = time.perf_counter()
         mean_loss = train_epoch(weights, opt, bundles, tcfg, rng)
         history.append(mean_loss)
-        if mean_loss < best_loss:
-            best_loss = mean_loss
+        scored = _probe_loss(weights, bundles, tcfg)
+        if scored < best_loss:  # False for NaN; +inf never beats the start
+            best_loss = scored
             best = {k: p.data.copy() for k, p in weights.named_parameters()}
         if log is not None:
             ms = (time.perf_counter() - t0) * 1000.0
-            log(f"epoch={epoch} loss={mean_loss:.6f} time_ms={ms:.1f}")
+            log(f"epoch={epoch} loss={mean_loss:.6f} probe_loss={scored:.6f} time_ms={ms:.1f}")
     return TrainResult(weights=weights, best_params=best, history=history)

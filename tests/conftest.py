@@ -5,6 +5,7 @@ import pytest
 
 import csprefine.tensor as T
 from csprefine.csp import AllDifferentExact, CspInstance, build_sudoku
+from csprefine.data import gen_coloring_dataset
 from csprefine.model import ModelConfig, forward, select_subset
 from csprefine.tensor import Tensor
 from csprefine.train import assemble_relaxed, random_assignment
@@ -36,6 +37,14 @@ def sudoku_puzzle(missing: int, seed: int):
     givens = grid.copy()
     givens[blank] = 0
     return build_sudoku(givens.tolist())
+
+
+def workload_instances(workload: str, count: int):
+    """Instances shaped like a benchmark workload's: 40-blank sudoku
+    puzzles, or 20-vertex coloring posed with 5 colors."""
+    if workload == "sudoku":
+        return [sudoku_puzzle(40, i) for i in range(count)]
+    return gen_coloring_dataset(count, 20, seed=1, fixed_k=5, pose_at_greedy=True)[0]
 
 
 def tiny_config(**kw) -> ModelConfig:

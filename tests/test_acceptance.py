@@ -157,7 +157,7 @@ def test_criterion_03_gradient_suite():
     cfg = ModelConfig(layers=2, heads=2, d_model=8, select_p=0.5,
                       rpe_mode="masked", ape_mode="multi", tau=0.5,
                       sampler="softmax", dropout=0.0, ffn_mult=2)
-    w = init_weights(cfg, inst.m, rng)
+    w = init_weights(cfg, inst.m, rng, dtype=np.float64)  # finite differences need float64
     ctx = InstanceContext.build(inst, cfg)
     program = LossProgram(inst)
     values = np.array([[0, 2, 2, 1]])

@@ -240,8 +240,9 @@ def test_gradcheck_passes(capsys):
     rc = main(["gradcheck", "--seed", "0"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("pass") == 8
+    assert out.count("pass") == 11
     assert "gradcheck layer_norm" in out and "gradcheck linear" in out
+    assert "gradcheck model.embed" in out and "gradcheck model.l1.w2" in out
     assert "FAIL" not in out
 
 
@@ -414,6 +415,19 @@ def test_non_finite_gradient_is_a_numeric_failure(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "model.bin").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the update overflows on purpose
+def test_diverged_training_is_a_numeric_failure_and_saves_nothing(tmp_path, capsys):
+    # one epoch at lr 1e308 leaves non-finite weights; the probe batch that
+    # scores them sees non-finite logits before anything is saved
+    dataset = _generate_coloring(tmp_path, count=4, n=6)
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "model.bin"),
+               "--epochs", "1", "--layers", "1", "--d-model", "8", "--lr", "1e308"])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric failure: non-finite output logits")
+    assert not (tmp_path / "model.bin").exists()
+
+
 def _header_variants(blob: bytes):
     """``blob`` with its JSON header replaced by malformed ones."""
     (hlen,) = struct.unpack("<I", blob[8:12])
@@ -426,7 +440,11 @@ def _header_variants(blob: bytes):
     rejected = {**header, "config": {**header["config"], "tau": -1.0}}
     no_domain = {k: v for k, v in header.items() if k != "domain_size"}
     listed_tensors = {**header, "tensors": list(header["tensors"])}
-    for variant in (extra_key, rejected, no_domain, listed_tensors):
+    no_dtype = {k: v for k, v in header.items() if k != "dtype"}
+    other_dtype = {**header, "dtype": "float16"}
+    listed_dtype = {**header, "dtype": [header["dtype"]]}
+    for variant in (extra_key, rejected, no_domain, listed_tensors, no_dtype, other_dtype,
+                    listed_dtype):
         yield repack(json.dumps(variant).encode())
     yield repack(b"\xff" + json.dumps(header).encode())
     yield repack(b"[]")
@@ -439,6 +457,7 @@ def test_every_malformed_weights_file_is_an_io_error(tmp_path, capsys):
     save_weights(init_weights(cfg, 3, np.random.default_rng(0)), good)
     blob = good.read_bytes()
     bad = tmp_path / "bad.bin"
+    assert blob[4:8] == struct.pack("<I", 2)  # a float32 file of version 2
     # every prefix: an empty file, a short preamble, a cut header, a cut tensor block
     for raw in [blob[:cut] for cut in range(len(blob))] + list(_header_variants(blob)):
         bad.write_bytes(raw)

@@ -2,6 +2,9 @@
 round-trip."""
 
 import hashlib
+import json
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from csprefine.data import (
 )
 from csprefine.model import init_weights
 from csprefine.solve import greedy_coloring
+from csprefine.tensor import NumericError
 from conftest import sudoku_puzzle, tiny_config, toy_alldiff
 
 
@@ -255,17 +259,65 @@ def test_saved_weight_bytes_are_pinned(tmp_path):
     # the container's header and blocks do not move with refactors
     cfg = tiny_config(layers=2, rpe_mode="learned")
     path = tmp_path / "model.bin"
-    save_weights(init_weights(cfg, 5, np.random.default_rng(3)), path)
+    save_weights(init_weights(cfg, 5, np.random.default_rng(3), dtype=np.float64), path)
     raw = path.read_bytes()
+    assert raw[:8] == b"CSPW" + struct.pack("<I", 2)
     assert raw[12:].startswith(
         b'{"config": {"ape_mode": "none", "d_model": 16, "dropout": 0.0, "ffn_mult": 1, '
         b'"heads": 1, "layers": 2, "rpe_mode": "learned", "sampler": "softmax", '
-        b'"select_p": 0.5, "tau": 0.5}, "domain_size": 5, '
+        b'"select_p": 0.5, "tau": 0.5}, "domain_size": 5, "dtype": "float64", '
     )
-    assert len(raw) == 28657
+    assert len(raw) == 28677
     assert hashlib.sha256(raw).hexdigest() == (
-        "4ce3ced0330e182e5008ca7c6162c0cda84a7087bdb0dc2ce71492929d3c7fd7"
+        "d3e09ee896072bcf76035462ff365399153e20a27b444ceff223fcfc3a419f3f"
     )
+
+
+def test_float32_weights_keep_their_dtype_in_half_the_bytes(tmp_path):
+    cfg = tiny_config(layers=2, rpe_mode="learned")
+    sizes = {}
+    for dtype in (np.float32, np.float64):
+        w = init_weights(cfg, 5, np.random.default_rng(3), dtype=dtype)
+        path = tmp_path / f"{np.dtype(dtype).name}.bin"
+        save_weights(w, path)
+        back = load_weights(path)
+        assert back.dtype == dtype
+        for name, p in w.named_parameters():
+            assert back[name].data.dtype == dtype
+            assert back[name].data.tobytes() == p.data.tobytes(), name
+        sizes[dtype] = path.stat().st_size
+    blocks = sum(p.data.size for _, p in w.named_parameters())
+    assert sizes[np.float64] - sizes[np.float32] == 4 * blocks
+
+
+def test_version_1_weight_files_load_as_float64(tmp_path):
+    # a version-1 file, built byte by byte: no dtype in the header, float64 blocks
+    cfg = tiny_config(layers=2, rpe_mode="learned")
+    w = init_weights(cfg, 5, np.random.default_rng(3), dtype=np.float64)
+    names = sorted(w.params)
+    header = json.dumps({"config": asdict(cfg), "domain_size": 5,
+                         "tensors": {k: list(w[k].shape) for k in names}}, sort_keys=True).encode()
+    blocks = b"".join(w[k].data.astype("<f8").tobytes() for k in names)
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"CSPW" + struct.pack("<II", 1, len(header)) + header + blocks)
+    back = load_weights(path, expect_config=cfg)
+    assert back.dtype == np.float64 and back.domain_size == 5
+    for k in names:
+        assert back[k].data.dtype == np.float64
+        assert back[k].data.tobytes() == w[k].data.tobytes(), k
+    (tmp_path / "v3.bin").write_bytes(b"CSPW" + struct.pack("<II", 3, len(header)) + header + blocks)
+    with pytest.raises(DataError, match="version 3"):
+        load_weights(tmp_path / "v3.bin")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_weights_refuses_non_finite_values(tmp_path, bad):
+    w = init_weights(tiny_config(), 4, np.random.default_rng(0))
+    w["l0.w1"].data[2, 3] = bad
+    path = tmp_path / "model.bin"
+    with pytest.raises(NumericError, match="l0.w1"):
+        save_weights(w, path)
+    assert not path.exists()
 
 
 def test_load_weights_config_mismatch(tmp_path):

@@ -4,13 +4,16 @@ constraint kind (duplicates and repeated scope entries included), random
 fixed variables, random lambdas and both transforms; matmul's gradients
 against an einsum reference; the fused tensor ops against their composed
 forms; and the graph generator and greedy coloring
-against their numpy forms."""
+against their numpy forms; the weight file round trip; and float32 against float64."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csprefine.csp import (
@@ -22,13 +25,13 @@ from csprefine.csp import (
     constraint_graph,
     violation_degree,
 )
-from csprefine.data import WeightedGraph, gen_barabasi_albert
-from csprefine.model import InstanceContext, apply_update, init_weights, select_subset
+from csprefine.data import WeightedGraph, gen_barabasi_albert, load_weights, save_weights
+from csprefine.model import InstanceContext, ModelConfig, apply_update, init_weights, select_subset
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, greedy_coloring, instance_cut_value
 from csprefine.tensor import Tape, Tensor, backward, layer_norm, linear, matmul, softmax
 from csprefine.train import _batch_loss, prepare, random_assignment
-from conftest import COMPOSED_OPS, replayed_mean_loss, tiny_config
+from conftest import COMPOSED_OPS, replayed_mean_loss, tiny_config, workload_instances
 
 
 @st.composite
@@ -184,7 +187,7 @@ def test_mixed_size_batch_loss_is_the_mean_of_own_losses(data, m, seed):
         rpe_mode=data.draw(st.sampled_from(["masked", "learned", "none"])),
         ape_mode=data.draw(st.sampled_from(["none", "1d", "multi"])),
     )
-    w = init_weights(cfg, m, np.random.default_rng(seed))
+    w = init_weights(cfg, m, np.random.default_rng(seed), dtype=np.float64)
     bundles = prepare(insts, cfg)
     got = _batch_loss(w, bundles, np.random.default_rng(seed), training=False).item()
     assert np.isclose(got, replayed_mean_loss(w, bundles, seed), rtol=1e-12, atol=1e-12)
@@ -317,3 +320,55 @@ def test_greedy_coloring_matches_the_array_reference(data, n):
     assert colors.dtype == ref_colors.dtype == np.int64
     assert np.array_equal(colors, ref_colors)
     assert k == ref_k and type(k) is int
+
+
+@given(st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.sampled_from([1, 2, 4]),
+       st.integers(1, 6), st.sampled_from(["masked", "learned", "none"]),
+       st.sampled_from(["none", "1d", "multi"]), st.integers(1, 3), st.integers(2, 9),
+       st.integers(0, 2**32 - 1))
+def test_weights_round_trip_byte_identically(dtype, layers, heads, width, rpe_mode, ape_mode,
+                                             ffn_mult, m, seed):
+    cfg = ModelConfig(layers=layers, heads=heads, d_model=heads * width, rpe_mode=rpe_mode,
+                      ape_mode=ape_mode, ffn_mult=ffn_mult)
+    w = init_weights(cfg, m, np.random.default_rng(seed), dtype=dtype)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.bin"), Path(tmp, "b.bin")
+        save_weights(w, first)
+        back = load_weights(first, expect_config=cfg)
+        save_weights(back, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert back.domain_size == m and back.params.keys() == w.params.keys()
+    for name, p in w.named_parameters():
+        assert back[name].data.dtype == dtype
+        assert back[name].data.tobytes() == p.data.tobytes(), name
+
+
+def _loss_and_grads(cfg, insts, seed, dtype):
+    w = init_weights(cfg, insts[0].m, np.random.default_rng(seed), dtype=dtype)
+    with Tape():
+        loss = _batch_loss(w, prepare(insts, cfg), np.random.default_rng(seed + 1))
+        backward(loss)
+    grads = np.concatenate([p.grad.astype(np.float64).ravel() for _, p in w.named_parameters()])
+    return loss.item(), grads
+
+
+# Over a sweep of 80 cases of this kind (random sudoku puzzles and 20-vertex
+# colorings, 1 to 3 layers, d 16 to 64, tau 0.5 or 1), float32 was within 2.5e-7 of float64 in loss and
+# 2.8e-6 in gradient norm. tau stays at 0.5 or 1: at tau 0.1 an untrained
+# model's softmax head can saturate, and then the whole gradient is about
+# 1e-4 of its usual size, the same order as float32 rounding (one case
+# measured 0.42).
+@settings(max_examples=20)
+@given(st.sampled_from(["sudoku", "coloring20"]), st.sampled_from(["masked", "learned", "none"]),
+       st.sampled_from(["none", "1d", "multi"]), st.sampled_from(["gumbel", "softmax"]),
+       st.sampled_from([0.5, 1.0]), st.sampled_from([0.0, 0.1]), st.integers(1, 3),
+       st.integers(0, 2**31 - 2))
+def test_float32_matches_float64_from_the_same_draws(workload, rpe_mode, ape_mode, sampler,
+                                                     tau, dropout, layers, seed):
+    cfg = ModelConfig(layers=layers, heads=2, d_model=32, select_p=0.5, rpe_mode=rpe_mode,
+                      ape_mode=ape_mode, tau=tau, sampler=sampler, dropout=dropout)
+    insts = workload_instances(workload, 4)
+    l32, g32 = _loss_and_grads(cfg, insts, seed, np.float32)
+    l64, g64 = _loss_and_grads(cfg, insts, seed, np.float64)
+    assert abs(l32 - l64) <= 1e-5 * abs(l64)
+    assert np.linalg.norm(g32 - g64) <= 1e-3 * np.linalg.norm(g64)

@@ -1,6 +1,7 @@
 """Training tests: optimizer behavior, batch assembly, collation, batches
 that mix structures, and a short end-to-end smoke run."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -94,9 +95,9 @@ def test_assemble_relaxed_gradient_only_through_selected(rng):
 # Optimizer
 
 
-def _quadratic_weights(value=1.0):
+def _quadratic_weights(dtype=np.float32):
     cfg = tiny_config()
-    w = init_weights(cfg, 3, np.random.default_rng(0))
+    w = init_weights(cfg, 3, np.random.default_rng(0), dtype=dtype)
     return w
 
 
@@ -153,7 +154,7 @@ def test_adamw_grad_clip_scales_global_norm():
 @pytest.mark.parametrize("grad_clip", [None, 1.0])
 def test_adamw_bytes_match_the_plain_update(grad_clip):
     # three steps against the update written out as whole-array expressions
-    w = _quadratic_weights()
+    w = _quadratic_weights(np.float64)
     cfg = TrainConfig(lr=0.01, weight_decay=0.1, grad_clip=grad_clip)
     opt = AdamW(w, cfg)
     p_ref = {k: p.data.copy() for k, p in w.named_parameters()}
@@ -189,7 +190,7 @@ def test_fused_ops_give_the_composed_gradients_on_a_coloring_step(monkeypatch):
     cfg = ModelConfig(layers=2, heads=2, d_model=64, select_p=0.3, rpe_mode="masked",
                       ape_mode="none", tau=0.1, sampler="gumbel", dropout=0.0)
     instances, _ = gen_coloring_dataset(16, 20, seed=1, fixed_k=5, pose_at_greedy=True)
-    w = init_weights(cfg, 5, np.random.default_rng(1))
+    w = init_weights(cfg, 5, np.random.default_rng(1), dtype=np.float64)
     bundles = prepare(instances, cfg)
 
     def step():
@@ -266,7 +267,7 @@ def test_batch_loss_mixes_sizes():
         build_graph_coloring(4, [(0, 3), (2, 3)], 3),
     ]
     cfg = tiny_config(sampler="softmax", ape_mode="1d")
-    w = init_weights(cfg, 3, np.random.default_rng(2))
+    w = init_weights(cfg, 3, np.random.default_rng(2), dtype=np.float64)
     bundles = prepare(insts, cfg)
     got = _batch_loss(w, bundles, np.random.default_rng(11), training=False)
     assert np.isclose(got.item(), replayed_mean_loss(w, bundles, 11), rtol=1e-12, atol=0.0)
@@ -279,7 +280,7 @@ def test_batch_loss_mixes_kinds():
                       (AllDifferentExact(tuple(range(9))),), (None,) * 9)
     cfg = tiny_config(sampler="softmax", ape_mode="multi")
     bundles = prepare([toy_alldiff(9), sudoku_puzzle(30, 0), box, toy_alldiff(9)], cfg)
-    w = init_weights(cfg, 9, np.random.default_rng(4))
+    w = init_weights(cfg, 9, np.random.default_rng(4), dtype=np.float64)
     got = _batch_loss(w, bundles, np.random.default_rng(5), training=False)
     assert np.isclose(got.item(), replayed_mean_loss(w, bundles, 5), rtol=1e-12, atol=0.0)
     # the mixed chunk backpropagates a finite gradient to every parameter
@@ -386,16 +387,64 @@ def test_train_is_deterministic_given_seed():
         assert np.array_equal(p.data, b.weights.params[name].data)
 
 
+train_module = importlib.import_module("csprefine.train")  # the package exports train()
+
+
+def _snapshot(w):
+    return {k: p.data.copy() for k, p in w.named_parameters()}
+
+
+def test_train_keeps_the_weights_with_the_lowest_probe_loss(monkeypatch):
+    inst = toy_alldiff(4)
+    cfg = tiny_config(sampler="gumbel", dropout=0.1)
+    tcfg = TrainConfig(batch_size=8, epochs=8, lr=3e-2, seed=4)
+    scored = []
+    real = train_module._probe_loss
+
+    def recording(w, bundles, cfg):
+        loss = real(w, bundles, cfg)
+        scored.append((loss, _snapshot(w)))
+        return loss
+
+    monkeypatch.setattr(train_module, "_probe_loss", recording)
+    result = train([inst] * 16, cfg, tcfg)
+    assert len(scored) == 8
+    loss, want = min(scored, key=lambda pair: pair[0])
+    for name, p in want.items():
+        assert np.array_equal(result.best_params[name], p), name
+    # the probe is pinned: the kept weights score the same again
+    bundles = prepare([inst] * 16, cfg)
+    assert real(result.load_best(), bundles, tcfg) == loss
+
+    # the probe draws from its own rng: the training stream does not see it
+    monkeypatch.setattr(train_module, "_probe_loss", lambda w, bundles, cfg: 0.0)
+    assert train([inst] * 16, cfg, tcfg).history == result.history
+
+
+def test_train_never_keeps_a_non_finite_probe_loss(monkeypatch):
+    inst = toy_alldiff(4)
+    cfg = tiny_config(sampler="softmax")
+    tcfg = TrainConfig(batch_size=8, epochs=2, lr=1e-2, seed=1)
+    w = init_weights(cfg, 4, np.random.default_rng(0))
+    start = _snapshot(w)
+    monkeypatch.setattr(train_module, "_probe_loss", lambda w, bundles, cfg: float("nan"))
+    result = train([inst] * 8, cfg, tcfg, weights=w)
+    assert not np.array_equal(result.weights["w_out"].data, start["w_out"])
+    for name, p in start.items():
+        assert np.array_equal(result.best_params[name], p), name
+
+
 _SUDOKU_TRAIN = """
 import json, sys
 import numpy as np
 from conftest import sudoku_puzzle
-from csprefine.model import ModelConfig
+from csprefine.model import ModelConfig, init_weights
 from csprefine.train import TrainConfig, train
 cfg = ModelConfig(layers=3, heads=3, d_model=96, select_p=0.5, rpe_mode="masked",
                   ape_mode="multi", tau=0.1, sampler="gumbel", dropout=0.1)
 insts = [sudoku_puzzle(40, i) for i in range(32)]
-result = train(insts, cfg, TrainConfig(batch_size=16, epochs=2, lr=1e-3, seed=0))
+w = init_weights(cfg, 9, np.random.default_rng(0), dtype=np.float64)
+result = train(insts, cfg, TrainConfig(batch_size=16, epochs=2, lr=1e-3, seed=0), weights=w)
 np.savez(sys.argv[1], **{k: p.data for k, p in result.weights.named_parameters()})
 print(json.dumps(result.history))
 """
@@ -404,8 +453,9 @@ print(json.dumps(result.history))
 def test_training_agrees_across_blas_thread_counts(tmp_path):
     # OpenBLAS may split a large GEMM (here a weight gradient over 16x81
     # rows) across threads, which changes its summation order. Over six seeds
-    # of this run, 1 and 2 threads gave weights within 2.8e-15 and losses
-    # within 1.3e-15 relative after four steps; 1e-12 is 350 times the widest.
+    # of this float64 run, 1 and 2 threads gave weights within 2.2e-15 and
+    # losses within 1.2e-15 relative after four steps; 1e-12 is 450 times
+    # the widest.
     src = Path(csprefine.__file__).parents[1]
     runs = []
     for threads in ("1", "2"):
