@@ -16,7 +16,7 @@ from .csp import (
     violation_degree,
 )
 from .model import ModelConfig, ModelWeights, init_weights
-from .penalty import LossConfig, LossProgram, total_loss
+from .penalty import LossConfig, LossProgram
 from .solve import Budget, SolveReport, iterate, multi_start
 from .tensor import Tape, Tensor, backward, grad_check
 from .train import TrainConfig, train
@@ -48,7 +48,6 @@ __all__ = [
     "is_feasible",
     "iterate",
     "multi_start",
-    "total_loss",
     "train",
     "violation_degree",
 ]

@@ -60,11 +60,11 @@ class UsageError(Exception):
     """A command-line value that the library rejects."""
 
 
-def _from_args(cls, **kwargs):
-    """``cls(**kwargs)`` built from command-line values; a value that the
-    class rejects is a usage error."""
+def _from_args(fn, **kwargs):
+    """``fn(**kwargs)`` called with command-line values; a value that it
+    rejects with ValueError is a usage error."""
     try:
-        return cls(**kwargs)
+        return fn(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -111,11 +111,8 @@ def cmd_generate(args) -> int:
         instances, manifest = gen_nurse_dataset(
             args.count, args.days, args.shifts, args.per_shift, args.nurses, args.seed
         )
-    elif args.problem == "maxcut":
-        instances, manifest = gen_maxcut_dataset(args.count, args.n, args.seed)
     else:
-        print(f"unknown problem {args.problem!r}", file=sys.stderr)
-        return EXIT_USAGE
+        instances, manifest = gen_maxcut_dataset(args.count, args.n, args.seed)
     out = Path(args.out)  # made only once generation has succeeded
     out.mkdir(parents=True, exist_ok=True)
     save_instances(instances, out / "instances.jsonl")
@@ -138,8 +135,6 @@ def _load_dataset(args) -> list:
 
 
 def cmd_train(args) -> int:
-    from .train import AdamW
-
     tcfg = _from_args(
         TrainConfig,
         batch_size=args.batch_size,
@@ -152,30 +147,11 @@ def cmd_train(args) -> int:
     instances = _load_dataset(args)
     if not instances:
         raise DataError(f"dataset {args.dataset} holds no instances")
-    if args.resume:
-        weights = load_weights(args.resume)
-        mcfg = weights.config
-        opt = AdamW(weights, tcfg)
-        state_path = Path(str(args.resume) + ".opt.npz")
-        if state_path.exists():
-            state = np.load(state_path)
-            opt.step_count = int(state["step_count"])
-            for name, p in weights.named_parameters():  # the moments follow the weights' dtype
-                opt.m[name] = state[f"m::{name}"].astype(p.data.dtype)
-                opt.v[name] = state[f"v::{name}"].astype(p.data.dtype)
-    else:
-        mcfg = _model_config(args)
-        weights = init_weights(mcfg, instances[0].m, np.random.default_rng(args.seed))
-        opt = AdamW(weights, tcfg)
-    result = train(instances, mcfg, tcfg, weights=weights, opt=opt, log=print)
-    result.load_best()
-    save_weights(result.weights, args.out)
-    if args.save_opt_state:
-        blobs = {"step_count": np.array(opt.step_count)}
-        for name in weights.params:
-            blobs[f"m::{name}"] = opt.m[name]
-            blobs[f"v::{name}"] = opt.v[name]
-        np.savez(str(args.out) + ".opt.npz", **blobs)
+    # the same call as the API: a fresh run draws its weights from the training rng
+    weights = load_weights(args.resume) if args.resume else None
+    mcfg = weights.config if weights is not None else _model_config(args)
+    result = train(instances, mcfg, tcfg, weights=weights, log=print)
+    save_weights(result.load_best(), args.out)
     print(f"trained {tcfg.epochs} epochs; checkpoint at {args.out}")
     return EXIT_OK
 
@@ -252,20 +228,16 @@ def cmd_baseline(args) -> int:
                    "seed": args.seed, "config": chash}
             print(json.dumps(rec, sort_keys=True))
         return EXIT_OK
-    if args.kind == "direct-sgd":
-        instances = _load_dataset(args)
-        for idx, inst in enumerate(instances):
-            counts = direct_sgd_counts(
-                inst, runs=args.runs, steps=args.steps, lr=args.lr, seed=args.seed + idx
-            )
-            rec = {"instance": idx, "satisfied_mean": float(np.mean(counts)),
-                   "satisfied": [int(c) for c in counts],
-                   "total_constraints": len(inst.constraints),
-                   "seed": args.seed, "config": chash}
-            print(json.dumps(rec, sort_keys=True))
-        return EXIT_OK
-    print(f"unknown baseline {args.kind!r}", file=sys.stderr)
-    return EXIT_USAGE
+    instances = _load_dataset(args)
+    for idx, inst in enumerate(instances):
+        counts = _from_args(direct_sgd_counts, inst=inst, runs=args.runs, steps=args.steps,
+                            lr=args.lr, seed=args.seed + idx)
+        rec = {"instance": idx, "satisfied_mean": float(np.mean(counts)),
+               "satisfied": [int(c) for c in counts],
+               "total_constraints": len(inst.constraints),
+               "seed": args.seed, "config": chash}
+        print(json.dumps(rec, sort_keys=True))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dataset", required=True)
     t.add_argument("--format", choices=["jsonl", "sudoku"], default="jsonl")
     t.add_argument("--out", required=True)
-    t.add_argument("--resume", default=None)
-    t.add_argument("--save-opt-state", action="store_true")
+    t.add_argument("--resume", default=None,
+                   help="start from these weights, with fresh optimizer moments")
     t.add_argument("--batch-size", type=int, default=64)
     t.add_argument("--epochs", type=int, default=100)
     t.add_argument("--lr", type=float, default=1e-4)
@@ -396,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--kind", required=True, choices=["greedy", "direct-sgd"])
     b.add_argument("--dataset", required=True)
     b.add_argument("--format", choices=["jsonl", "sudoku"], default="jsonl")
-    b.add_argument("--runs", type=int, default=1)
-    b.add_argument("--steps", type=int, default=10000)
+    b.add_argument("--runs", type=_positive_int, default=1)
+    b.add_argument("--steps", type=_positive_int, default=10000)
     b.add_argument("--lr", type=float, default=0.1)
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=cmd_baseline)
@@ -413,7 +385,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, DomainMismatch, ArityMismatch, FileNotFoundError) as exc:
+    except (DataError, DomainMismatch, ArityMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NumericError,) as exc:

@@ -155,8 +155,8 @@ class DatasetManifest:
 COLOR_DISTRIBUTIONS = ("erdos_renyi", "barabasi_albert", "geometric")
 
 
-def _sample_graph(n: int, rng: np.random.Generator, distributions=COLOR_DISTRIBUTIONS) -> tuple[str, WeightedGraph]:
-    kind = distributions[int(rng.integers(len(distributions)))]
+def _sample_graph(n: int, rng: np.random.Generator) -> tuple[str, WeightedGraph]:
+    kind = COLOR_DISTRIBUTIONS[int(rng.integers(len(COLOR_DISTRIBUTIONS)))]
     if kind == "erdos_renyi":
         return kind, gen_erdos_renyi(n, rng.uniform(0.1, 0.3), rng)
     if kind == "barabasi_albert":
@@ -181,7 +181,6 @@ def gen_coloring_dataset(
     count: int,
     n_vertices: int,
     seed: int,
-    distributions=COLOR_DISTRIBUTIONS,
     fixed_k: int | None = None,
     pose_at_greedy: bool = False,
 ) -> tuple[list[CspInstance], DatasetManifest]:
@@ -205,7 +204,7 @@ def gen_coloring_dataset(
     records: list[dict] = []
     rejected = 0
     while len(instances) < count:
-        kind, graph = _sample_graph(n_vertices, rng, distributions)
+        kind, graph = _sample_graph(n_vertices, rng)
         _, k_greedy = greedy_coloring(graph.n, graph.unweighted())
         k = k_greedy if pose_at_greedy else posed_color_count(k_greedy)
         if fixed_k is not None and k != fixed_k:
@@ -226,7 +225,7 @@ def gen_coloring_dataset(
         seed=seed,
         params={"n_vertices": n_vertices, "fixed_k": fixed_k,
                 "pose_at_greedy": pose_at_greedy,
-                "distributions": list(distributions)},
+                "distributions": list(COLOR_DISTRIBUTIONS)},
         per_instance=records,
     )
     return instances, manifest
@@ -325,44 +324,45 @@ def save_instances(instances, path) -> None:
             fh.write(instance_to_json(inst) + "\n")
 
 
-def load_instances(path) -> list[CspInstance]:
+def _parse_lines(path, kind: str, parse) -> list:
+    """``parse`` of each non-blank line of a UTF-8 text file. A line that
+    does not decode, or that ``parse`` rejects, is a DataError that names
+    its number."""
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                out.append(instance_from_json(line))
-            except (json.JSONDecodeError, KeyError, CspError) as exc:
-                raise DataError(f"{path}:{lineno}: bad instance line: {exc}") from exc
+                line = raw.decode().strip()
+                if line:
+                    out.append(parse(line))
+            # ValueError covers bad UTF-8 and bad JSON, RecursionError JSON
+            # nested too deep, TypeError and AttributeError a value of the wrong type
+            except (ValueError, RecursionError, TypeError, AttributeError, KeyError, CspError,
+                    DataError) as exc:
+                raise DataError(f"{path}:{lineno}: bad {kind} line: {exc}") from exc
     return out
+
+
+def load_instances(path) -> list[CspInstance]:
+    return _parse_lines(path, "instance", instance_from_json)
 
 
 # ---------------------------------------------------------------------------
 # Sudoku and GSET files
 
 
+def _sudoku_from_line(line: str) -> CspInstance:
+    if len(line) != 81:
+        raise DataError(f"expected 81 characters, got {len(line)}")
+    for ch in line:
+        if ch not in "0.123456789":
+            raise DataError(f"bad character {ch!r}")
+    return build_sudoku([0 if ch == "." else int(ch) for ch in line])
+
+
 def load_sudoku(path) -> list[CspInstance]:
     """One 81-character puzzle per line; '1'-'9' are givens, '0'/'.' blanks."""
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if len(line) != 81:
-                raise DataError(f"{path}:{lineno}: expected 81 characters, got {len(line)}")
-            givens = []
-            for ch in line:
-                if ch in "0.":
-                    givens.append(0)
-                elif ch.isdigit():
-                    givens.append(int(ch))
-                else:
-                    raise DataError(f"{path}:{lineno}: bad character {ch!r}")
-            out.append(build_sudoku(givens))
-    return out
+    return _parse_lines(path, "sudoku", _sudoku_from_line)
 
 
 def save_sudoku(instances, path) -> None:
@@ -441,7 +441,7 @@ def save_weights(weights: ModelWeights, path) -> None:
             fh.write(data.tobytes())
 
 
-def load_weights(path, expect_config: ModelConfig | None = None) -> ModelWeights:
+def load_weights(path) -> ModelWeights:
     """Read a weight file of version 1 (float64) or 2 (the dtype its header
     names); the tensors come back in that dtype."""
     with open(path, "rb") as fh:
@@ -463,10 +463,6 @@ def load_weights(path, expect_config: ModelConfig | None = None) -> ModelWeights
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             # not UTF-8, not JSON, a missing or unknown key, or a rejected config
             raise DataError(f"{path}: bad header: {exc!r}") from None
-        if expect_config is not None and config != expect_config:
-            raise DataError(
-                f"{path}: stored model config {config} does not match expected {expect_config}"
-            )
         params: dict[str, Tensor] = {}
         for name, shape in sorted(shapes.items()):
             size = (int(np.prod(shape)) if shape else 1) * block.itemsize

@@ -234,7 +234,3 @@ class LossProgram:
 
         return total
 
-
-def total_loss(inst: CspInstance, rel: Tensor, cfg: LossConfig | None = None) -> Tensor:
-    """sum_i lambda_i f(p_i) for one relaxed assignment of shape (n, m)."""
-    return LossProgram(inst, cfg).loss(rel)

@@ -267,8 +267,11 @@ def direct_sgd_counts(
 
     Variables are kept on the simplex through a softmax of the logits, so
     no projection is needed. Runs are batched along the leading axis and
-    optimized independently.
+    optimized independently. Raises ValueError unless ``lr`` is positive
+    and finite.
     """
+    if not 0.0 < lr < math.inf:
+        raise ValueError("learning rate must be positive and finite")
     if inst.mode != "satisfaction":
         raise CspError("direct gradient baseline targets satisfaction instances")
     rng = np.random.default_rng(seed)

@@ -46,8 +46,8 @@ class TrainConfig:
             raise ValueError("batch size must be positive and epochs non-negative")
         if not 0.0 < self.lr < math.inf:
             raise ValueError("learning rate must be positive and finite")
-        if not math.isfinite(self.weight_decay):
-            raise ValueError("weight decay must be finite")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight decay must be non-negative and finite")
         if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
             raise ValueError("gradient clip must be positive and finite")
 
@@ -57,7 +57,8 @@ class TrainConfig:
 
 
 class OptimizerError(NumericError):
-    """A non-finite gradient reached the optimizer."""
+    """A non-finite gradient reached the optimizer, or an update left a
+    parameter non-finite."""
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam moment decays and denominator floor
@@ -95,16 +96,20 @@ class AdamW:
             if norm > cfg.grad_clip:
                 scale = cfg.grad_clip / norm  # a Python float keeps each g's dtype
                 grads = {k: g * scale for k, g in grads.items()}
-        for name, p in self.weights.named_parameters():
-            # the moments update in place, in the order of b1*m + (1-b1)*g
-            g, m, v = grads[name], self.m[name], self.v[name]
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            if _decays(name, p):
-                p.data *= 1.0 - cfg.lr * cfg.weight_decay
-            p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+        # an update may overflow; the parameter check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p in self.weights.named_parameters():
+                # the moments update in place, in the order of b1*m + (1-b1)*g
+                g, m, v = grads[name], self.m[name], self.v[name]
+                m *= _BETA1
+                m += (1.0 - _BETA1) * g
+                v *= _BETA2
+                v += (1.0 - _BETA2) * g * g
+                if _decays(name, p):
+                    p.data *= 1.0 - cfg.lr * cfg.weight_decay
+                p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+                if not np.all(np.isfinite(p.data)):
+                    raise OptimizerError(f"non-finite value in parameter {name!r} after the update")
 
 
 # ---------------------------------------------------------------------------
@@ -224,30 +229,27 @@ def train(
     instances,
     mcfg: ModelConfig,
     tcfg: TrainConfig,
-    loss_cfg: LossConfig | None = None,
     weights: ModelWeights | None = None,
-    opt: AdamW | None = None,
     log=None,
 ) -> TrainResult:
-    """Train a refiner from scratch (or resume) on a list of instances.
+    """Train a refiner on a list of instances, from ``weights`` or, with
+    ``weights=None``, from float32 weights drawn from the training rng
+    (``default_rng(tcfg.seed)``). The optimizer starts with zero moments,
+    and every instance is scored with the first instance's default loss
+    config.
 
-    Weights made here (``weights=None``) are float32. After each epoch the
-    weights are scored on the
-    pinned probe batch (:func:`_probe_loss`); the best weights are those
-    with the lowest finite probe loss, or the starting weights if no epoch
-    gives one."""
+    After each epoch the weights are scored on the pinned probe batch
+    (:func:`_probe_loss`); the best weights are those with the lowest
+    finite probe loss, or the starting weights if no epoch gives one."""
     if not instances:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(tcfg.seed)
-    if loss_cfg is None:
-        loss_cfg = default_loss_config(instances[0])
     if weights is None:
         weights = init_weights(mcfg, instances[0].m, rng)
     for inst in instances:
         weights.check_domain(inst)
-    if opt is None:
-        opt = AdamW(weights, tcfg)
-    bundles = prepare(instances, mcfg, loss_cfg)
+    opt = AdamW(weights, tcfg)
+    bundles = prepare(instances, mcfg, default_loss_config(instances[0]))
     history: list[float] = []
     best = {k: p.data.copy() for k, p in weights.named_parameters()}
     best_loss = float("inf")

@@ -152,7 +152,7 @@ def test_criterion_03_gradient_suite():
             assert report.passed, (name, report.max_rel_err)
             points += 1
 
-    # end-to-end: d/dw of total_loss(assemble(forward(w, ...)))
+    # end-to-end: d/dw of program.loss(assemble(forward(w, ...)))
     inst = toy_alldiff(4)
     cfg = ModelConfig(layers=2, heads=2, d_model=8, select_p=0.5,
                       rpe_mode="masked", ape_mode="multi", tau=0.5,

@@ -18,6 +18,7 @@ from csprefine.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from csprefine.csp import build_graph_coloring
 from csprefine.data import load_instances, load_weights, save_instances, save_sudoku, save_weights
 from csprefine.model import ModelConfig, init_weights
+from csprefine.train import TrainConfig, train
 from conftest import sudoku_puzzle, toy_alldiff
 
 
@@ -155,18 +156,33 @@ def test_solve_rerun_reproduces_report(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_train_resume_with_opt_state(tmp_path):
+def test_cli_train_writes_the_bytes_of_the_api(tmp_path):
+    # one seed names one model: the CLI draws its weights through train()
     dataset = _generate_coloring(tmp_path, count=4, n=6, seed=8)
-    model = _train_tiny(tmp_path, dataset, extra=("--save-opt-state",))
-    assert (tmp_path / "model.bin.opt.npz").exists()
+    model = _train_tiny(tmp_path, dataset)
+    mcfg = ModelConfig(layers=1, heads=1, d_model=16, select_p=0.5, rpe_mode="masked",
+                       ape_mode="none", tau=0.1, sampler="gumbel", dropout=0.0)
+    tcfg = TrainConfig(batch_size=4, epochs=2, lr=1e-3, weight_decay=0.01, seed=1)
+    api = tmp_path / "api.bin"
+    save_weights(train(load_instances(dataset), mcfg, tcfg).load_best(), api)
+    assert model.read_bytes() == api.read_bytes()
+
+
+def test_train_resume_starts_from_the_loaded_weights(tmp_path):
+    # --resume is train(..., weights=load_weights(path)): fresh moments, rng from --seed
+    dataset = _generate_coloring(tmp_path, count=4, n=6, seed=8)
+    model = _train_tiny(tmp_path, dataset)
     rc = main([
         "train", "--dataset", str(dataset), "--out", str(tmp_path / "model2.bin"),
         "--resume", str(model), "--epochs", "1", "--batch-size", "4",
         "--lr", "1e-3", "--seed", "2",
     ])
     assert rc == EXIT_OK
-    resumed = load_weights(tmp_path / "model2.bin")
-    assert resumed.config == load_weights(model).config
+    start = load_weights(model)
+    tcfg = TrainConfig(batch_size=4, epochs=1, lr=1e-3, seed=2)
+    api = tmp_path / "api.bin"
+    save_weights(train(load_instances(dataset), start.config, tcfg, weights=start).load_best(), api)
+    assert (tmp_path / "model2.bin").read_bytes() == api.read_bytes()
 
 
 def test_sudoku_format_flag(tmp_path, capsys):
@@ -379,18 +395,25 @@ def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_p
     ["train", "--weight-decay", "inf"],
     ["train", "--grad-clip", "nan"],
     ["train", "--grad-clip", "0"],
+    ["train", "--weight-decay", "-5"],
     ["generate", "--problem", "coloring", "--count", "-1"],
+    ["baseline", "--runs", "0"],
+    ["baseline", "--steps", "0"],
+    ["baseline", "--lr", "nan"],
+    ["baseline", "--lr", "0"],
 ], ids=["solve-no-budget", "solve-zero-iters", "solve-nan-time", "train-zero-batch",
         "train-heads-d-model", "train-nan-tau", "train-dropout-one", "train-nan-lr",
         "train-inf-weight-decay", "train-nan-grad-clip", "train-zero-grad-clip",
-        "generate-negative-count"])
+        "train-negative-weight-decay", "generate-negative-count", "baseline-zero-runs",
+        "baseline-zero-steps", "baseline-nan-lr", "baseline-zero-lr"])
 def test_rejected_configuration_is_a_usage_error(tmp_path, capsys, argv):
     dataset = _generate_coloring(tmp_path, count=2, n=5)
     out = tmp_path / "model.bin"
     # solve never reads its weights here: it rejects the budget first
     target = {"solve": ["--dataset", str(dataset), "--weights", str(out)],
               "train": ["--dataset", str(dataset), "--out", str(out)],
-              "generate": ["--out", str(out)]}[argv[0]]
+              "generate": ["--out", str(out)],
+              "baseline": ["--kind", "direct-sgd", "--dataset", str(dataset)]}[argv[0]]
     capsys.readouterr()
     try:
         rc = main([*argv, *target])
@@ -415,17 +438,43 @@ def test_non_finite_gradient_is_a_numeric_failure(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "model.bin").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the update overflows on purpose
 def test_diverged_training_is_a_numeric_failure_and_saves_nothing(tmp_path, capsys):
-    # one epoch at lr 1e308 leaves non-finite weights; the probe batch that
-    # scores them sees non-finite logits before anything is saved
+    # the first AdamW update at lr 1e308 overflows; the optimizer reports
+    # the parameter it left non-finite, and no RuntimeWarning escapes
     dataset = _generate_coloring(tmp_path, count=4, n=6)
     capsys.readouterr()
     rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "model.bin"),
                "--epochs", "1", "--layers", "1", "--d-model", "8", "--lr", "1e308"])
     assert rc == EXIT_NUMERIC
-    assert capsys.readouterr().err.startswith("numeric failure: non-finite output logits")
+    assert capsys.readouterr().err.startswith("numeric failure: non-finite value in parameter ")
     assert not (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"[1, 2]\n",  # a JSON list, not an object
+    b'{"n": "a", "m": 3, "index_tuples": [[0]], "fixed": [null], "constraints": []}\n',
+    b'{"n": 2, "m": 3, "index_tuples": [[0], [1]], "fixed": [null, null], '
+    b'"constraints": [{"kind": "alldiff_atmost", "scope": 5}]}\n',  # an int scope
+    b"\x80\xff\xfe\n",  # not UTF-8
+    b"[" * 100_000 + b"\n",  # nested deeper than the JSON parser recurses
+    None,  # a directory
+], ids=["json-list", "string-n", "int-scope", "binary", "deep-nesting", "directory"])
+def test_malformed_dataset_is_an_io_error(tmp_path, capsys, content):
+    weights = tmp_path / "w.bin"
+    cfg = ModelConfig(layers=1, heads=1, d_model=2, ape_mode="none", ffn_mult=1)
+    save_weights(init_weights(cfg, 3, np.random.default_rng(0)), weights)
+    dataset = tmp_path / "bad.jsonl"
+    if content is None:
+        dataset.mkdir()
+    else:
+        dataset.write_bytes(content)
+    capsys.readouterr()
+    rc = main(["solve", "--weights", str(weights), "--dataset", str(dataset), "--iters", "1"])
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if content is not None:
+        assert ":1: bad instance line" in err
 
 
 def _header_variants(blob: bytes):

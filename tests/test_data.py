@@ -247,7 +247,7 @@ def test_weights_round_trip(tmp_path):
     w = init_weights(cfg, 5, np.random.default_rng(3))
     path = tmp_path / "model.bin"
     save_weights(w, path)
-    back = load_weights(path, expect_config=cfg)
+    back = load_weights(path)
     assert back.config == cfg
     assert back.domain_size == 5
     assert set(back.params) == set(w.params)
@@ -300,7 +300,8 @@ def test_version_1_weight_files_load_as_float64(tmp_path):
     blocks = b"".join(w[k].data.astype("<f8").tobytes() for k in names)
     path = tmp_path / "v1.bin"
     path.write_bytes(b"CSPW" + struct.pack("<II", 1, len(header)) + header + blocks)
-    back = load_weights(path, expect_config=cfg)
+    back = load_weights(path)
+    assert back.config == cfg
     assert back.dtype == np.float64 and back.domain_size == 5
     for k in names:
         assert back[k].data.dtype == np.float64
@@ -318,14 +319,6 @@ def test_save_weights_refuses_non_finite_values(tmp_path, bad):
     with pytest.raises(NumericError, match="l0.w1"):
         save_weights(w, path)
     assert not path.exists()
-
-
-def test_load_weights_config_mismatch(tmp_path):
-    w = init_weights(tiny_config(), 4, np.random.default_rng(0))
-    path = tmp_path / "model.bin"
-    save_weights(w, path)
-    with pytest.raises(DataError, match="config"):
-        load_weights(path, expect_config=tiny_config(layers=3))
 
 
 def test_load_weights_rejects_corruption(tmp_path):

@@ -23,7 +23,6 @@ from csprefine.penalty import (
     pen_alldiff_exact,
     pen_cardinality,
     pen_not_equal,
-    total_loss,
 )
 from csprefine.tensor import ShapeMismatch, Tensor
 from conftest import toy_alldiff
@@ -179,14 +178,6 @@ def test_loss_zero_iff_feasible_one_hot():
     infeasible = program.loss(Tensor(one_hot(np.array([1, 1, 0, 2]), 4))).item()
     assert feasible == 0.0
     assert infeasible > 0.0
-
-
-def test_total_loss_wrapper(rng):
-    inst = toy_alldiff(3)
-    rel = Tensor(rng.uniform(0.0, 1.0, size=(3, 3)))
-    assert np.isclose(
-        total_loss(inst, rel).item(), LossProgram(inst).loss(rel).item()
-    )
 
 
 def test_unknown_transform_rejected(rng):

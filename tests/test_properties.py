@@ -4,8 +4,12 @@ constraint kind (duplicates and repeated scope entries included), random
 fixed variables, random lambdas and both transforms; matmul's gradients
 against an einsum reference; the fused tensor ops against their composed
 forms; and the graph generator and greedy coloring
-against their numpy forms; the weight file round trip; and float32 against float64."""
+against their numpy forms; the weight file round trip; float32 against float64; and
+``solve`` on damaged dataset files."""
 
+import contextlib
+import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -16,22 +20,38 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csprefine.cli import EXIT_IO, EXIT_OK, main
 from csprefine.csp import (
     AllDifferentAtMostOnce,
     AllDifferentExact,
     Cardinality,
     CspInstance,
     NotEqual,
+    build_graph_coloring,
     constraint_graph,
     violation_degree,
 )
-from csprefine.data import WeightedGraph, gen_barabasi_albert, load_weights, save_weights
+from csprefine.data import (
+    WeightedGraph,
+    gen_barabasi_albert,
+    load_weights,
+    save_instances,
+    save_sudoku,
+    save_weights,
+)
 from csprefine.model import InstanceContext, ModelConfig, apply_update, init_weights, select_subset
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, greedy_coloring, instance_cut_value
 from csprefine.tensor import Tape, Tensor, backward, layer_norm, linear, matmul, softmax
 from csprefine.train import _batch_loss, prepare, random_assignment
-from conftest import COMPOSED_OPS, replayed_mean_loss, tiny_config, workload_instances
+from conftest import (
+    COMPOSED_OPS,
+    replayed_mean_loss,
+    sudoku_puzzle,
+    tiny_config,
+    toy_alldiff,
+    workload_instances,
+)
 
 
 @st.composite
@@ -334,9 +354,10 @@ def test_weights_round_trip_byte_identically(dtype, layers, heads, width, rpe_mo
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.bin"), Path(tmp, "b.bin")
         save_weights(w, first)
-        back = load_weights(first, expect_config=cfg)
+        back = load_weights(first)
         save_weights(back, second)
         assert first.read_bytes() == second.read_bytes()
+    assert back.config == cfg
     assert back.domain_size == m and back.params.keys() == w.params.keys()
     for name, p in w.named_parameters():
         assert back[name].data.dtype == dtype
@@ -372,3 +393,39 @@ def test_float32_matches_float64_from_the_same_draws(workload, rpe_mode, ape_mod
     l64, g64 = _loss_and_grads(cfg, insts, seed, np.float64)
     assert abs(l32 - l64) <= 1e-5 * abs(l64)
     assert np.linalg.norm(g32 - g64) <= 1e-3 * np.linalg.norm(g64)
+
+
+def _valid_dataset(fmt: str, path: Path) -> int:
+    """Write a small valid dataset of format ``fmt``; returns its domain size."""
+    if fmt == "sudoku":
+        save_sudoku([sudoku_puzzle(30, 0), sudoku_puzzle(50, 1)], path)
+        return 9
+    save_instances([build_graph_coloring(5, [(0, 1), (1, 2), (3, 4)], 3), toy_alldiff(3)], path)
+    return 3
+
+
+@given(st.sampled_from(["jsonl", "sudoku"]), st.data())
+def test_solve_on_a_damaged_dataset_exits_0_or_3(fmt, data):
+    # a prefix of a valid file with up to three bytes replaced: solve
+    # either runs or exits 3 with an error line, and never raises
+    with tempfile.TemporaryDirectory() as tmp:
+        path, weights = Path(tmp, f"set.{fmt}"), Path(tmp, "w.bin")
+        m = _valid_dataset(fmt, path)
+        cfg = ModelConfig(layers=1, heads=1, d_model=4, ape_mode="multi", ffn_mult=1)
+        save_weights(init_weights(cfg, m, np.random.default_rng(0)), weights)
+        blob = bytearray(path.read_bytes())
+        del blob[data.draw(st.integers(0, len(blob)), label="cut"):]
+        if blob:
+            edits = st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255))
+            for at, byte in data.draw(st.lists(edits, max_size=3), label="edits"):
+                blob[at] = byte
+        path.write_bytes(bytes(blob))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["solve", "--weights", str(weights), "--dataset", str(path),
+                       "--format", fmt, "--iters", "1"])
+    assert rc in (EXIT_OK, EXIT_IO), err.getvalue()
+    if rc == EXIT_IO:
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert json.loads(out.getvalue().splitlines()[-1])["summary"] is True
