@@ -48,7 +48,7 @@ from .penalty import (
 )
 from .solve import Budget, direct_sgd_counts, greedy_coloring, multi_start
 from .tensor import NumericError, Tensor, grad_check
-from .train import TrainConfig, assemble_relaxed, train
+from .train import TrainConfig, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,11 +75,20 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+# the graph sampler may draw a Barabasi-Albert graph, which needs 2 vertices
+_graph_size = _int_at_least(2, "a graph size (at least 2 vertices)")
 
 
 def _model_config(args) -> ModelConfig:
@@ -271,9 +280,33 @@ def cmd_gradcheck(args) -> int:
     report("layer_norm", grad_check(lambda t: (T.layer_norm(t, gain, shift) * coeff).sum(), rows))
     w, b = Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=2))
     report("linear", grad_check(lambda t: T.square(T.linear(t, w, b)).sum(), rows))
+    for name, res in _attention_grad_checks(rng):
+        report(f"attention.{name}", res)
     for name, res in _model_grad_checks(rng):
         report(f"model.{name}", res)
     return EXIT_OK if ok else 1
+
+
+def _attention_grad_checks(rng: np.random.Generator):
+    """``tensor.attention`` in float64 on 2 batch elements of 4 rows and 2
+    heads of width 2, with queries from 2 of the rows, in the ``masked``
+    mode and in the ``learned`` mode with its offset: every input against
+    finite differences. Yields (name, report)."""
+    keep = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], dtype=np.float64)
+    rows = np.array([[3, 0], [2, 1]])
+    inputs = {"x": Tensor(rng.normal(size=(2, 4, 4)))}
+    for name in ("wq", "wk", "wv", "wo"):
+        inputs[name] = Tensor(rng.normal(size=(4, 4)))
+    coeff = Tensor(rng.normal(size=(2, 2, 4)))  # fixed projection of the output
+    for mode, offset in (("masked", None), ("learned", Tensor(np.float64(-0.7)))):
+        args = dict(inputs) if offset is None else {**inputs, "offset": offset}
+        for name in args:
+            def f(t):
+                a = {**args, name: t}
+                return (T.attention(a["x"], a["wq"], a["wk"], a["wv"], a["wo"], 2, rows=rows,
+                                    keep=keep, offset=a.get("offset")) * coeff).sum()
+
+            yield f"{mode}.{name}", grad_check(f, args[name])
 
 
 def _model_grad_checks(rng: np.random.Generator):
@@ -294,8 +327,7 @@ def _model_grad_checks(rng: np.random.Generator):
     for name in ("embed", "l0.wq", "l1.w2"):
         def loss(x):
             w.params[name] = x
-            yhat = forward(w, ctx, values, selected)
-            return program.loss(assemble_relaxed(values, selected, yhat)).sum()
+            return program.loss(forward(w, ctx, values, selected)).sum()
 
         x = Tensor(w[name].data.copy())
         yield name, grad_check(loss, x)
@@ -325,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a dataset")
     g.add_argument("--problem", required=True, choices=["coloring", "nurse", "maxcut"])
     g.add_argument("--count", type=_positive_int, required=True)
-    g.add_argument("--n", type=int, default=50, help="vertex count (coloring/maxcut)")
-    g.add_argument("--days", type=int, default=10)
-    g.add_argument("--shifts", type=int, default=3)
-    g.add_argument("--per-shift", type=int, default=3)
-    g.add_argument("--nurses", type=int, default=10)
+    g.add_argument("--n", type=_graph_size, default=50, help="vertex count (coloring/maxcut)")
+    g.add_argument("--days", type=_positive_int, default=10)
+    g.add_argument("--shifts", type=_positive_int, default=3)
+    g.add_argument("--per-shift", type=_positive_int, default=3)
+    g.add_argument("--nurses", type=_positive_int, default=10)
     g.add_argument("--fixed-k", type=int, default=None)
     g.add_argument("--pose-at-greedy", action="store_true")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_non_negative_int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -347,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lr", type=float, default=1e-4)
     t.add_argument("--weight-decay", type=float, default=0.01)
     t.add_argument("--grad-clip", type=float, default=None)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_non_negative_int, default=0)
     _add_model_args(t)
     t.set_defaults(func=cmd_train)
 
@@ -359,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--time-ms", type=float, default=None)
     s.add_argument("--pool", type=_positive_int, default=1,
                    help="candidates per instance; candidate 0 replays --pool 1")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--report", default=None, help="write report here instead of stdout")
     s.add_argument("--report-format", choices=["jsonl", "csv"], default="jsonl")
     s.set_defaults(func=cmd_solve)
@@ -371,11 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--runs", type=_positive_int, default=1)
     b.add_argument("--steps", type=_positive_int, default=10000)
     b.add_argument("--lr", type=float, default=0.1)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_non_negative_int, default=0)
     b.set_defaults(func=cmd_baseline)
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_non_negative_int, default=0)
     c.set_defaults(func=cmd_gradcheck)
     return ap
 

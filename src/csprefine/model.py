@@ -20,6 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .csp import CspInstance
+from .penalty import one_hot
 from .tensor import NumericError, Tensor
 
 RPE_MODES = ("masked", "learned", "none")
@@ -230,17 +231,25 @@ def forward(
 ) -> Tensor:
     """One refinement step over a batch of assignments of one instance.
 
-    values: (B, n) ints; selected: (B, n) bool. Returns (B, n, m)
-    probability rows; only the selected rows are meaningful downstream.
-    Gumbel noise comes from ``noise`` when given, else from ``rng``.
+    values: (B, n) ints; selected: (B, n) bool. Returns the (B, n, m)
+    relaxed assignment: the model's probability row on each selected
+    variable, and the exact one-hot row of the current value on every
+    other variable.
+
+    The last layer takes its queries from each batch element's selected
+    rows, padded with unselected rows to S, the largest count in the batch.
+    Only those S rows go through its attention output, residual and
+    feed-forward block, the final LayerNorm and the head; the padded rows
+    are then dropped. Its keys and values still come from every row.
+    Dropout masks and Gumbel noise are drawn at the full (B, n, .) shape,
+    so the rng stream is the one of a forward over every row. Gumbel noise
+    comes from ``noise``, (B, n, m), when given, else from ``rng``.
     Everything runs in the weights' dtype: the context, the selection mask
     and the noise are cast to it.
     """
     cfg = w.config
     B, n = values.shape
-    d = cfg.d_model
-    H = cfg.heads
-    dh = d // H
+    m = w.domain_size
     dt = w.dtype
 
     sel = Tensor(selected[..., None].astype(dt))  # (B, n, 1)
@@ -248,36 +257,33 @@ def forward(
     ape = Tensor(ctx.ape.astype(dt, copy=False))
     h = w["alpha"] * emb + w["beta"] * ape + w["gamma"] * (sel * w["select_embed"])
 
-    bias = keep = None
-    if cfg.rpe_mode == "masked":
-        keep = ctx.keep.astype(dt, copy=False)
-    elif cfg.rpe_mode == "learned":
-        c = -T.log(1.0 + T.exp(w["rpe_theta"]))  # softplus keeps c <= 0
-        bias = c * Tensor(1.0 - ctx.keep.astype(dt, copy=False))  # c on every non-edge
+    keep = None if cfg.rpe_mode == "none" else ctx.keep
+    offset = None
+    if cfg.rpe_mode == "learned":
+        offset = -T.log(1.0 + T.exp(w["rpe_theta"]))  # softplus keeps the offset <= 0
 
-    scale = 1.0 / math.sqrt(dh)
+    # the selected rows first, in order, then unselected ones as padding
+    rows = np.argsort(~selected, axis=1, kind="stable")[:, : selected.sum(axis=1).max()]
     for l in range(cfg.layers):
+        q_rows = rows if l == cfg.layers - 1 else None  # None: every row
         x = T.layer_norm(h, w[f"l{l}.ln1.g"], w[f"l{l}.ln1.b"])
-        q = T.transpose((x @ w[f"l{l}.wq"]).reshape(B, n, H, dh), (0, 2, 1, 3))
-        k = T.transpose((x @ w[f"l{l}.wk"]).reshape(B, n, H, dh), (0, 2, 1, 3))
-        v = T.transpose((x @ w[f"l{l}.wv"]).reshape(B, n, H, dh), (0, 2, 1, 3))
-        logits = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale  # (B, H, n, n)
-        if bias is not None:
-            logits = logits + bias
-        attn = T.softmax(logits, axis=-1, keep=keep)
-        z = T.matmul(attn, v)  # (B, H, n, dh)
-        z = T.transpose(z, (0, 2, 1, 3)).reshape(B, n, d) @ w[f"l{l}.wo"]
-        z = T.dropout(z, cfg.dropout, rng, training) if rng is not None else z
+        z = T.attention(x, w[f"l{l}.wq"], w[f"l{l}.wk"], w[f"l{l}.wv"], w[f"l{l}.wo"],
+                        cfg.heads, rows=q_rows, keep=keep, offset=offset)
+        if q_rows is not None:
+            h = T.take_rows(h, q_rows)
+        if rng is not None:
+            z = T.dropout(z, cfg.dropout, rng, training, rows=q_rows, n=n)
         h = h + z
 
         x = T.layer_norm(h, w[f"l{l}.ln2.g"], w[f"l{l}.ln2.b"])
         x = T.gelu(T.linear(x, w[f"l{l}.w1"], w[f"l{l}.b1"]))
         x = T.linear(x, w[f"l{l}.w2"], w[f"l{l}.b2"])
-        x = T.dropout(x, cfg.dropout, rng, training) if rng is not None else x
+        if rng is not None:
+            x = T.dropout(x, cfg.dropout, rng, training, rows=q_rows, n=n)
         h = h + x
 
     h = T.layer_norm(h, w["lnf.g"], w["lnf.b"])
-    out_logits = T.linear(h, w["w_out"], w["b_out"])  # (B, n, m)
+    out_logits = T.linear(h, w["w_out"], w["b_out"])  # (B, S, m)
     if not np.all(np.isfinite(out_logits.data)):
         raise NumericError("non-finite output logits")
 
@@ -285,9 +291,11 @@ def forward(
         if noise is None:
             if rng is None:
                 raise ValueError("gumbel sampler needs an rng or explicit noise")
-            noise = gumbel_noise(rng, out_logits.shape)
+            noise = gumbel_noise(rng, (B, n, m))
+        noise = np.take_along_axis(noise, rows[..., None], axis=1)
         out_logits = out_logits + Tensor(noise.astype(dt, copy=False))
-    return T.softmax(out_logits * (1.0 / cfg.tau), axis=-1)
+    yhat = T.softmax(out_logits * (1.0 / cfg.tau), axis=-1)
+    return T.put_rows(one_hot(values, m), rows, yhat, np.take_along_axis(selected, rows, axis=1))
 
 
 def apply_update(values: np.ndarray, selected: np.ndarray, yhat) -> np.ndarray:

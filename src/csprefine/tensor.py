@@ -15,9 +15,12 @@ float64.
 Every op computes its local derivative inside its backward closure, never in
 the forward, so a forward with no tape (inference) does forward work only.
 Shape errors come from numpy and are reported as :class:`ShapeMismatch`.
-Three fused ops keep the tape short, each with a closed-form backward:
-:func:`layer_norm`, :func:`linear` (``x @ w + b`` as one flat GEMM) and a
-0/1 ``keep`` mask on :func:`softmax` that never exponentiates -inf.
+Fused ops keep the tape short, each with a closed-form backward:
+:func:`layer_norm`, :func:`linear` (``x @ w + b`` as one flat GEMM) and
+:func:`attention`, a whole multi-head attention block whose queries may
+come from a subset of the rows and whose 0/1 ``keep`` mask never
+exponentiates -inf. :func:`take_rows` and :func:`put_rows` move the rows of
+a batch between all n rows and such a subset.
 
 A backward closure (``bwd``) maps the output gradient ``g`` to one entry per
 input: ``None`` for an input that needs no gradient (``requires_grad``
@@ -353,11 +356,20 @@ def log(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; the identity when not training or rate == 0."""
+def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
+            rows: np.ndarray | None = None, n: int | None = None) -> Tensor:
+    """Inverted dropout; the identity when not training or rate == 0.
+
+    With ``rows`` (B, S), ``a`` holds those rows of a (B, n, ...) tensor (as
+    :func:`take_rows` gives them): the mask is drawn at the full shape and
+    read at ``rows``, so the draws are the ones the full tensor would get.
+    """
     if not training or rate <= 0.0:
         return a
-    keep = (rng.random(a.shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
+    shape = a.shape if rows is None else (a.shape[0], n, *a.shape[2:])
+    keep = (rng.random(shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
+    if rows is not None:
+        keep = _take_rows(keep, rows)
     out = Tensor(a.data * keep)
 
     def bwd(g):
@@ -449,21 +461,57 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _record(out, (table,), bwd)
 
 
-def softmax(a: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor:
-    """Softmax along ``axis``; -inf entries become exact zeros.
+def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``x[b, rows[b, s]]`` for ``x`` (B, n, ...) and ``rows`` (B, S): (B, S, ...)."""
+    return np.take_along_axis(x, rows.reshape(rows.shape + (1,) * (x.ndim - 2)), axis=1)
 
-    ``keep``, a 0/1 array that broadcasts to ``a``, masks entries out: they
-    become exact zeros with a zero gradient, the max is taken over the kept
+
+def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """Row ``rows[b, s]`` of batch element b of ``a`` (B, n, ...), for a
+    (B, S) integer array ``rows``: (B, S, ...). Backward scatter-adds, so a
+    row taken twice gets both gradients."""
+    rows = np.asarray(rows)
+    out = Tensor(_take_rows(a.data, rows))
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, (np.arange(a.shape[0])[:, None], rows), g)
+        return (ga,)
+
+    return _record(out, (a,), bwd)
+
+
+def put_rows(base: np.ndarray, rows: np.ndarray, a: Tensor, where: np.ndarray) -> Tensor:
+    """A copy of the constant ``base`` (B, n, ...), in ``a``'s dtype, with
+    row ``rows[b, s]`` of batch element b replaced by ``a[b, s]`` wherever
+    ``where[b, s]``; ``a`` is (B, S, ...), and the rows written into one
+    batch element must be distinct. ``a`` gets the gradient of the rows it
+    wrote and zero elsewhere."""
+    b, s = np.nonzero(where)
+    r = np.asarray(rows)[b, s]
+    y = np.array(base, dtype=a.data.dtype)
+    y[b, r] = a.data[b, s]
+    out = Tensor(y)
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        ga[b, s] = g[b, r]
+        return (ga,)
+
+    return _record(out, (a,), bwd)
+
+
+def _softmax(x: np.ndarray, axis: int = -1, keep: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of ``x`` along ``axis``, as a new array; -inf entries become
+    exact zeros.
+
+    ``keep``, a 0/1 array of ``x``'s dtype that broadcasts to ``x``, masks
+    entries out: they become exact zeros, the max is taken over the kept
     entries only, and the shifted logits are multiplied by ``keep`` before
     and after ``exp``, so no masked entry is exponentiated as -inf. Masked
     entries must be finite. Raises :class:`NumericError` when a whole slice
     is -inf or masked (nothing to attend to).
     """
-    x = a.data
-    if keep is not None:
-        if np.broadcast_shapes(x.shape, keep.shape) != x.shape:
-            raise ShapeMismatch("softmax", x.shape, keep.shape)
-        keep = keep.astype(x.dtype, copy=False)
     xmax = np.max(x if keep is None else np.where(keep, x, -np.inf), axis=axis, keepdims=True)
     if np.any(np.isneginf(xmax)):
         raise NumericError("softmax: a slice is entirely -inf or masked")
@@ -474,6 +522,13 @@ def softmax(a: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor
     if keep is not None:
         y *= keep
     y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``; -inf entries become exact zeros with a zero
+    gradient. Raises :class:`NumericError` when a whole slice is -inf."""
+    y = _softmax(a.data, axis)
     out = Tensor(y)
 
     def bwd(g):
@@ -535,6 +590,120 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 g2.sum(0) if b.requires_grad else None)
 
     return _record(out, (x, w, b), bwd)
+
+
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: int,
+              rows: np.ndarray | None = None, keep: np.ndarray | None = None,
+              offset: Tensor | None = None) -> Tensor:
+    """Multi-head scaled dot-product self-attention over the n rows of ``x``
+    (B, n, d), as one op: per head, ``A = softmax(Q Kᵀ / sqrt(d / heads))``,
+    then ``A V`` with the heads merged and projected by ``wo`` (d, d).
+
+    ``rows``, a (B, S) integer array, picks the query rows: output row s of
+    batch element b is the attention of row ``rows[b, s]``, so the output is
+    (B, S, d). ``None`` means every row in order (S = n). K and V always come
+    from all n rows. Q, K and V are one GEMM of ``x`` against
+    ``[wq|wk|wv]``; with ``rows``, Q is a GEMM of the query rows alone.
+
+    ``keep``, a 0/1 array (n, n), or (B, 1, n, n) for one per batch
+    element, is 1 where a row may attend to a column. Without ``offset`` it
+    masks the softmax: an entry where it is 0 gets an exact zero weight and
+    a zero gradient, and is never exponentiated. With ``offset``, a scalar
+    tensor, it masks nothing: ``offset`` is added to the logits wherever it
+    is 0. Raises :class:`NumericError` when a query row has nothing to
+    attend to.
+
+    The backward is closed-form and keeps Q, K, V and A, as FlashAttention
+    does (Dao et al., NeurIPS 2022): with ``dZ`` the gradient of ``A V``,
+    ``dV = Aᵀ dZ``, ``dS = A ⊙ (dA - rowsum(dA ⊙ A))`` for ``dA = dZ Vᵀ``,
+    ``d offset = Σ dS ⊙ (1 - keep)``, ``dQ = dS K / sqrt(d / heads)`` and
+    ``dK = dSᵀ Q / sqrt(d / heads)``; the projection gradients are flat GEMMs.
+    """
+    d = x.shape[-1]
+    if (x.data.ndim != 3 or heads < 1 or d % heads
+            or any(w.shape != (d, d) for w in (wq, wk, wv, wo))):
+        raise ShapeMismatch("attention", x.shape, wq.shape, wk.shape, wv.shape, wo.shape)
+    if offset is not None and keep is None:
+        raise TensorError("attention: an offset applies where keep is 0, and keep is missing")
+    B, n, _ = x.shape
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    dt = x.data.dtype
+    x2 = x.data.reshape(B * n, d)
+    if rows is None:  # one GEMM over every row for Q, K and V
+        full_w = (wq, wk, wv)
+        xq2, S = x2, n
+    else:  # Q from the query rows only
+        rows = np.asarray(rows)
+        full_w = (wk, wv)
+        S = rows.shape[1]
+        xq2 = _take_rows(x.data, rows).reshape(B * S, d)
+    w_cat = np.concatenate([w.data for w in full_w], axis=1)
+    # (slot, B, heads, n, dh) views of one (B, n, slots * d) product
+    proj = (x2 @ w_cat).reshape(B, n, len(full_w), heads, dh).transpose(2, 0, 3, 1, 4)
+    q = proj[0] if rows is None else (xq2 @ wq.data).reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
+    k, v = proj[-2], proj[-1]
+
+    logits = np.matmul(q, k.swapaxes(-1, -2))  # (B, heads, S, n)
+    logits *= scale
+    mask = nonedge = None
+    if keep is not None:
+        keep = np.asarray(keep, dtype=dt)
+        try:
+            np.broadcast_to(keep, (B, 1, n, n))
+        except ValueError:
+            raise ShapeMismatch("attention", x.shape, keep.shape) from None
+        if rows is not None:
+            keep = np.take_along_axis(np.broadcast_to(keep, (B, 1, n, n)),
+                                      rows[:, None, :, None], axis=2)
+        if offset is None:
+            mask = keep
+        else:
+            nonedge = 1.0 - keep
+            logits += offset.data * nonedge
+    a = _softmax(logits, -1, mask)
+    z2 = np.matmul(a, v).transpose(0, 2, 1, 3).reshape(B * S, d)
+    out = Tensor((z2 @ wo.data).reshape(B, S, d))
+    inputs = (x, wq, wk, wv, wo) + ((offset,) if offset is not None else ())
+
+    def bwd(g):
+        g2 = g.reshape(B * S, d)
+        # A V is recomputed rather than kept
+        gwo = np.matmul(a, v).transpose(0, 2, 1, 3).reshape(B * S, d).T @ g2 \
+            if wo.requires_grad else None
+        dz = (g2 @ wo.data.T).reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
+        ds = np.matmul(dz, v.swapaxes(-1, -2))  # dA
+        ds -= (ds * a).sum(axis=-1, keepdims=True)
+        ds *= a
+        goff = None
+        if offset is not None and offset.requires_grad:
+            goff = _unbroadcast(ds * nonedge, offset.shape)
+        ds *= scale
+        d_proj = np.empty((B, n, len(full_w), heads, dh), dtype=dt)
+        slots = d_proj.transpose(2, 0, 3, 1, 4)
+        slots[-2] = np.matmul(ds.swapaxes(-1, -2), q)  # dK
+        slots[-1] = np.matmul(a.swapaxes(-1, -2), dz)  # dV
+        dq = np.matmul(ds, k)
+        if rows is None:
+            slots[0] = dq
+        else:
+            dq2 = dq.transpose(0, 2, 1, 3).reshape(B * S, d)
+        d_proj = d_proj.reshape(B * n, -1)
+        gx = None
+        if x.requires_grad:
+            gx = (d_proj @ w_cat.T).reshape(B, n, d)
+            if rows is not None:
+                np.add.at(gx, (np.arange(B)[:, None], rows), (dq2 @ wq.data.T).reshape(B, S, d))
+        gw = [None] * len(full_w)
+        if any(w.requires_grad for w in full_w):
+            gw_cat = x2.T @ d_proj
+            gw = [gw_cat[:, i * d:(i + 1) * d] if w.requires_grad else None
+                  for i, w in enumerate(full_w)]
+        if rows is not None:
+            gw.insert(0, xq2.T @ dq2 if wq.requires_grad else None)
+        return (gx, *gw, gwo) + ((goff,) if offset is not None else ())
+
+    return _record(out, inputs, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def random_assignment(inst: CspInstance, rng: np.random.Generator) -> np.ndarray
 
 def assemble_relaxed(values: np.ndarray, selected: np.ndarray, yhat: Tensor) -> Tensor:
     """Soft rows for selected variables, exact one-hot rows elsewhere, in
-    ``yhat``'s dtype."""
+    ``yhat``'s dtype: the relaxed assignment that ``forward`` returns,
+    written out of elementwise ops as its reference."""
     m, dt = yhat.shape[-1], yhat.data.dtype
     sel = Tensor(selected[..., None].astype(dt))
     hard = Tensor(one_hot(values, m).astype(dt, copy=False))
@@ -179,8 +180,8 @@ def _batch_loss(weights, bundles, rng, training=True):
         group, vals, sel = zip(*rows)
         ctx, program = _collate(group)
         vals, sel = np.stack(vals), np.stack(sel)
-        yhat = forward(weights, ctx, vals, sel, rng=rng, training=training)
-        parts.append(program.loss(assemble_relaxed(vals, sel, yhat)).sum())
+        rel = forward(weights, ctx, vals, sel, rng=rng, training=training)
+        parts.append(program.loss(rel).sum())
     return sum(parts[1:], parts[0]) * (1.0 / len(bundles))
 
 

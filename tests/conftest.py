@@ -1,14 +1,16 @@
 """Shared fixtures and small builders used across the test modules."""
 
+import math
+
 import numpy as np
 import pytest
 
 import csprefine.tensor as T
 from csprefine.csp import AllDifferentExact, CspInstance, build_sudoku
 from csprefine.data import gen_coloring_dataset
-from csprefine.model import ModelConfig, forward, select_subset
+from csprefine.model import ModelConfig, forward, gumbel_noise, select_subset
 from csprefine.tensor import Tensor
-from csprefine.train import assemble_relaxed, random_assignment
+from csprefine.train import random_assignment
 
 
 def toy_alldiff(n: int = 4) -> CspInstance:
@@ -66,8 +68,8 @@ def tiny_config(**kw) -> ModelConfig:
 
 
 # The fused ops written out of elementwise ops: the references that
-# ``tensor.layer_norm``, ``tensor.linear`` and a masked ``tensor.softmax``
-# must match in value and gradient.
+# ``tensor.layer_norm``, ``tensor.linear`` and ``tensor.attention`` must
+# match in value and gradient.
 
 
 def composed_layer_norm(x, g, b, eps=1e-5):
@@ -82,17 +84,70 @@ def composed_linear(x, w, b):
     return x @ w + b
 
 
-_fused_softmax = T.softmax  # the op itself, before any test patches it
+_softmax = T.softmax  # the op itself, before any test patches it
 
 
-def composed_softmax(x, axis=-1, keep=None):
-    if keep is not None:
-        x = x + Tensor(np.where(keep, 0.0, -np.inf))
-    return _fused_softmax(x, axis=axis)
+def composed_attention(x, wq, wk, wv, wo, heads, rows=None, keep=None, offset=None):
+    """The attention block over every row, written out of elementwise ops:
+    three projections, each split into heads, the scaled logits, a -inf bias on masked entries (or ``offset`` on every entry
+    where ``keep`` is 0), the softmax, A V, the heads merged and the output
+    projection; then the rows of ``rows``, picked by a one-hot matmul."""
+    B, n, d = x.shape
+    dh, dt = d // heads, x.data.dtype
+
+    def split(t):  # (B, n, d) -> (B, heads, n, dh)
+        return T.transpose(t.reshape(B, n, heads, dh), (0, 2, 1, 3))
+
+    q, k, v = split(x @ wq), split(x @ wk), split(x @ wv)
+    logits = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    if keep is not None and offset is None:
+        logits = logits + Tensor(np.where(keep, 0.0, -np.inf).astype(dt))
+    elif keep is not None:
+        logits = logits + offset * Tensor((1.0 - keep).astype(dt))
+    z = T.matmul(_softmax(logits, axis=-1), v)  # (B, heads, n, dh)
+    z = T.transpose(z, (0, 2, 1, 3)).reshape(B, n, d) @ wo
+    if rows is None:
+        return z
+    pick = np.zeros((B, rows.shape[1], n), dtype=dt)
+    pick[np.arange(B)[:, None], np.arange(rows.shape[1]), rows] = 1.0
+    return T.matmul(Tensor(pick), z)
 
 
 COMPOSED_OPS = {"layer_norm": composed_layer_norm, "linear": composed_linear,
-                "softmax": composed_softmax}
+                "attention": composed_attention}
+
+
+def dense_reference_forward(w, ctx, values, selected, rng=None, training=False, noise=None):
+    """The dense form of ``model.forward``: every layer and the head run on
+    all n rows, and the result is the (B, n, m) distribution of every row. ``forward`` must equal
+    ``assemble_relaxed(values, selected, dense_reference_forward(...))``
+    and leave ``rng`` in the same state."""
+    cfg = w.config
+    dt = w.dtype
+    sel = Tensor(selected[..., None].astype(dt))
+    emb = T.gather_rows(w["embed"], values)
+    ape = Tensor(ctx.ape.astype(dt, copy=False))
+    h = w["alpha"] * emb + w["beta"] * ape + w["gamma"] * (sel * w["select_embed"])
+    keep = None if cfg.rpe_mode == "none" else ctx.keep
+    offset = -T.log(1.0 + T.exp(w["rpe_theta"])) if cfg.rpe_mode == "learned" else None
+    for l in range(cfg.layers):
+        x = T.layer_norm(h, w[f"l{l}.ln1.g"], w[f"l{l}.ln1.b"])
+        z = composed_attention(x, w[f"l{l}.wq"], w[f"l{l}.wk"], w[f"l{l}.wv"], w[f"l{l}.wo"],
+                               cfg.heads, keep=keep, offset=offset)
+        z = T.dropout(z, cfg.dropout, rng, training) if rng is not None else z
+        h = h + z
+        x = T.layer_norm(h, w[f"l{l}.ln2.g"], w[f"l{l}.ln2.b"])
+        x = T.gelu(T.linear(x, w[f"l{l}.w1"], w[f"l{l}.b1"]))
+        x = T.linear(x, w[f"l{l}.w2"], w[f"l{l}.b2"])
+        x = T.dropout(x, cfg.dropout, rng, training) if rng is not None else x
+        h = h + x
+    h = T.layer_norm(h, w["lnf.g"], w["lnf.b"])
+    out_logits = T.linear(h, w["w_out"], w["b_out"])
+    if cfg.sampler == "gumbel":
+        if noise is None:
+            noise = gumbel_noise(rng, out_logits.shape)
+        out_logits = out_logits + Tensor(noise.astype(dt, copy=False))
+    return _softmax(out_logits * (1.0 / cfg.tau), axis=-1)
 
 
 def replayed_mean_loss(w, bundles, seed: int) -> float:
@@ -105,8 +160,7 @@ def replayed_mean_loss(w, bundles, seed: int) -> float:
                 for b in bundles]
     total = 0.0
     for b, vals, sel in zip(bundles, values, selected):
-        yhat = forward(w, b.ctx, vals[None], sel[None])
-        total += b.program.loss(assemble_relaxed(vals[None], sel[None], yhat)).data[0]
+        total += b.program.loss(forward(w, b.ctx, vals[None], sel[None])).data[0]
     return total / len(bundles)
 
 

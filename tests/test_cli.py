@@ -256,8 +256,11 @@ def test_gradcheck_passes(capsys):
     rc = main(["gradcheck", "--seed", "0"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("pass") == 11
+    assert out.count("pass") == 22
     assert "gradcheck layer_norm" in out and "gradcheck linear" in out
+    for mode, inputs in (("masked", "x wq wk wv wo"), ("learned", "x wq wk wv wo offset")):
+        for name in inputs.split():
+            assert f"gradcheck attention.{mode}.{name}:" in out
     assert "gradcheck model.embed" in out and "gradcheck model.l1.w2" in out
     assert "FAIL" not in out
 
@@ -401,11 +404,29 @@ def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_p
     ["baseline", "--steps", "0"],
     ["baseline", "--lr", "nan"],
     ["baseline", "--lr", "0"],
+    ["solve", "--iters", "1", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    ["baseline", "--seed", "-1"],
+    ["generate", "--problem", "coloring", "--count", "1", "--seed", "-1"],
+    ["generate", "--problem", "coloring", "--count", "1", "--n", "0"],
+    ["generate", "--problem", "coloring", "--count", "1", "--n", "-3"],
+    ["generate", "--problem", "coloring", "--count", "1", "--n", "1"],
+    ["generate", "--problem", "maxcut", "--count", "1", "--n", "0"],
+    ["generate", "--problem", "nurse", "--count", "1", "--days", "0"],
+    ["generate", "--problem", "nurse", "--count", "1", "--shifts", "0"],
+    ["generate", "--problem", "nurse", "--count", "1", "--per-shift", "-1"],
+    ["generate", "--problem", "nurse", "--count", "1", "--nurses", "0"],
 ], ids=["solve-no-budget", "solve-zero-iters", "solve-nan-time", "train-zero-batch",
         "train-heads-d-model", "train-nan-tau", "train-dropout-one", "train-nan-lr",
         "train-inf-weight-decay", "train-nan-grad-clip", "train-zero-grad-clip",
         "train-negative-weight-decay", "generate-negative-count", "baseline-zero-runs",
-        "baseline-zero-steps", "baseline-nan-lr", "baseline-zero-lr"])
+        "baseline-zero-steps", "baseline-nan-lr", "baseline-zero-lr", "solve-negative-seed",
+        "train-negative-seed", "gradcheck-negative-seed", "baseline-negative-seed",
+        "generate-negative-seed", "generate-coloring-zero-n", "generate-coloring-negative-n",
+        "generate-coloring-one-vertex", "generate-maxcut-zero-n", "generate-nurse-zero-days",
+        "generate-nurse-zero-shifts", "generate-nurse-negative-per-shift",
+        "generate-nurse-zero-nurses"])
 def test_rejected_configuration_is_a_usage_error(tmp_path, capsys, argv):
     dataset = _generate_coloring(tmp_path, count=2, n=5)
     out = tmp_path / "model.bin"
@@ -413,7 +434,8 @@ def test_rejected_configuration_is_a_usage_error(tmp_path, capsys, argv):
     target = {"solve": ["--dataset", str(dataset), "--weights", str(out)],
               "train": ["--dataset", str(dataset), "--out", str(out)],
               "generate": ["--out", str(out)],
-              "baseline": ["--kind", "direct-sgd", "--dataset", str(dataset)]}[argv[0]]
+              "baseline": ["--kind", "direct-sgd", "--dataset", str(dataset)],
+              "gradcheck": []}[argv[0]]
     capsys.readouterr()
     try:
         rc = main([*argv, *target])

@@ -39,13 +39,21 @@ from csprefine.data import (
     save_sudoku,
     save_weights,
 )
-from csprefine.model import InstanceContext, ModelConfig, apply_update, init_weights, select_subset
+from csprefine.model import (
+    InstanceContext,
+    ModelConfig,
+    apply_update,
+    forward,
+    init_weights,
+    select_subset,
+)
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, greedy_coloring, instance_cut_value
-from csprefine.tensor import Tape, Tensor, backward, layer_norm, linear, matmul, softmax
-from csprefine.train import _batch_loss, prepare, random_assignment
+from csprefine.tensor import Tape, Tensor, attention, backward, layer_norm, linear, matmul
+from csprefine.train import _batch_loss, _collate, assemble_relaxed, prepare, random_assignment
 from conftest import (
     COMPOSED_OPS,
+    dense_reference_forward,
     replayed_mean_loss,
     sudoku_puzzle,
     tiny_config,
@@ -243,35 +251,116 @@ def test_matmul_gradients_match_einsum(kind, batch, nkf, seed):
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-@given(st.sampled_from(["layer_norm", "linear", "softmax"]),
+@given(st.sampled_from(["layer_norm", "linear"]),
        st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(1, 6),
        st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_fused_ops_match_their_composed_references(name, batch, k, f, seed):
-    # layer_norm against the elementwise expression, linear against x @ w + b,
-    # and a keep mask against adding where(keep, 0, -inf) to the logits
+    # layer_norm against the elementwise expression, linear against x @ w + b
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 3.0, size=(*batch, k))
-    kwargs = {}
     if name == "layer_norm":
         consts = [rng.normal(size=k), rng.normal(size=k)]
-    elif name == "linear":
-        consts = [rng.normal(size=(k, f)), rng.normal(size=f)]
     else:
-        consts = []
-        r = rng.random(x.shape[-2:])  # one mask for every leading index
-        kwargs["keep"] = ((r < 0.5) | (r == r.max(axis=-1, keepdims=True))).astype(np.float64)
-    fused = {"layer_norm": layer_norm, "linear": linear, "softmax": softmax}[name]
-    g = rng.normal(size=fused(Tensor(x), *map(Tensor, consts), **kwargs).shape)
+        consts = [rng.normal(size=(k, f)), rng.normal(size=f)]
+    fused = {"layer_norm": layer_norm, "linear": linear}[name]
+    g = rng.normal(size=fused(Tensor(x), *map(Tensor, consts)).shape)
+    _assert_same_values_and_gradients(fused, COMPOSED_OPS[name], [x, *consts], g)
+
+
+def _assert_same_values_and_gradients(op, ref, args, g):
+    """``op`` and ``ref`` on the same inputs: equal outputs, and equal
+    gradients of ``sum(out * g)`` in every input, to 1e-12."""
     results = []
-    for op in (fused, COMPOSED_OPS[name]):
-        inputs = [Tensor(a, requires_grad=True) for a in (x, *consts)]
+    for fn in (op, ref):
+        inputs = [Tensor(a, requires_grad=True) for a in args]
         with Tape():
-            y = op(*inputs, **kwargs)
+            y = fn(*inputs)
             backward((y * Tensor(g)).sum())
         results.append([y.data] + [t.grad for t in inputs])
-    for got, ref in zip(*results):
-        assert got.shape == ref.shape
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(ref).max()))
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max(initial=0.0)))
+
+
+def _padded_rows(selected: np.ndarray) -> np.ndarray:
+    """The query rows ``forward`` gives its last layer: each batch
+    element's selected rows, then unselected ones, up to the largest count."""
+    return np.argsort(~selected, axis=1, kind="stable")[:, : selected.sum(axis=1).max()]
+
+
+@given(st.sampled_from(["masked", "learned", "none"]), st.booleans(), st.booleans(),
+       st.integers(1, 3), st.integers(1, 6), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_attention_matches_the_composed_block(rpe_mode, stacked, subset, batch, n, heads,
+                                              width, seed):
+    # every RPE mode, one (n, n) mask or one per batch element, all rows as
+    # queries or the padded rows of a selection in which one element is empty
+    rng = np.random.default_rng(seed)
+    d = heads * width
+    args = [rng.normal(0.0, 1.5, size=(batch, n, d))]
+    args += [rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)) for _ in range(4)]
+    kwargs = {}
+    if rpe_mode != "none":
+        r = rng.random((batch, 1, n, n) if stacked else (n, n))
+        kwargs["keep"] = ((r < 0.5) | np.eye(n, dtype=bool)).astype(np.float64)
+    if rpe_mode == "learned":
+        args.append(rng.normal(0.0, 2.0, size=()))
+    if subset:
+        selected = rng.random((batch, n)) < 0.5
+        selected[rng.integers(batch)] = False
+        kwargs["rows"] = _padded_rows(selected)
+
+    def call(fn):
+        def run(x, wq, wk, wv, wo, offset=None):
+            return fn(x, wq, wk, wv, wo, heads, offset=offset, **kwargs)
+        return run
+
+    g = rng.normal(size=(batch, kwargs["rows"].shape[1] if subset else n, d))
+    _assert_same_values_and_gradients(call(attention), call(COMPOSED_OPS["attention"]), args, g)
+
+
+@given(st.data(), st.integers(2, 6), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_forward_matches_the_dense_reference(data, n, m, seed):
+    # the last layer on the selected rows alone, against every layer on
+    # every row and the unselected rows replaced by one-hot rows afterwards:
+    # the same values, the same gradient in every parameter, and the same
+    # draws, so the rng ends in the same state
+    insts = data.draw(st.lists(instances(n, m).flatmap(with_fixed), min_size=1, max_size=3))
+    heads = data.draw(st.sampled_from([1, 2]))
+    cfg = ModelConfig(layers=data.draw(st.integers(1, 2)), heads=heads, d_model=4 * heads,
+                      select_p=data.draw(st.sampled_from([0.3, 0.7, 1.0])),
+                      rpe_mode=data.draw(st.sampled_from(["masked", "learned", "none"])),
+                      ape_mode=data.draw(st.sampled_from(["none", "1d", "multi"])),
+                      tau=0.5, sampler=data.draw(st.sampled_from(["gumbel", "softmax"])),
+                      dropout=data.draw(st.sampled_from([0.0, 0.2])), ffn_mult=2)
+    training = data.draw(st.booleans())
+    w = init_weights(cfg, m, np.random.default_rng(seed), dtype=np.float64)
+    ctx, _ = _collate(prepare(insts, cfg))
+    rng = np.random.default_rng(seed + 1)
+    values = np.stack([random_assignment(inst, rng) for inst in insts])
+    selected = np.stack([select_subset(inst.compiled.fixed_mask, cfg.select_p, rng)
+                         for inst in insts])
+    if data.draw(st.booleans()):
+        selected[data.draw(st.integers(0, len(insts) - 1))] = False
+    g = Tensor(rng.normal(size=(len(insts), n, m)))
+
+    def run(fn):
+        w.zero_grad()
+        draws = np.random.default_rng(seed + 2)
+        with Tape():
+            out = fn(w, ctx, values, selected, rng=draws, training=training)
+            backward((out * g).sum())
+        return out.data, {k: p.grad for k, p in w.named_parameters()}, draws.bit_generator.state
+
+    def reference(*args, **kwargs):
+        return assemble_relaxed(values, selected, dense_reference_forward(*args, **kwargs))
+
+    got, got_grads, got_state = run(forward)
+    want, want_grads, want_state = run(reference)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    for k, ref in want_grads.items():
+        assert np.allclose(got_grads[k], ref, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(ref).max())), k
+    assert got_state == want_state
 
 
 def reference_barabasi_albert(n, m_attach, rng):

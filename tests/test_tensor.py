@@ -265,7 +265,8 @@ def test_op_gradients(name, fn, rng):
     assert report.passed, f"{name}: max rel err {report.max_rel_err}"
 
 
-_KEEP = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+_ADJ = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])  # an attention graph
+_ROWS = np.array([[2, 0], [1, 1]])  # query rows; batch element 1 asks for row 1 twice
 
 
 @pytest.mark.parametrize(
@@ -277,8 +278,11 @@ _KEEP = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.
          lambda x, w, b: T.square(T.linear(x, w, b)).sum()),
         ("linear_1d", [(4,), (4, 5), (5,)],
          lambda x, w, b: T.square(T.linear(x, w, b)).sum()),
-        ("masked_softmax", [(2, 3, 4)],
-         lambda x: T.square(T.softmax(x, axis=-1, keep=_KEEP)).sum()),
+        ("attention_masked", [(2, 3, 4), (4, 4), (4, 4), (4, 4), (4, 4)],
+         lambda x, wq, wk, wv, wo: T.square(T.attention(x, wq, wk, wv, wo, 2, keep=_ADJ)).sum()),
+        ("attention_learned_rows", [(2, 3, 4), (4, 4), (4, 4), (4, 4), (4, 4), ()],
+         lambda x, wq, wk, wv, wo, c: T.square(T.attention(
+             x, wq, wk, wv, wo, 2, rows=_ROWS, keep=_ADJ, offset=c)).sum()),
     ],
 )
 def test_fused_op_gradients_for_every_input(name, shapes, fn, rng):
@@ -367,17 +371,30 @@ def test_softmax_all_neg_inf_raises():
         T.softmax(x, axis=-1)
 
 
+def _attention_on_logits(x, keep, rows=None):
+    """``tensor.attention`` on ``x`` (2, 4, 4) with identity projections and
+    one head of width 4, so that its logits are ``x xᵀ / 2``."""
+    eye = [Tensor(np.eye(4)) for _ in range(4)]
+    return T.attention(x, *eye, 1, rows=rows, keep=keep)
+
+
 def test_masked_softmax_zeros_masked_entries_and_their_gradient(rng):
-    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(2, 3, 4)))
-    with Tape():
-        y = T.softmax(x, axis=-1, keep=_KEEP)
-        backward((y * w).sum())
-    masked = np.broadcast_to(_KEEP == 0.0, x.shape)
-    assert np.all(y.data[masked] == 0.0)
-    assert np.allclose(y.data.sum(axis=-1), 1.0)
-    assert np.all(x.grad[masked] == 0.0)
-    assert np.all(np.isfinite(x.grad))
+    # attention's masked softmax gives a masked key no weight: the query's
+    # output does not move with that key's row, and its gradient there is 0
+    keep = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 0], [1, 0, 0, 1]], dtype=np.float64)
+    x = rng.normal(size=(2, 4, 4))
+    y = _attention_on_logits(Tensor(x), keep).data
+    for i, j in zip(*np.nonzero(keep == 0.0)):
+        moved = x.copy()
+        moved[:, j] += rng.normal(size=(2, 4))
+        assert np.allclose(_attention_on_logits(Tensor(moved), keep).data[:, i], y[:, i],
+                           rtol=1e-12, atol=1e-12)
+        t = Tensor(x, requires_grad=True)
+        pick = np.zeros((2, 4, 4))
+        pick[:, i] = rng.normal(size=(2, 4))
+        with Tape():
+            backward((_attention_on_logits(t, keep) * Tensor(pick)).sum())
+        assert np.all(t.grad[:, j] == 0.0) and np.all(np.isfinite(t.grad))
 
 
 def test_masked_softmax_never_exponentiates_minus_inf(rng, monkeypatch):
@@ -389,19 +406,22 @@ def test_masked_softmax_never_exponentiates_minus_inf(rng, monkeypatch):
         return exp(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", spy)
-    T.softmax(Tensor(rng.normal(size=(3, 4)) * 50.0), axis=-1, keep=_KEEP)
+    keep = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1]], dtype=np.float64)
+    _attention_on_logits(Tensor(rng.normal(size=(2, 4, 4)) * 50.0), keep, rows=np.array([[0, 3]] * 2))
     assert seen == [False]
 
 
 def test_masked_softmax_raises_on_a_slice_masked_entirely(rng):
-    keep = _KEEP.copy()
-    keep[1] = 0.0
+    keep = np.ones((2, 1, 4, 4))
+    keep[1, 0, 2] = 0.0  # row 2 of batch element 1 attends to nothing
+    x = Tensor(rng.normal(size=(2, 4, 4)))
+    _attention_on_logits(x, keep, rows=np.array([[2], [1]]))  # that row asks no query
     with pytest.raises(NumericError):
-        T.softmax(Tensor(rng.normal(size=(3, 4))), axis=-1, keep=keep)
+        _attention_on_logits(x, keep, rows=np.array([[0], [2]]))
 
 
 @pytest.mark.parametrize("op,args", [
-    (T.softmax, [(3, 4)]),
+    (T.attention, [(2, 3, 4), (4, 4), (4, 4), (4, 4), (4, 4)]),
     (T.layer_norm, [(3, 4), (5,), (4,)]),
     (T.linear, [(3, 4), (4, 2), (3,)]),
     (T.linear, [(3, 4), (5, 2), (2,)]),
@@ -410,8 +430,8 @@ def test_masked_softmax_raises_on_a_slice_masked_entirely(rng):
 def test_fused_op_shape_mismatch_raises(op, args):
     tensors = [Tensor(np.ones(s)) for s in args]
     with pytest.raises(ShapeMismatch) as err:
-        if op is T.softmax:
-            op(*tensors, keep=np.ones((2, 3, 4)))
+        if op is T.attention:  # a mask of another size
+            op(*tensors, 2, keep=np.ones((4, 4)))
         else:
             op(*tensors)
     assert err.value.op == op.__name__
