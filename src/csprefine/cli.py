@@ -292,7 +292,7 @@ def _attention_grad_checks(rng: np.random.Generator):
     heads of width 2, with queries from 2 of the rows, in the ``masked``
     mode and in the ``learned`` mode with its offset: every input against
     finite differences. Yields (name, report)."""
-    keep = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], dtype=np.float64)
+    keep = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], dtype=bool)
     rows = np.array([[3, 0], [2, 1]])
     inputs = {"x": Tensor(rng.normal(size=(2, 4, 4)))}
     for name in ("wq", "wk", "wv", "wo"):

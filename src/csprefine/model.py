@@ -5,7 +5,7 @@ produces, for every variable, a probability row over the domain. Inputs mix
 three encodings: a learned embedding of the current value, a sinusoidal
 positional encoding of the variable's index tuple, and a learned marker for
 the variables chosen for update this step. The constraint graph enters the
-attention as a 0/1 mask on the softmax ("masked") or as a learned
+attention as a bool mask on the softmax ("masked") or as a learned
 non-positive offset added to the logits ("learned"). The output head is a
 temperature softmax, optionally perturbed by Gumbel noise for
 differentiable discrete sampling.
@@ -42,6 +42,8 @@ class ModelConfig:
     ffn_mult: int = 4
 
     def __post_init__(self):
+        if min(self.layers, self.heads, self.d_model, self.ffn_mult) < 1:
+            raise ValueError("layers, heads, d_model and ffn_mult must be positive")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.heads} heads")
         if not 0.0 < self.select_p <= 1.0:
@@ -177,18 +179,17 @@ def init_weights(config: ModelConfig, domain_size: int, rng: np.random.Generator
 @dataclass
 class InstanceContext:
     """The per-instance arrays that ``forward`` reads, built once and shared
-    across forward passes. The fixed variables are read from
-    ``inst.compiled``, not from here."""
+    across forward passes; ``keep`` is the bool adjacency, as ``attention``
+    takes it. The fixed variables are read from ``inst.compiled``, not here."""
 
     ape: np.ndarray  # (n, d)
-    keep: np.ndarray  # (n, n) 0/1 float, the adjacency; (B, 1, n, n) when stacked
+    keep: np.ndarray  # (n, n) bool, the adjacency; (B, 1, n, n) when stacked
 
     @staticmethod
     def build(inst: CspInstance, cfg: ModelConfig) -> "InstanceContext":
         """The attention graph comes from the compiled instance; the
         diagonal counts as an edge, so every variable attends to itself."""
-        keep = inst.compiled.adjacency().astype(np.float64)
-        return InstanceContext(ape_table(inst, cfg), keep)
+        return InstanceContext(ape_table(inst, cfg), inst.compiled.adjacency())
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +293,9 @@ def forward(
             if rng is None:
                 raise ValueError("gumbel sampler needs an rng or explicit noise")
             noise = gumbel_noise(rng, (B, n, m))
-        noise = np.take_along_axis(noise, rows[..., None], axis=1)
-        out_logits = out_logits + Tensor(noise.astype(dt, copy=False))
+        out_logits = out_logits + Tensor(noise[np.arange(B)[:, None], rows].astype(dt, copy=False))
     yhat = T.softmax(out_logits * (1.0 / cfg.tau), axis=-1)
-    return T.put_rows(one_hot(values, m), rows, yhat, np.take_along_axis(selected, rows, axis=1))
+    return T.put_rows(one_hot(values, m), rows, yhat, selected[np.arange(B)[:, None], rows])
 
 
 def apply_update(values: np.ndarray, selected: np.ndarray, yhat) -> np.ndarray:

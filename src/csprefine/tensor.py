@@ -18,9 +18,9 @@ Shape errors come from numpy and are reported as :class:`ShapeMismatch`.
 Fused ops keep the tape short, each with a closed-form backward:
 :func:`layer_norm`, :func:`linear` (``x @ w + b`` as one flat GEMM) and
 :func:`attention`, a whole multi-head attention block whose queries may
-come from a subset of the rows and whose 0/1 ``keep`` mask never
-exponentiates -inf. :func:`take_rows` and :func:`put_rows` move the rows of
-a batch between all n rows and such a subset.
+come from a subset of the rows, whose bool ``keep`` mask never
+exponentiates -inf, and whose backward keeps Q, K, V, A and A V;
+:func:`take_rows` and :func:`put_rows` move rows to and from such a subset.
 
 A backward closure (``bwd``) maps the output gradient ``g`` to one entry per
 input: ``None`` for an input that needs no gradient (``requires_grad``
@@ -367,7 +367,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
     if not training or rate <= 0.0:
         return a
     shape = a.shape if rows is None else (a.shape[0], n, *a.shape[2:])
-    keep = (rng.random(shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
+    keep = np.where(rng.random(shape) >= rate, 1 / a.data.dtype.type(1.0 - rate), 0)  # a's dtype
     if rows is not None:
         keep = _take_rows(keep, rows)
     out = Tensor(a.data * keep)
@@ -463,7 +463,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
 def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``x[b, rows[b, s]]`` for ``x`` (B, n, ...) and ``rows`` (B, S): (B, S, ...)."""
-    return np.take_along_axis(x, rows.reshape(rows.shape + (1,) * (x.ndim - 2)), axis=1)
+    return x[np.arange(x.shape[0])[:, None], rows]
 
 
 def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
@@ -501,22 +501,25 @@ def put_rows(base: np.ndarray, rows: np.ndarray, a: Tensor, where: np.ndarray) -
     return _record(out, (a,), bwd)
 
 
-def _softmax(x: np.ndarray, axis: int = -1, keep: np.ndarray | None = None) -> np.ndarray:
-    """Softmax of ``x`` along ``axis``, as a new array; -inf entries become
-    exact zeros.
+def _softmax(x: np.ndarray, axis: int = -1, keep: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of ``x`` along ``axis``, into ``out`` (``x`` itself for an
+    in-place softmax) or a new array; -inf entries become exact zeros.
 
-    ``keep``, a 0/1 array of ``x``'s dtype that broadcasts to ``x``, masks
-    entries out: they become exact zeros, the max is taken over the kept
-    entries only, and the shifted logits are multiplied by ``keep`` before
-    and after ``exp``, so no masked entry is exponentiated as -inf. Masked
-    entries must be finite. Raises :class:`NumericError` when a whole slice
-    is -inf or masked (nothing to attend to).
+    ``keep``, a bool or 0/1 array that broadcasts to ``x``, masks entries
+    out: they become exact zeros, the max is taken over ``x`` plus a 0/-inf
+    bias on ``keep``'s own shape, and the shifted logits are multiplied by
+    ``keep`` before and after ``exp``, so no masked entry is exponentiated
+    as -inf. Masked entries must be finite. Raises :class:`NumericError`
+    when a whole slice is -inf or masked (nothing to attend to).
     """
-    xmax = np.max(x if keep is None else np.where(keep, x, -np.inf), axis=axis, keepdims=True)
+    xmax = np.max(x if keep is None else x + np.where(keep, 0, x.dtype.type(-np.inf)),
+                  axis=axis, keepdims=True)
     if np.any(np.isneginf(xmax)):
         raise NumericError("softmax: a slice is entirely -inf or masked")
-    y = x - xmax
+    y = np.subtract(x, xmax, out=out)
     if keep is not None:
+        keep = np.asarray(keep, dtype=x.dtype)
         y *= keep
     np.exp(y, out=y)
     if keep is not None:
@@ -605,17 +608,18 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
     from all n rows. Q, K and V are one GEMM of ``x`` against
     ``[wq|wk|wv]``; with ``rows``, Q is a GEMM of the query rows alone.
 
-    ``keep``, a 0/1 array (n, n), or (B, 1, n, n) for one per batch
-    element, is 1 where a row may attend to a column. Without ``offset`` it
-    masks the softmax: an entry where it is 0 gets an exact zero weight and
-    a zero gradient, and is never exponentiated. With ``offset``, a scalar
-    tensor, it masks nothing: ``offset`` is added to the logits wherever it
-    is 0. Raises :class:`NumericError` when a query row has nothing to
-    attend to.
+    ``keep``, a bool (or 0/1) array (n, n), or (B, 1, n, n) for one per
+    batch element, is true where a row may attend to a column. Without
+    ``offset`` it masks the softmax, which runs in place on the logits: an
+    entry where it is false gets an exact zero weight and a zero gradient,
+    and is never exponentiated. With ``offset``, a scalar tensor, it masks
+    nothing: ``offset`` is added to the logits wherever it is false. Raises
+    :class:`NumericError` when a query row has nothing to attend to.
 
-    The backward is closed-form and keeps Q, K, V and A, as FlashAttention
-    does (Dao et al., NeurIPS 2022): with ``dZ`` the gradient of ``A V``,
-    ``dV = Aᵀ dZ``, ``dS = A ⊙ (dA - rowsum(dA ⊙ A))`` for ``dA = dZ Vᵀ``,
+    The backward is closed-form and keeps Q, K, V, A and ``A V``, as
+    FlashAttention does (Dao et al., NeurIPS 2022): ``d wo = (A V)ᵀ g``, and
+    with ``dZ`` the gradient of ``A V``, ``dV = Aᵀ dZ``,
+    ``dS = A ⊙ (dA - rowsum(dA ⊙ A))`` for ``dA = dZ Vᵀ``,
     ``d offset = Σ dS ⊙ (1 - keep)``, ``dQ = dS K / sqrt(d / heads)`` and
     ``dK = dSᵀ Q / sqrt(d / heads)``; the projection gradients are flat GEMMs.
     """
@@ -646,31 +650,27 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
 
     logits = np.matmul(q, k.swapaxes(-1, -2))  # (B, heads, S, n)
     logits *= scale
-    mask = nonedge = None
+    nonedge = None
     if keep is not None:
-        keep = np.asarray(keep, dtype=dt)
+        keep = np.asarray(keep)
         try:
             np.broadcast_to(keep, (B, 1, n, n))
         except ValueError:
             raise ShapeMismatch("attention", x.shape, keep.shape) from None
-        if rows is not None:
-            keep = np.take_along_axis(np.broadcast_to(keep, (B, 1, n, n)),
-                                      rows[:, None, :, None], axis=2)
-        if offset is None:
-            mask = keep
-        else:
-            nonedge = 1.0 - keep
+        if rows is not None:  # (B, 1, S, n): the query rows
+            keep = _take_rows(np.broadcast_to(keep, (B, 1, n, n))[:, 0], rows)[:, None]
+        if offset is not None:
+            nonedge = 1.0 - np.asarray(keep, dtype=dt)
             logits += offset.data * nonedge
-    a = _softmax(logits, -1, mask)
-    z2 = np.matmul(a, v).transpose(0, 2, 1, 3).reshape(B * S, d)
+    a = _softmax(logits, -1, keep if offset is None else None, out=logits)  # in place
+    z2 = np.empty((B * S, d), dtype=dt)  # A V with the heads merged, kept for d wo
+    np.matmul(a, v, out=z2.reshape(B, S, heads, dh).transpose(0, 2, 1, 3))
     out = Tensor((z2 @ wo.data).reshape(B, S, d))
     inputs = (x, wq, wk, wv, wo) + ((offset,) if offset is not None else ())
 
     def bwd(g):
         g2 = g.reshape(B * S, d)
-        # A V is recomputed rather than kept
-        gwo = np.matmul(a, v).transpose(0, 2, 1, 3).reshape(B * S, d).T @ g2 \
-            if wo.requires_grad else None
+        gwo = z2.T @ g2 if wo.requires_grad else None
         dz = (g2 @ wo.data.T).reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
         ds = np.matmul(dz, v.swapaxes(-1, -2))  # dA
         ds -= (ds * a).sum(axis=-1, keepdims=True)

@@ -509,13 +509,14 @@ def _header_variants(blob: bytes):
 
     extra_key = {**header, "config": {**header["config"], "colour": 1}}
     rejected = {**header, "config": {**header["config"], "tau": -1.0}}
+    no_heads = {**header, "config": {**header["config"], "heads": 0}}
     no_domain = {k: v for k, v in header.items() if k != "domain_size"}
     listed_tensors = {**header, "tensors": list(header["tensors"])}
     no_dtype = {k: v for k, v in header.items() if k != "dtype"}
     other_dtype = {**header, "dtype": "float16"}
     listed_dtype = {**header, "dtype": [header["dtype"]]}
-    for variant in (extra_key, rejected, no_domain, listed_tensors, no_dtype, other_dtype,
-                    listed_dtype):
+    for variant in (extra_key, rejected, no_heads, no_domain, listed_tensors, no_dtype,
+                    other_dtype, listed_dtype):
         yield repack(json.dumps(variant).encode())
     yield repack(b"\xff" + json.dumps(header).encode())
     yield repack(b"[]")

@@ -93,7 +93,7 @@ def test_ape_table_modes():
 def test_context_keep_diag_and_edges():
     inst = build_graph_coloring(3, [(0, 1)], 2)
     keep = InstanceContext.build(inst, tiny_config()).keep
-    assert keep.dtype == np.float64
+    assert keep.dtype == bool
     assert np.array_equal(keep, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
 

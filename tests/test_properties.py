@@ -4,8 +4,9 @@ constraint kind (duplicates and repeated scope entries included), random
 fixed variables, random lambdas and both transforms; matmul's gradients
 against an einsum reference; the fused tensor ops against their composed
 forms; and the graph generator and greedy coloring
-against their numpy forms; the weight file round trip; float32 against float64; and
-``solve`` on damaged dataset files."""
+against their numpy forms; the weight file round trip; float32 against float64;
+``solve`` on damaged dataset files; and the CLI's numeric flags at non-finite,
+negative and zero values."""
 
 import contextlib
 import io
@@ -20,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csprefine.cli import EXIT_IO, EXIT_OK, main
+from csprefine.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from csprefine.csp import (
     AllDifferentAtMostOnce,
     AllDifferentExact,
@@ -182,7 +183,7 @@ def test_adjacency_matches_constraint_graph(inst):
 @given(instances(), st.sampled_from(["masked", "learned", "none"]))
 def test_context_keep_is_the_adjacency(inst, rpe_mode):
     ctx = InstanceContext.build(inst, tiny_config(rpe_mode=rpe_mode))
-    assert ctx.keep.dtype == np.float64
+    assert ctx.keep.dtype == bool
     assert np.array_equal(ctx.keep, np.where(inst.compiled.adjacency(), 1.0, 0.0))
 
 
@@ -317,6 +318,36 @@ def test_attention_matches_the_composed_block(rpe_mode, stacked, subset, batch, 
 
     g = rng.normal(size=(batch, kwargs["rows"].shape[1] if subset else n, d))
     _assert_same_values_and_gradients(call(attention), call(COMPOSED_OPS["attention"]), args, g)
+
+
+@given(st.sampled_from(["masked", "learned"]), st.booleans(), st.booleans(),
+       st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.integers(1, 6),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_bool_and_float_keep_give_the_same_attention(rpe_mode, stacked, subset, dtype, batch,
+                                                     n, heads, seed):
+    # the adjacency as bools and as float64 0/1: equal outputs and equal
+    # gradients in every input, bit for bit
+    rng = np.random.default_rng(seed)
+    d = 2 * heads
+    args = [rng.normal(0.0, 1.5, size=(batch, n, d))]
+    args += [rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)) for _ in range(4)]
+    if rpe_mode == "learned":
+        args.append(rng.normal(0.0, 2.0, size=()))
+    args = [a.astype(dtype) for a in args]
+    keep = (rng.random((batch, 1, n, n) if stacked else (n, n)) < 0.5) | np.eye(n, dtype=bool)
+    rows = _padded_rows(rng.random((batch, n)) < 0.5) if subset else None
+    g = rng.normal(size=(batch, n if rows is None else rows.shape[1], d)).astype(dtype)
+    results = []
+    for k in (keep, keep.astype(np.float64)):
+        inputs = [Tensor(a, requires_grad=True) for a in args]
+        with Tape():
+            y = attention(*inputs[:5], heads, rows=rows, keep=k,
+                          offset=inputs[5] if rpe_mode == "learned" else None)
+            backward((y * Tensor(g)).sum())
+        results.append([y.data] + [t.grad for t in inputs])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 @given(st.data(), st.integers(2, 6), st.integers(2, 4), st.integers(0, 2**32 - 1))
@@ -518,3 +549,64 @@ def test_solve_on_a_damaged_dataset_exits_0_or_3(fmt, data):
         assert err.getvalue().startswith("error: ")
     else:
         assert json.loads(out.getvalue().splitlines()[-1])["summary"] is True
+
+
+# The numeric flags of each subcommand. Each run starts from arguments that
+# make a tiny valid run and appends the drawn flags as ``--flag=value``, so
+# they override the start and a value such as -inf is never read as a flag.
+_INT_FLAGS = {
+    "train": ["--batch-size", "--epochs", "--seed", "--layers", "--heads", "--d-model"],
+    "solve": ["--iters", "--pool", "--seed"],
+    "generate": ["--count", "--n", "--days", "--shifts", "--per-shift", "--nurses", "--fixed-k",
+                 "--seed"],
+    "baseline": ["--runs", "--steps", "--seed"],
+}
+_FLOAT_FLAGS = {
+    "train": ["--lr", "--weight-decay", "--grad-clip", "--p", "--tau", "--dropout"],
+    "solve": ["--time-ms"],
+    "generate": [],
+    "baseline": ["--lr"],
+}
+
+
+def _tiny_run(command: str, tmp: str, data) -> list[str]:
+    """Arguments for a valid run of ``command`` on a tiny dataset in ``tmp``."""
+    dataset, weights = Path(tmp, "set.jsonl"), Path(tmp, "w.bin")
+    _valid_dataset("jsonl", dataset)
+    if command == "train":
+        return ["--dataset", str(dataset), "--out", str(Path(tmp, "out.bin")), "--epochs", "1",
+                "--batch-size", "2", "--layers", "1", "--heads", "1", "--d-model", "4"]
+    if command == "solve":
+        cfg = ModelConfig(layers=1, heads=1, d_model=4, ape_mode="multi", ffn_mult=1)
+        save_weights(init_weights(cfg, 3, np.random.default_rng(0)), weights)
+        return ["--weights", str(weights), "--dataset", str(dataset), "--iters", "1"]
+    if command == "generate":
+        return ["--problem", data.draw(st.sampled_from(["coloring", "nurse", "maxcut"])),
+                "--count", "1", "--n", "5", "--days", "1", "--shifts", "1", "--per-shift", "1",
+                "--nurses", "2", "--out", str(Path(tmp, "gen"))]
+    return ["--kind", data.draw(st.sampled_from(["greedy", "direct-sgd"])),
+            "--dataset", str(dataset), "--runs", "1", "--steps", "1"]
+
+
+@pytest.mark.parametrize("command", sorted(_INT_FLAGS))
+@given(data=st.data())
+def test_cli_numeric_flags_give_only_documented_exit_codes(command, data):
+    # non-finite, negative and zero values through any of a subcommand's
+    # numeric flags: an exit code from the CLI's list and never an exception.
+    # An integer flag gets only -1 or 0, so no case allocates at scale.
+    flags = data.draw(st.lists(st.sampled_from(_INT_FLAGS[command] + _FLOAT_FLAGS[command]),
+                               min_size=1, max_size=3, unique=True), label="flags")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command] + _tiny_run(command, tmp, data)
+        for flag in flags:
+            values = ["-1", "0"]
+            if flag in _FLOAT_FLAGS[command]:
+                values += ["nan", "inf", "-inf"]
+            argv.append(f"{flag}={data.draw(st.sampled_from(values), label=flag)}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects the value
+                rc = exc.code
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERIC), (argv, err.getvalue())

@@ -411,6 +411,32 @@ def test_masked_softmax_never_exponentiates_minus_inf(rng, monkeypatch):
     assert seen == [False]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [None, np.array([[0, 3], [2, 1]])], ids=["all_rows", "rows"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+@pytest.mark.parametrize("kind", [bool, np.float64], ids=["bool", "float"])
+def test_masked_attention_never_exponentiates_minus_inf(kind, stacked, rows, dtype, rng,
+                                                        monkeypatch):
+    # a bool or a 0/1 keep, one mask or one per batch element, every row or
+    # a subset as queries, in either dtype: exp only ever sees finite values
+    seen = []
+    exp = np.exp
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.isneginf(a).any())
+        return exp(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    keep = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1]], dtype=kind)
+    if stacked:
+        keep = np.stack([keep, keep.T])[:, None]
+    eye = [Tensor(np.eye(4, dtype=dtype)) for _ in range(4)]
+    x = Tensor((rng.normal(size=(2, 4, 4)) * 50.0).astype(dtype))
+    y = T.attention(x, *eye, 1, rows=rows, keep=keep)
+    assert seen == [False]
+    assert y.data.dtype == dtype and np.all(np.isfinite(y.data))
+
+
 def test_masked_softmax_raises_on_a_slice_masked_entirely(rng):
     keep = np.ones((2, 1, 4, 4))
     keep[1, 0, 2] = 0.0  # row 2 of batch element 1 attends to nothing
