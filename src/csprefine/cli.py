@@ -70,9 +70,13 @@ def _from_args(fn, **kwargs):
 
 
 def _config_hash(args: argparse.Namespace) -> str:
-    blob = json.dumps({k: str(v) for k, v in vars(args).items() if k != "func"},
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    """Hash of the arguments and of the bytes of the ``--weights`` and
+    ``--dataset`` files, so a file rewritten in place gives a new hash."""
+    config = {k: str(v) for k, v in vars(args).items() if k != "func"}
+    for key in ("weights", "dataset"):
+        if key in config:
+            config[f"{key}_sha256"] = hashlib.sha256(Path(config[key]).read_bytes()).hexdigest()
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def _int_at_least(low: int, what: str):
@@ -110,7 +114,23 @@ def _model_config(args) -> ModelConfig:
 # generate
 
 
+# the flags that each problem reads, with their defaults; any other is a usage error
+_PROBLEM_FLAGS = {
+    "coloring": {"n": 50, "fixed_k": None, "pose_at_greedy": False},
+    "nurse": {"days": 10, "shifts": 3, "per_shift": 3, "nurses": 10},
+    "maxcut": {"n": 50},
+}
+
+
 def cmd_generate(args) -> int:
+    own = _PROBLEM_FLAGS[args.problem]
+    given = {k for flags in _PROBLEM_FLAGS.values() for k in flags if hasattr(args, k)}
+    stray = sorted(given - own.keys())
+    if stray:
+        names = ", ".join("--" + k.replace("_", "-") for k in stray)
+        raise UsageError(f"--problem {args.problem} does not read {names}")
+    for key, default in own.items():
+        vars(args).setdefault(key, default)
     if args.problem == "coloring":
         instances, manifest = gen_coloring_dataset(
             args.count, args.n, args.seed,
@@ -224,9 +244,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    instances = _load_dataset(args)
     chash = _config_hash(args)
     if args.kind == "greedy":
-        instances = _load_dataset(args)
         for idx, inst in enumerate(instances):
             cc = inst.compiled
             colors, k_greedy = greedy_coloring(inst.n, zip(cc.edge_i.tolist(), cc.edge_k.tolist()))
@@ -237,7 +257,6 @@ def cmd_baseline(args) -> int:
                    "seed": args.seed, "config": chash}
             print(json.dumps(rec, sort_keys=True))
         return EXIT_OK
-    instances = _load_dataset(args)
     for idx, inst in enumerate(instances):
         counts = _from_args(direct_sgd_counts, inst=inst, runs=args.runs, steps=args.steps,
                             lr=args.lr, seed=args.seed + idx)
@@ -354,15 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="csprefine")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="generate a dataset")
+    # a problem flag that is not given stays out of the namespace; cmd_generate
+    # fills in the defaults of _PROBLEM_FLAGS
+    g = sub.add_parser("generate", help="generate a dataset", argument_default=argparse.SUPPRESS)
     g.add_argument("--problem", required=True, choices=["coloring", "nurse", "maxcut"])
     g.add_argument("--count", type=_positive_int, required=True)
-    g.add_argument("--n", type=_graph_size, default=50, help="vertex count (coloring/maxcut)")
-    g.add_argument("--days", type=_positive_int, default=10)
-    g.add_argument("--shifts", type=_positive_int, default=3)
-    g.add_argument("--per-shift", type=_positive_int, default=3)
-    g.add_argument("--nurses", type=_positive_int, default=10)
-    g.add_argument("--fixed-k", type=int, default=None)
+    g.add_argument("--n", type=_graph_size, help="vertex count (coloring/maxcut)")
+    g.add_argument("--days", type=_positive_int)
+    g.add_argument("--shifts", type=_positive_int)
+    g.add_argument("--per-shift", type=_positive_int)
+    g.add_argument("--nurses", type=_positive_int)
+    g.add_argument("--fixed-k", type=int)
     g.add_argument("--pose-at-greedy", action="store_true")
     g.add_argument("--seed", type=_non_negative_int, default=0)
     g.add_argument("--out", required=True)

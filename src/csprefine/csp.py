@@ -185,53 +185,35 @@ def total_violation(inst: CspInstance, values) -> int:
 # Compiled form
 
 
-def _freeze(obj) -> None:
-    """Make every array field of ``obj`` read-only."""
-    for value in vars(obj).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class Scopes:
-    """The constraints of one scope kind: ``rows[r, i]`` counts how often
-    variable i occurs in the scope of constraint ``index[r]``."""
-
-    rows: np.ndarray  # (C, n) float
-    index: np.ndarray  # (C,) int, positions in inst.constraints
-
-    def __post_init__(self):
-        _freeze(self)
-
-
 @dataclass(frozen=True)
 class CompiledCsp:
     """One instance as arrays: the fixed variables, the not-equal edge list
-    and, per scope kind, membership rows. The penalty, the discrete checker,
-    the cut objective, training batches, the attention graph and the
-    samplers all read this form. Every array is read-only: the form is
-    cached on the instance and shared by all of its users."""
+    and, per scope kind, membership rows: ``rows[r, i]`` counts how often
+    variable i occurs in the r-th scope of that kind. The penalty, the
+    discrete checker, the cut objective, training batches, the attention
+    graph and the samplers all read this form. Every array is read-only:
+    the form is cached on the instance and shared by all of its users."""
 
     fixed_mask: np.ndarray  # (n,) bool
     fixed_values: np.ndarray  # (n,) int, 0 where the variable is free
     edge_i: np.ndarray  # (E,) int
     edge_k: np.ndarray  # (E,) int
     edge_w: np.ndarray  # (E,) float
-    edge_index: np.ndarray  # (E,) int, positions in inst.constraints
-    exact: Scopes  # AllDifferentExact
-    atmost: Scopes  # AllDifferentAtMostOnce
-    card: Scopes  # Cardinality
+    exact: np.ndarray  # (C, n) float, AllDifferentExact scopes
+    atmost: np.ndarray  # (C, n) float, AllDifferentAtMostOnce scopes
+    card: np.ndarray  # (C, n) float, Cardinality scopes
     card_value: np.ndarray  # (C,) int
     card_count: np.ndarray  # (C,) float
 
     def __post_init__(self):
-        _freeze(self)
+        for array in vars(self).values():
+            array.setflags(write=False)
 
     def adjacency(self) -> np.ndarray:
         """(n, n) bool: i and j share a scope or a not-equal edge; every
         variable is adjacent to itself. Built on each call, so the cached
         form stays an edge list plus scope rows."""
-        rows = np.concatenate([self.exact.rows, self.atmost.rows, self.card.rows])
+        rows = np.concatenate([self.exact, self.atmost, self.card])
         adj = rows.T @ rows > 0
         adj[self.edge_i, self.edge_k] = True
         adj[self.edge_k, self.edge_i] = True
@@ -239,45 +221,43 @@ class CompiledCsp:
         return adj
 
 
-def _scopes(inst: CspInstance, index: list[int]) -> Scopes:
-    rows = np.zeros((len(index), inst.n))
-    if index:
-        scopes = [inst.constraints[j].scope for j in index]
+def _scope_rows(n: int, scopes: list[tuple[int, ...]]) -> np.ndarray:
+    rows = np.zeros((len(scopes), n))
+    if scopes:
         sizes = np.fromiter(map(len, scopes), np.int64, len(scopes))
         members = np.fromiter(chain.from_iterable(scopes), np.int64, int(sizes.sum()))
         np.add.at(rows, (np.repeat(np.arange(len(scopes)), sizes), members), 1.0)
-    return Scopes(rows, np.array(index, dtype=np.int64))
+    return rows
 
 
 def compile_csp(inst: CspInstance) -> CompiledCsp:
-    edges: list[tuple[int, int, float, int]] = []
-    exact: list[int] = []
-    atmost: list[int] = []
-    card: list[int] = []
-    for idx, c in enumerate(inst.constraints):
+    edges: list[tuple[int, int, float]] = []
+    exact: list[tuple[int, ...]] = []
+    atmost: list[tuple[int, ...]] = []
+    card: list[Cardinality] = []
+    for c in inst.constraints:
         if isinstance(c, NotEqual):
-            edges.append((c.i, c.k, c.weight, idx))
+            edges.append((c.i, c.k, c.weight))
         elif isinstance(c, AllDifferentExact):
-            exact.append(idx)
+            exact.append(c.scope)
         elif isinstance(c, AllDifferentAtMostOnce):
-            atmost.append(idx)
+            atmost.append(c.scope)
         elif isinstance(c, Cardinality):
-            card.append(idx)
+            card.append(c)
         else:
             raise TypeError(f"cannot compile constraint {type(c).__name__}")
-    e = np.array(edges, dtype=np.float64).reshape(-1, 4)  # indices are exact in float64
+    e = np.array(edges, dtype=np.float64).reshape(-1, 3)  # indices are exact in float64
     return CompiledCsp(
         fixed_mask=np.array([v is not None for v in inst.fixed], dtype=bool),
         fixed_values=np.array([0 if v is None else v for v in inst.fixed], dtype=np.int64),
         edge_i=e[:, 0].astype(np.int64),
         edge_k=e[:, 1].astype(np.int64),
         edge_w=e[:, 2].copy(),
-        edge_index=e[:, 3].astype(np.int64),
-        exact=_scopes(inst, exact),
-        atmost=_scopes(inst, atmost),
-        card=_scopes(inst, card),
-        card_value=np.array([inst.constraints[j].value for j in card], dtype=np.int64),
-        card_count=np.array([inst.constraints[j].count for j in card], dtype=np.float64),
+        exact=_scope_rows(inst.n, exact),
+        atmost=_scope_rows(inst.n, atmost),
+        card=_scope_rows(inst.n, [c.scope for c in card]),
+        card_value=np.array([c.value for c in card], dtype=np.int64),
+        card_count=np.array([c.count for c in card], dtype=np.float64),
     )
 
 

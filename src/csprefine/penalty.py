@@ -3,8 +3,9 @@
 Each variable is relaxed to a probability row over the domain; a penalty is
 a differentiable non-negative function of those rows that is zero on one-hot
 inputs exactly when the discrete constraint holds. The loss over an instance
-is ``sum_i lambda_i * f(p_i)`` with f quadratic by default (identity for
-maximization instances, so edge weights keep their sign).
+is ``sum_i f(p_i)``, every constraint weighing the same, with f quadratic by
+default (identity for maximization instances, so edge weights keep their
+sign).
 
 ``LossProgram`` evaluates the loss from the instance's compiled form
 (``CspInstance.compiled``) over arbitrary leading batch dimensions; the
@@ -31,15 +32,9 @@ from .tensor import ShapeMismatch, Tensor
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Per-constraint weights and the penalty transform f."""
+    """The penalty transform f."""
 
-    lambdas: tuple[float, ...] | None = None  # None: all 1.0
     transform: str = "quadratic"  # or "identity"
-
-    def weight(self, idx: int) -> float:
-        if self.lambdas is None:
-            return 1.0
-        return self.lambdas[idx]
 
 
 def default_loss_config(inst: CspInstance) -> LossConfig:
@@ -156,44 +151,43 @@ class LossProgram:
     """Vectorized penalty evaluator over an instance's compiled form.
 
     Accepts relaxed assignments of shape ``(..., n, m)`` and returns the
-    per-sample loss with shape equal to the leading dimensions. The lambdas,
-    and each edge's weight under f, are folded into per-constraint
-    coefficients, so the whole evaluation is a handful of tensor ops: a
-    gather over the not-equal edge list and one membership matmul per scope
-    kind. :meth:`stack` gives each sample of a batch its own instance.
+    per-sample loss with shape equal to the leading dimensions. Each edge's
+    weight under f is folded into a per-edge coefficient, so the whole
+    evaluation is a handful of tensor ops: a gather over the not-equal edge
+    list and one membership matmul per scope kind. Each scope group ends in
+    a row weight: 1 for each of the instance's scope rows, 0 for the
+    padding that :meth:`stack` adds when it gives each sample of a batch its
+    own instance.
     """
 
     def __init__(self, inst: CspInstance, cfg: LossConfig | None = None):
-        cfg = cfg or default_loss_config(inst)
-        if cfg.lambdas is not None and len(cfg.lambdas) != len(inst.constraints):
-            raise ValueError(
-                f"{len(cfg.lambdas)} lambdas for {len(inst.constraints)} constraints"
-            )
-        self.cfg = cfg
+        self.cfg = cfg or default_loss_config(inst)
         self.n, self.m = inst.n, inst.m
         cc = inst.compiled
-        lam = np.ones(len(inst.constraints)) if cfg.lambdas is None \
-            else np.asarray(cfg.lambdas, dtype=np.float64)
-        # f applies to w * dot(x_i, x_k), so lambda*w^2 (quadratic) or
-        # lambda*w (identity) folds in front of f(dot)
-        w = cc.edge_w**2 if cfg.transform == "quadratic" else cc.edge_w
+        # f applies to w * dot(x_i, x_k), so w^2 (quadratic) or w (identity)
+        # folds in front of f(dot)
         self.edge_i, self.edge_k = cc.edge_i, cc.edge_k
-        self.edge_coeff = lam[cc.edge_index] * w
-        self.exact = (cc.exact.rows, lam[cc.exact.index])
-        self.atmost = (cc.atmost.rows, lam[cc.atmost.index])
-        self.card = (
-            cc.card.rows, one_hot(cc.card_value, inst.m), cc.card_count, lam[cc.card.index],
-        )
+        self.edge_coeff = cc.edge_w**2 if self.cfg.transform == "quadratic" else cc.edge_w
+        self.exact = (cc.exact, np.ones(len(cc.exact)))
+        self.atmost = (cc.atmost, np.ones(len(cc.atmost)))
+        self.card = (cc.card, one_hot(cc.card_value, inst.m), cc.card_count, np.ones(len(cc.card)))
 
     @classmethod
     def stack(cls, programs) -> "LossProgram":
         """One program whose arrays carry a leading sample axis: sample b of
         a ``(B, n, m)`` input is scored against ``programs[b]``.
 
-        The programs must share n, m and the transform. Shorter edge lists
-        and scope groups are padded with zero-weight entries.
+        The programs must share n, m and the transform (ValueError
+        otherwise). Shorter edge lists and scope groups are padded with
+        zero-weight entries.
         """
         first = programs[0]
+        for p in programs[1:]:
+            if (p.n, p.m, p.cfg.transform) != (first.n, first.m, first.cfg.transform):
+                raise ValueError(
+                    f"cannot stack a program over (n={p.n}, m={p.m}, {p.cfg.transform}) "
+                    f"with one over (n={first.n}, m={first.m}, {first.cfg.transform})"
+                )
         out = cls.__new__(cls)
         out.cfg, out.n, out.m = first.cfg, first.n, first.m
         out.edge_i, out.edge_k, out.edge_coeff = (
@@ -221,11 +215,11 @@ class LossProgram:
 
         for group, pen in ((self.exact, _exact_pen), (self.atmost, _atmost_pen),
                            (self.card, _card_pen)):
-            mat, lam = group[0], group[-1]
+            mat, row_w = group[0], group[-1]
             if mat.shape[-2]:
                 colsum = T.matmul(Tensor(mat.astype(dt, copy=False)), rel)  # (..., C, m)
                 p = pen(colsum, *group[1:-1])
-                total = total + (_apply_f(p, f) * Tensor(lam.astype(dt, copy=False))).sum(axis=-1)
+                total = total + (_apply_f(p, f) * Tensor(row_w.astype(dt, copy=False))).sum(axis=-1)
 
         if self.edge_coeff.shape[-1]:
             dots = (self._edge_rows(rel, self.edge_i) * self._edge_rows(rel, self.edge_k)).sum(axis=-1)

@@ -71,7 +71,7 @@ class ViolationChecker:
         self.m = inst.m
         self.cc = cc = inst.compiled
         # both alldifferent variants count surplus occupancy per value
-        self.member = np.concatenate([cc.exact.rows, cc.atmost.rows])
+        self.member = np.concatenate([cc.exact, cc.atmost])
 
     def total(self, values: np.ndarray) -> np.ndarray:
         """Sum of violation degrees; values is (B, n), result (B,)."""
@@ -84,7 +84,7 @@ class ViolationChecker:
                 counts = np.matmul(self.member, hot)  # (B, C, m)
                 out += np.maximum(counts - 1.0, 0.0).sum(axis=(1, 2))
             if len(cc.card_value):
-                got = np.matmul(cc.card.rows, hot)[:, np.arange(len(cc.card_value)), cc.card_value]
+                got = np.matmul(cc.card, hot)[:, np.arange(len(cc.card_value)), cc.card_value]
                 out += np.abs(cc.card_count - got).sum(axis=1)
         return out
 

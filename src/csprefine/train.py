@@ -6,9 +6,10 @@ takes one AdamW step. No multi-step unrolling: the model only ever sees a
 single improvement step during training.
 
 Each batch groups its instances by structure (index tuples, which fix n)
-and runs one stacked forward per group, with the group's compiled
-constraints stacked along the batch axis into one loss program. A training
-set may therefore mix sizes, but not domain sizes.
+and by penalty transform, and runs one stacked forward per group, with the
+group's compiled constraints stacked along the batch axis into one loss
+program. A training set may therefore mix sizes and kinds, but not domain
+sizes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .model import (
     init_weights,
     select_subset,
 )
-from .penalty import LossConfig, LossProgram, default_loss_config, one_hot
+from .penalty import LossConfig, LossProgram
 from .tensor import NumericError, Tape, Tensor, backward, no_grad
 
 
@@ -113,23 +114,13 @@ class AdamW:
 
 
 # ---------------------------------------------------------------------------
-# Assignment sampling and relaxation
+# Assignment sampling
 
 
 def random_assignment(inst: CspInstance, rng: np.random.Generator) -> np.ndarray:
     """Uniform values on non-fixed variables, givens kept."""
     cc = inst.compiled
     return np.where(cc.fixed_mask, cc.fixed_values, rng.integers(0, inst.m, size=inst.n))
-
-
-def assemble_relaxed(values: np.ndarray, selected: np.ndarray, yhat: Tensor) -> Tensor:
-    """Soft rows for selected variables, exact one-hot rows elsewhere, in
-    ``yhat``'s dtype: the relaxed assignment that ``forward`` returns,
-    written out of elementwise ops as its reference."""
-    m, dt = yhat.shape[-1], yhat.data.dtype
-    sel = Tensor(selected[..., None].astype(dt))
-    hard = Tensor(one_hot(values, m).astype(dt, copy=False))
-    return sel * yhat + (1.0 - sel) * hard
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +143,9 @@ def prepare(instances, mcfg: ModelConfig, loss_cfg: LossConfig | None = None):
 
 def _collate(bundles):
     """Batched (ctx, loss program) for bundles that share index tuples, and
-    so n and the positional table. Each sample keeps its own attention
-    mask, stacked to (B, 1, n, n), and its own compiled constraints."""
+    so n and the positional table, and the penalty transform. Each sample
+    keeps its own attention mask, stacked to (B, 1, n, n), and its own
+    compiled constraints."""
     ctx = InstanceContext(bundles[0].ctx.ape, np.stack([b.ctx.keep for b in bundles])[:, None])
     return ctx, LossProgram.stack([b.program for b in bundles])
 
@@ -166,15 +158,16 @@ def _batch_loss(weights, bundles, rng, training=True):
     """Forward one batch inside the active tape; returns the mean loss.
 
     Assignments and subsets are drawn in batch order; then each group of
-    instances that share index tuples runs one stacked forward, in order of
-    first appearance.
+    instances that share index tuples and penalty transform runs one
+    stacked forward, in order of first appearance.
     """
     values = [random_assignment(b.inst, rng) for b in bundles]
     selected = [select_subset(b.inst.compiled.fixed_mask, weights.config.select_p, rng)
                 for b in bundles]
     groups: dict[tuple, list] = {}
-    for row in zip(bundles, values, selected):
-        groups.setdefault(row[0].inst.index_tuples, []).append(row)
+    for b, vals, sel in zip(bundles, values, selected):
+        key = (b.inst.index_tuples, b.program.cfg.transform)
+        groups.setdefault(key, []).append((b, vals, sel))
     parts = []
     for rows in groups.values():
         group, vals, sel = zip(*rows)
@@ -236,8 +229,8 @@ def train(
     """Train a refiner on a list of instances, from ``weights`` or, with
     ``weights=None``, from float32 weights drawn from the training rng
     (``default_rng(tcfg.seed)``). The optimizer starts with zero moments,
-    and every instance is scored with the first instance's default loss
-    config.
+    and each instance is scored under its own mode: the quadratic transform
+    for satisfaction, the identity for maximization.
 
     After each epoch the weights are scored on the pinned probe batch
     (:func:`_probe_loss`); the best weights are those with the lowest
@@ -250,7 +243,7 @@ def train(
     for inst in instances:
         weights.check_domain(inst)
     opt = AdamW(weights, tcfg)
-    bundles = prepare(instances, mcfg, default_loss_config(instances[0]))
+    bundles = prepare(instances, mcfg)
     history: list[float] = []
     best = {k: p.data.copy() for k, p in weights.named_parameters()}
     best_loss = float("inf")

@@ -9,6 +9,7 @@ import csprefine.tensor as T
 from csprefine.csp import AllDifferentExact, CspInstance, build_sudoku
 from csprefine.data import gen_coloring_dataset
 from csprefine.model import ModelConfig, forward, gumbel_noise, select_subset
+from csprefine.penalty import one_hot
 from csprefine.tensor import Tensor
 from csprefine.train import random_assignment
 
@@ -65,6 +66,16 @@ def tiny_config(**kw) -> ModelConfig:
     )
     base.update(kw)
     return ModelConfig(**base)
+
+
+def assemble_relaxed(values: np.ndarray, selected: np.ndarray, yhat: Tensor) -> Tensor:
+    """Soft rows for selected variables, exact one-hot rows elsewhere, in
+    ``yhat``'s dtype: the relaxed assignment that ``forward`` returns,
+    written out of elementwise ops as its reference."""
+    m, dt = yhat.shape[-1], yhat.data.dtype
+    sel = Tensor(selected[..., None].astype(dt))
+    hard = Tensor(one_hot(values, m).astype(dt, copy=False))
+    return sel * yhat + (1.0 - sel) * hard
 
 
 # The fused ops written out of elementwise ops: the references that

@@ -59,8 +59,8 @@ from csprefine.solve import (
     multi_start,
 )
 from csprefine.tensor import Tensor, grad_check
-from csprefine.train import TrainConfig, assemble_relaxed, random_assignment, train
-from conftest import sudoku_puzzle, tiny_config, toy_alldiff
+from csprefine.train import TrainConfig, random_assignment, train
+from conftest import assemble_relaxed, sudoku_puzzle, tiny_config, toy_alldiff
 
 
 def test_criterion_01_penalty_golden_values():

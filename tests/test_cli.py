@@ -59,6 +59,47 @@ def test_generate_nurse_and_maxcut(tmp_path):
     assert all(i.mode == "maximization" for i in insts)
 
 
+def test_generate_rejects_a_flag_its_problem_never_reads(tmp_path, capsys):
+    out = tmp_path / "gen"
+    rc = main(["generate", "--problem", "nurse", "--count", "1", "--n", "5", "--fixed-k", "3",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --problem nurse does not read --fixed-k, --n\n"
+    assert not out.exists()
+    # a problem's own flags keep their documented defaults
+    for problem, n in (("nurse", 10 * 3 * 3), ("maxcut", 50), ("coloring", 50)):
+        assert main(["generate", "--problem", problem, "--count", "1",
+                     "--out", str(out / problem)]) == EXIT_OK
+        assert load_instances(out / problem / "instances.jsonl")[0].n == n
+
+
+def _solve_config(weights, dataset, capsys) -> str:
+    capsys.readouterr()
+    assert main(["solve", "--weights", str(weights), "--dataset", str(dataset),
+                 "--iters", "1"]) == EXIT_OK
+    return json.loads(capsys.readouterr().out.splitlines()[-1])["config"]
+
+
+def test_config_hash_follows_the_input_file_bytes(tmp_path, capsys):
+    dataset = _generate_coloring(tmp_path, count=2, n=5)
+    cfg = ModelConfig(layers=1, heads=1, d_model=4, ape_mode="none", ffn_mult=1)
+    path = tmp_path / "model.bin"
+    configs = []
+    for seed in (0, 1, 0):  # retrained in place, then restored
+        save_weights(init_weights(cfg, 3, np.random.default_rng(seed)), path)
+        configs.append(_solve_config(path, dataset, capsys))
+    assert configs[0] != configs[1]
+    assert configs[0] == configs[2]
+    # the baselines hash their dataset's bytes
+    hashes = []
+    for seed in (0, 1):
+        _generate_coloring(tmp_path, count=2, n=5, seed=seed)
+        capsys.readouterr()
+        assert main(["baseline", "--kind", "greedy", "--dataset", str(dataset)]) == EXIT_OK
+        hashes.append(json.loads(capsys.readouterr().out.splitlines()[-1])["config"])
+    assert hashes[0] != hashes[1]
+
+
 def _train_tiny(tmp_path, dataset, out_name="model.bin", extra=()):
     out = tmp_path / out_name
     rc = main([
@@ -417,6 +458,12 @@ def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_p
     ["generate", "--problem", "nurse", "--count", "1", "--shifts", "0"],
     ["generate", "--problem", "nurse", "--count", "1", "--per-shift", "-1"],
     ["generate", "--problem", "nurse", "--count", "1", "--nurses", "0"],
+    ["generate", "--problem", "nurse", "--count", "1", "--fixed-k=0"],
+    ["generate", "--problem", "maxcut", "--count", "1", "--fixed-k=-1"],
+    ["generate", "--problem", "coloring", "--count", "1", "--days", "3"],
+    ["generate", "--problem", "nurse", "--count", "1", "--n", "5"],
+    ["generate", "--problem", "maxcut", "--count", "1", "--pose-at-greedy"],
+    ["generate", "--problem", "maxcut", "--count", "1", "--nurses", "4"],
 ], ids=["solve-no-budget", "solve-zero-iters", "solve-nan-time", "train-zero-batch",
         "train-heads-d-model", "train-nan-tau", "train-dropout-one", "train-nan-lr",
         "train-inf-weight-decay", "train-nan-grad-clip", "train-zero-grad-clip",
@@ -426,7 +473,9 @@ def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_p
         "generate-negative-seed", "generate-coloring-zero-n", "generate-coloring-negative-n",
         "generate-coloring-one-vertex", "generate-maxcut-zero-n", "generate-nurse-zero-days",
         "generate-nurse-zero-shifts", "generate-nurse-negative-per-shift",
-        "generate-nurse-zero-nurses"])
+        "generate-nurse-zero-nurses", "generate-nurse-fixed-k", "generate-maxcut-fixed-k",
+        "generate-coloring-days", "generate-nurse-n", "generate-maxcut-pose-at-greedy",
+        "generate-maxcut-nurses"])
 def test_rejected_configuration_is_a_usage_error(tmp_path, capsys, argv):
     dataset = _generate_coloring(tmp_path, count=2, n=5)
     out = tmp_path / "model.bin"

@@ -89,7 +89,7 @@ def test_validate_assignment_keeps_givens():
 def test_compiled_arrays_are_read_only():
     inst = build_sudoku([0, 3] + [0] * 79)
     cc = inst.compiled
-    for arr in (cc.fixed_mask, cc.fixed_values, cc.edge_i, cc.exact.rows, cc.card_value):
+    for arr in (cc.fixed_mask, cc.fixed_values, cc.edge_i, cc.exact, cc.card_value):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     # the adjacency is computed per call and belongs to the caller

@@ -99,10 +99,9 @@ def _mixed_instance():
 
 def _naive_loss(inst, rel, cfg):
     total = 0.0
-    for idx, c in enumerate(inst.constraints):
+    for c in inst.constraints:
         p = constraint_penalty(c, rel).item()
-        lam = cfg.weight(idx)
-        total += lam * (p * p if cfg.transform == "quadratic" else p)
+        total += p * p if cfg.transform == "quadratic" else p
     return total
 
 
@@ -116,22 +115,6 @@ def test_compiled_loss_matches_naive_sum(transform, rng):
         got = program.loss(rel).item()
         want = _naive_loss(inst, rel, cfg)
         assert np.isclose(got, want, atol=1e-12), (got, want)
-
-
-def test_compiled_loss_respects_lambdas(rng):
-    inst = _mixed_instance()
-    cfg = LossConfig(lambdas=(2.0, 0.5, 3.0, 1.5, 0.25))
-    program = LossProgram(inst, cfg)
-    rel = Tensor(rng.uniform(0.0, 1.0, size=(inst.n, inst.m)))
-    assert np.isclose(program.loss(rel).item(), _naive_loss(inst, rel, cfg))
-
-
-def test_lambdas_must_match_the_constraint_count():
-    inst = build_graph_coloring(3, [(0, 1), (1, 2)], 2)
-    LossProgram(inst, LossConfig(lambdas=(1.0, 2.0)))
-    for lambdas in ((1.0, 2.0, 5.0), (1.0,)):
-        with pytest.raises(ValueError, match=f"{len(lambdas)} lambdas for 2 constraints"):
-            LossProgram(inst, LossConfig(lambdas=lambdas))
 
 
 def test_loss_rejects_rows_of_another_shape():
@@ -169,6 +152,19 @@ def test_batched_loss_matches_per_sample(rng):
     for b in range(4):
         single = program.loss(Tensor(batch.data[b])).item()
         assert np.isclose(out.data[b], single)
+
+
+def test_stack_rejects_programs_that_differ():
+    coloring = LossProgram(build_graph_coloring(4, [(0, 1)], 2))
+    others = [
+        LossProgram(build_maxcut(4, [(0, 1, -2.0)])),  # another transform
+        LossProgram(build_graph_coloring(5, [(0, 1)], 2)),  # another n
+        LossProgram(build_graph_coloring(4, [(0, 1)], 3)),  # another m
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="cannot stack"):
+            LossProgram.stack([coloring, other])
+    LossProgram.stack([coloring, LossProgram(build_graph_coloring(4, [(2, 3)], 2))])
 
 
 def test_loss_zero_iff_feasible_one_hot():

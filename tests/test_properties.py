@@ -1,7 +1,7 @@
 """Property tests: the compiled, batched forms of each semantic against the
 reference per-constraint forms, on random small instances of every
 constraint kind (duplicates and repeated scope entries included), random
-fixed variables, random lambdas and both transforms; matmul's gradients
+fixed variables and both transforms; matmul's gradients
 against an einsum reference; the fused tensor ops against their composed
 forms; and the graph generator and greedy coloring
 against their numpy forms; the weight file round trip; float32 against float64;
@@ -51,9 +51,10 @@ from csprefine.model import (
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, greedy_coloring, instance_cut_value
 from csprefine.tensor import Tape, Tensor, attention, backward, layer_norm, linear, matmul
-from csprefine.train import _batch_loss, _collate, assemble_relaxed, prepare, random_assignment
+from csprefine.train import _batch_loss, _collate, prepare, random_assignment
 from conftest import (
     COMPOSED_OPS,
+    assemble_relaxed,
     dense_reference_forward,
     replayed_mean_loss,
     sudoku_puzzle,
@@ -101,11 +102,8 @@ def with_fixed(draw, inst: CspInstance):
     return CspInstance(inst.n, inst.m, inst.index_tuples, inst.constraints, tuple(fixed))
 
 
-@st.composite
-def loss_configs(draw, count: int):
-    lambdas = draw(st.none() | st.lists(st.floats(0.1, 3.0), min_size=count, max_size=count))
-    transform = draw(st.sampled_from(["quadratic", "identity"]))
-    return LossConfig(None if lambdas is None else tuple(lambdas), transform)
+def loss_configs():
+    return st.sampled_from(["quadratic", "identity"]).map(LossConfig)
 
 
 def _relaxed(seed: int, shape) -> np.ndarray:
@@ -115,15 +113,15 @@ def _relaxed(seed: int, shape) -> np.ndarray:
 
 def _reference_loss(inst, cfg, rel: Tensor) -> Tensor:
     total = Tensor(0.0)
-    for idx, c in enumerate(inst.constraints):
+    for c in inst.constraints:
         p = constraint_penalty(c, rel)
-        total = total + cfg.weight(idx) * (p * p if cfg.transform == "quadratic" else p)
+        total = total + (p * p if cfg.transform == "quadratic" else p)
     return total
 
 
 @given(st.data(), instances(), st.integers(0, 2**32 - 1))
 def test_compiled_loss_matches_reference(data, inst, seed):
-    cfg = data.draw(loss_configs(len(inst.constraints)))
+    cfg = data.draw(loss_configs())
     program = LossProgram(inst, cfg)
     rel = _relaxed(seed, (2, inst.n, inst.m))
     batched = program.loss(Tensor(rel)).data
@@ -144,10 +142,7 @@ def test_compiled_loss_matches_reference(data, inst, seed):
 def test_stacked_loss_matches_each_instance(data, n, m, seed):
     insts = data.draw(st.lists(instances(n, m), min_size=1, max_size=4))
     transform = data.draw(st.sampled_from(["quadratic", "identity"]))
-    programs = [
-        LossProgram(inst, LossConfig(data.draw(loss_configs(len(inst.constraints))).lambdas, transform))
-        for inst in insts
-    ]
+    programs = [LossProgram(inst, LossConfig(transform)) for inst in insts]
     rel = _relaxed(seed, (len(insts), n, m))
     got = LossProgram.stack(programs).loss(Tensor(rel)).data
     want = [p.loss(Tensor(r)).item() for p, r in zip(programs, rel)]
@@ -581,9 +576,10 @@ def _tiny_run(command: str, tmp: str, data) -> list[str]:
         save_weights(init_weights(cfg, 3, np.random.default_rng(0)), weights)
         return ["--weights", str(weights), "--dataset", str(dataset), "--iters", "1"]
     if command == "generate":
-        return ["--problem", data.draw(st.sampled_from(["coloring", "nurse", "maxcut"])),
-                "--count", "1", "--n", "5", "--days", "1", "--shifts", "1", "--per-shift", "1",
-                "--nurses", "2", "--out", str(Path(tmp, "gen"))]
+        problem = data.draw(st.sampled_from(["coloring", "nurse", "maxcut"]))
+        sizes = {"nurse": ["--days", "1", "--shifts", "1", "--per-shift", "1", "--nurses", "2"]}
+        return ["--problem", problem, "--count", "1", *sizes.get(problem, ["--n", "5"]),
+                "--out", str(Path(tmp, "gen"))]
     return ["--kind", data.draw(st.sampled_from(["greedy", "direct-sgd"])),
             "--dataset", str(dataset), "--runs", "1", "--steps", "1"]
 

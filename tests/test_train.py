@@ -14,7 +14,7 @@ import pytest
 import csprefine
 import csprefine.tensor as T
 
-from csprefine.csp import AllDifferentExact, CspInstance, build_graph_coloring
+from csprefine.csp import AllDifferentExact, CspInstance, build_graph_coloring, build_maxcut
 from csprefine.data import gen_coloring_dataset
 from csprefine.model import DomainMismatch, ModelConfig, init_weights
 from csprefine.penalty import LossProgram, one_hot
@@ -25,13 +25,19 @@ from csprefine.train import (
     TrainConfig,
     _batch_loss,
     _collate,
-    assemble_relaxed,
     prepare,
     random_assignment,
     train,
     train_epoch,
 )
-from conftest import COMPOSED_OPS, replayed_mean_loss, sudoku_puzzle, tiny_config, toy_alldiff
+from conftest import (
+    COMPOSED_OPS,
+    assemble_relaxed,
+    replayed_mean_loss,
+    sudoku_puzzle,
+    tiny_config,
+    toy_alldiff,
+)
 
 
 def test_train_config_validation():
@@ -287,6 +293,18 @@ def test_batch_loss_mixes_kinds():
     with Tape():
         backward(_batch_loss(w, bundles, np.random.default_rng(5), training=False))
     assert all(np.all(np.isfinite(p.grad)) for _, p in w.named_parameters())
+
+
+def test_batch_loss_scores_each_instance_under_its_own_mode():
+    # a 2-coloring and a maxcut on the same 4 vertices share index tuples;
+    # the maxcut keeps its identity transform, and so the sign of its -2 edge
+    coloring = build_graph_coloring(4, [(0, 1), (1, 2), (2, 3)], 2)
+    maxcut = build_maxcut(4, [(0, 1, 1.0), (1, 2, -2.0), (2, 3, 1.0), (0, 3, 1.0)])
+    cfg = tiny_config(sampler="softmax")
+    w = init_weights(cfg, 2, np.random.default_rng(3), dtype=np.float64)
+    bundles = prepare([coloring, maxcut], cfg)
+    got = _batch_loss(w, bundles, np.random.default_rng(7), training=False)
+    assert np.isclose(got.item(), replayed_mean_loss(w, bundles, 7), rtol=0.0, atol=1e-12)
 
 
 def test_collate_stacks_mixed_kinds(rng):
