@@ -196,27 +196,45 @@ class InstanceContext:
 # Stochastic subset selection
 
 
-def select_subset(fixed_mask: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
+def select_subset(fixed_mask: np.ndarray, p: float, rng) -> np.ndarray:
     """Bernoulli(p) inclusion per non-fixed variable; (n,) bool.
 
     Redraws when nothing was selected but selectable variables exist: an
     empty step would be the identity and waste an iteration.
+
+    ``rng`` may be a list of generators instead of one: the result is then
+    (len(rng), n), row c being what ``rng[c]`` alone would give. Each draws
+    its first row, the test runs once on the stack, and only a row that
+    came out empty is redrawn, from its own generator.
     """
     free = ~fixed_mask
+    n = fixed_mask.shape[0]
+    if isinstance(rng, np.random.Generator):
+        if not free.any():
+            return np.zeros_like(fixed_mask)
+        while True:
+            sel = (rng.random(n) < p) & free
+            if sel.any():
+                return sel
     if not free.any():
-        return np.zeros_like(fixed_mask)
-    while True:
-        sel = (rng.random(fixed_mask.shape[0]) < p) & free
-        if sel.any():
-            return sel
+        return np.zeros((len(rng), n), dtype=bool)
+    sel = (np.stack([r.random(n) for r in rng]) < p) & free
+    for c in np.flatnonzero(~sel.any(axis=1)):
+        sel[c] = select_subset(fixed_mask, p, rng[c])
+    return sel
 
 
 # ---------------------------------------------------------------------------
 # Forward pass
 
 
-def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
-    u = rng.random(shape)
+def gumbel_noise(rng, shape) -> np.ndarray:
+    """Standard Gumbel noise of ``shape`` from ``rng``, or, for a list of
+    generators, (len(rng), *shape), one draw from each, transformed at once."""
+    if isinstance(rng, np.random.Generator):
+        u = rng.random(shape)
+    else:
+        u = np.stack([r.random(shape) for r in rng])
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
 

@@ -194,12 +194,9 @@ def multi_start(
             break
         if budget.time_limit_ms is not None and (time.perf_counter() - t0) * 1000.0 >= budget.time_limit_ms:
             break
-        selected = np.stack(
-            [select_subset(fixed_mask, weights.config.select_p, rng) for rng in rngs]
-        )
-        noise = None
-        if gumbel:
-            noise = np.stack([gumbel_noise(rng, (inst.n, inst.m)) for rng in rngs])
+        # every candidate's subset, then its noise, from its own rng
+        selected = select_subset(fixed_mask, weights.config.select_p, rngs)
+        noise = gumbel_noise(rngs, (inst.n, inst.m)) if gumbel else None
         yhat = forward(weights, ctx, values, selected, training=False, noise=noise)
         values = apply_update(values, selected, yhat)
         rounds += 1

@@ -31,6 +31,19 @@ tape produced, keep their gradients. The first input handed ``g`` or a
 view of it owns that memory without a copy; a second holder of the same
 memory, or a read-only array, gets a copy.
 
+The gradient that :func:`softmax` hands back is floored: entries below
+``tiny / eps`` of the dtype in magnitude (2^-103 in float32) become exact
+zeros. A low-temperature softmax head saturates, and numpy does not flush
+subnormals to zero, so without the floor its backward would fill every op
+upstream of it with subnormal gradients, which x86 cores compute on in
+microcode, many times slower. An entry below the floor is less than half
+an ulp of any value of at least ``2 tiny / eps**2`` (2^-79 in float32), so
+it cannot change a sum that holds a gradient which trains anything; an
+entry at or above it stays normal after a multiplication by any factor of
+at least ``eps``. Every loss gradient enters the model through its head
+softmax, so this one floor keeps subnormals out of the backward of every
+``linear``, ``gelu``, ``layer_norm`` and ``attention`` op upstream of it.
+
 Subgradient choices are deterministic: ``abs'(0) = 0`` and ``relu'(0) = 0``.
 """
 
@@ -367,7 +380,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
     if not training or rate <= 0.0:
         return a
     shape = a.shape if rows is None else (a.shape[0], n, *a.shape[2:])
-    keep = np.where(rng.random(shape) >= rate, 1 / a.data.dtype.type(1.0 - rate), 0)  # a's dtype
+    keep = (rng.random(shape) >= rate) * (1 / a.data.dtype.type(1.0 - rate))  # a's dtype
     if rows is not None:
         keep = _take_rows(keep, rows)
     out = Tensor(a.data * keep)
@@ -530,13 +543,29 @@ def _softmax(x: np.ndarray, axis: int = -1, keep: np.ndarray | None = None,
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis``; -inf entries become exact zeros with a zero
-    gradient. Raises :class:`NumericError` when a whole slice is -inf."""
+    gradient. Raises :class:`NumericError` when a whole slice is -inf.
+
+    The backward ``y * (g - dot)`` sets every entry below ``tiny / eps``
+    of the dtype in magnitude (2^-103 in float32, 2^-970 in float64) to
+    exactly zero. A saturated row, as a low-temperature head gives, would
+    otherwise hand back subnormals, and normals so small that one more
+    multiplication makes them subnormal; every backward op that reads a
+    subnormal runs slowly. An entry below the floor is less than half an ulp
+    of any value of at least ``2 tiny / eps**2`` (2^-79 in float32), so it
+    cannot change a sum that holds a gradient which trains anything; an
+    entry at or above it stays normal after a multiplication by any factor
+    of at least ``eps``.
+    """
     y = _softmax(a.data, axis)
     out = Tensor(y)
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        gx = g - dot
+        gx *= y
+        fi = np.finfo(gx.dtype)
+        gx[np.abs(gx) < fi.tiny / fi.eps] = 0
+        return (gx,)
 
     return _record(out, (a,), bwd)
 

@@ -66,3 +66,31 @@ def test_float32_step_and_solve_stay_float32(workload, rpe_mode, gradients):
         multi_start(w, insts[0], 10, Budget(max_iterations=2), seed=3)
     assert len(tape.ops) > 0
     assert _tape_dtypes(tape) == {F32}
+
+
+def test_saturated_head_hands_back_no_subnormal_gradient():
+    # a float32 tau = 0.1 step whose head saturates (the set-up output weights
+    # scaled up): the gradient out of softmax has no nonzero entry below
+    # tiny / eps, and no gradient that reaches linear's backward is subnormal
+    cfg = ModelConfig(rpe_mode="masked", **WORKLOADS["coloring20"])
+    insts = workload_instances("coloring20", 8)
+    w = init_weights(cfg, insts[0].m, np.random.default_rng(0))
+    w["w_out"].data *= 10
+    seen = {"softmax": [], "linear": []}
+    with Tape() as tape:
+        loss = _batch_loss(w, prepare(insts, cfg), np.random.default_rng(1))
+        for i, (out, inputs, bwd) in enumerate(tape.ops):
+            op = bwd.__qualname__.split(".")[0]
+            if op in seen:
+                def recording(g, bwd=bwd, op=op):
+                    grads = bwd(g)
+                    seen[op].append(grads[0] if op == "softmax" else g)
+                    return grads
+                tape.ops[i] = (out, inputs, recording)
+        backward(loss)
+    fi = np.finfo(np.float32)
+    (head,) = seen["softmax"]
+    assert head.dtype == np.float32 and np.all((head == 0) | (np.abs(head) >= fi.tiny / fi.eps))
+    assert len(seen["linear"]) == 2 * cfg.layers + 1
+    for g in seen["linear"]:
+        assert np.all((g == 0) | (np.abs(g) >= fi.tiny))

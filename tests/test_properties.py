@@ -3,10 +3,11 @@ reference per-constraint forms, on random small instances of every
 constraint kind (duplicates and repeated scope entries included), random
 fixed variables and both transforms; matmul's gradients
 against an einsum reference; the fused tensor ops against their composed
-forms; and the graph generator and greedy coloring
+forms; softmax's floored backward against the plain form; a pool's subset
+and noise draws against each candidate's own; and the graph generator and greedy coloring
 against their numpy forms; the weight file round trip; float32 against float64;
 ``solve`` on damaged dataset files; and the CLI's numeric flags at non-finite,
-negative and zero values."""
+negative and zero values, and ``generate``'s at their smallest legal values."""
 
 import contextlib
 import io
@@ -21,6 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csprefine import cli
 from csprefine.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from csprefine.csp import (
     AllDifferentAtMostOnce,
@@ -45,12 +47,22 @@ from csprefine.model import (
     ModelConfig,
     apply_update,
     forward,
+    gumbel_noise,
     init_weights,
     select_subset,
 )
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, greedy_coloring, instance_cut_value
-from csprefine.tensor import Tape, Tensor, attention, backward, layer_norm, linear, matmul
+from csprefine.tensor import (
+    Tape,
+    Tensor,
+    attention,
+    backward,
+    layer_norm,
+    linear,
+    matmul,
+    softmax,
+)
 from csprefine.train import _batch_loss, _collate, prepare, random_assignment
 from conftest import (
     COMPOSED_OPS,
@@ -261,6 +273,44 @@ def test_fused_ops_match_their_composed_references(name, batch, k, f, seed):
     fused = {"layer_norm": layer_norm, "linear": linear}[name]
     g = rng.normal(size=fused(Tensor(x), *map(Tensor, consts)).shape)
     _assert_same_values_and_gradients(fused, COMPOSED_OPS[name], [x, *consts], g)
+
+
+@given(st.sampled_from([np.float32, np.float64]), st.integers(1, 4), st.integers(2, 6),
+       st.floats(0.0, 1000.0), st.integers(-60, 60), st.integers(0, 2**32 - 1))
+def test_softmax_backward_is_the_plain_form_floored(dtype, rows, m, spread, g_exp, seed):
+    # y * (g - dot) exactly where its magnitude reaches tiny / eps, exactly 0 below
+    rng = np.random.default_rng(seed)
+    x = Tensor((rng.normal(size=(rows, m)) * spread).astype(dtype), requires_grad=True)
+    g = np.ldexp(rng.normal(size=(rows, m)), g_exp).astype(dtype)
+    with Tape():
+        y = softmax(x)
+        backward((y * Tensor(g)).sum())
+    y = y.data
+    plain = y * (g - (g * y).sum(axis=-1, keepdims=True))
+    fi = np.finfo(dtype)
+    kept = np.abs(plain) >= fi.tiny / fi.eps
+    assert x.grad.dtype == dtype
+    assert np.array_equal(x.grad[kept], plain[kept])
+    assert np.all(x.grad[~kept] == 0.0)
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=20), st.integers(1, 12), st.integers(2, 5),
+       st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+def test_pool_draws_equal_the_per_candidate_draws(fixed, pool, m, p, seed):
+    # select_subset and gumbel_noise on a list of generators: each row is what
+    # that generator alone gives, drawn subset first, and each generator ends
+    # in the same state
+    fixed = np.array(fixed)
+    n = len(fixed)
+    pooled = [np.random.default_rng([seed, c]) for c in range(pool)]
+    alone = [np.random.default_rng([seed, c]) for c in range(pool)]
+    sel = select_subset(fixed, p, pooled)
+    noise = gumbel_noise(pooled, (n, m))
+    for c, rng in enumerate(alone):
+        assert np.array_equal(sel[c], select_subset(fixed, p, rng))
+        assert np.array_equal(noise[c], gumbel_noise(rng, (n, m)))
+    assert sel.shape == (pool, n) and noise.shape == (pool, n, m)
+    assert [r.random() for r in pooled] == [r.random() for r in alone]
 
 
 def _assert_same_values_and_gradients(op, ref, args, g):
@@ -549,19 +599,22 @@ def test_solve_on_a_damaged_dataset_exits_0_or_3(fmt, data):
 # The numeric flags of each subcommand. Each run starts from arguments that
 # make a tiny valid run and appends the drawn flags as ``--flag=value``, so
 # they override the start and a value such as -inf is never read as a flag.
+# ``generate`` draws from --count, --seed and the sampled problem's own flags.
 _INT_FLAGS = {
     "train": ["--batch-size", "--epochs", "--seed", "--layers", "--heads", "--d-model"],
     "solve": ["--iters", "--pool", "--seed"],
-    "generate": ["--count", "--n", "--days", "--shifts", "--per-shift", "--nurses", "--fixed-k",
-                 "--seed"],
     "baseline": ["--runs", "--steps", "--seed"],
 }
 _FLOAT_FLAGS = {
     "train": ["--lr", "--weight-decay", "--grad-clip", "--p", "--tau", "--dropout"],
     "solve": ["--time-ms"],
-    "generate": [],
     "baseline": ["--lr"],
 }
+# the smallest value that argparse takes for each flag of ``generate``; for
+# --fixed-k, the smallest k that a coloring can be posed at
+_SMALLEST = {"--count": "1", "--seed": "0", "--n": "2", "--days": "1", "--shifts": "1",
+             "--per-shift": "1", "--nurses": "1", "--fixed-k": "1"}
+_GENERATORS = ("gen_coloring_dataset", "gen_nurse_dataset", "gen_maxcut_dataset")
 
 
 def _tiny_run(command: str, tmp: str, data) -> list[str]:
@@ -584,25 +637,57 @@ def _tiny_run(command: str, tmp: str, data) -> list[str]:
             "--dataset", str(dataset), "--runs", "1", "--steps", "1"]
 
 
-@pytest.mark.parametrize("command", sorted(_INT_FLAGS))
-@given(data=st.data())
-def test_cli_numeric_flags_give_only_documented_exit_codes(command, data):
+def _flag_values(command: str, argv: list[str]) -> dict[str, list[str]]:
+    """The numeric flags that a run of ``command`` with ``argv`` reads, each
+    with the values to draw: -1 and 0 for an integer, and nan, inf and -inf
+    as well for a float."""
+    if command == "generate":
+        own = cli._PROBLEM_FLAGS[argv[argv.index("--problem") + 1]]
+        return {f: ["-1", "0"] for f in ["--count", "--seed"] + [
+            "--" + k.replace("_", "-") for k, default in own.items() if default is not False]}
+    return ({f: ["-1", "0"] for f in _INT_FLAGS[command]}
+            | {f: ["-1", "0", "nan", "inf", "-inf"] for f in _FLOAT_FLAGS[command]})
+
+
+@pytest.mark.parametrize("command", ["baseline", "generate", "solve", "train"])
+def test_cli_numeric_flags_give_only_documented_exit_codes(command, monkeypatch):
     # non-finite, negative and zero values through any of a subcommand's
     # numeric flags: an exit code from the CLI's list and never an exception.
-    # An integer flag gets only -1 or 0, so no case allocates at scale.
-    flags = data.draw(st.lists(st.sampled_from(_INT_FLAGS[command] + _FLOAT_FLAGS[command]),
-                               min_size=1, max_size=3, unique=True), label="flags")
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = [command] + _tiny_run(command, tmp, data)
-        for flag in flags:
-            values = ["-1", "0"]
-            if flag in _FLOAT_FLAGS[command]:
-                values += ["nan", "inf", "-inf"]
-            argv.append(f"{flag}={data.draw(st.sampled_from(values), label=flag)}")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse rejects the value
-                rc = exc.code
-    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERIC), (argv, err.getvalue())
+    # An integer flag gets only -1, 0 or, for ``generate``, its smallest
+    # legal value, so no case allocates at scale. At least a third of the
+    # ``generate`` examples must reach a generator, counted through wrappers.
+    calls = []
+    for name in _GENERATORS:
+        def counted(*args, _real=getattr(cli, name), **kwargs):
+            calls.append(None)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    reached = []
+
+    @given(data=st.data())
+    def run(data):
+        before = len(calls)
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command] + _tiny_run(command, tmp, data)
+            choices = _flag_values(command, argv)
+            flags = data.draw(st.lists(st.sampled_from(list(choices)), min_size=1, max_size=3,
+                                       unique=True), label="flags")
+            # a generate example either draws each flag's value or takes every
+            # flag at its smallest legal value, so that it reaches a generator
+            drawn = command != "generate" or data.draw(st.booleans(), label="drawn values")
+            for flag in flags:
+                value = data.draw(st.sampled_from(choices[flag]), label=flag) if drawn \
+                    else _SMALLEST[flag]
+                argv.append(f"{flag}={value}")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # argparse rejects the value
+                    rc = exc.code
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERIC), (argv, err.getvalue())
+        reached.append(len(calls) > before)
+
+    run()
+    if command == "generate":
+        assert 3 * sum(reached) >= len(reached), f"{sum(reached)} of {len(reached)} examples"

@@ -485,6 +485,26 @@ def test_dropout_deterministic_given_seed():
     assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [None, np.array([[2, 0], [1, 3]])])
+def test_dropout_matches_the_where_form(dtype, rows):
+    # the mask as (draw >= rate) * scale is the np.where(draw >= rate, scale, 0) mask
+    rate = 0.3
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 4 if rows is None else 2, 3)).astype(dtype),
+               requires_grad=True)
+    g = np.random.default_rng(1).normal(size=x.shape).astype(dtype)
+    u = np.random.default_rng(2).random((2, 4, 3))
+    keep = np.where(u >= rate, 1 / x.data.dtype.type(1.0 - rate), 0)
+    if rows is not None:
+        keep = keep[np.arange(2)[:, None], rows]
+    with Tape():
+        y = T.dropout(x, rate, np.random.default_rng(2), training=True, rows=rows, n=4)
+        backward((y * Tensor(g)).sum())
+    assert y.data.dtype == dtype and x.grad.dtype == dtype
+    assert np.array_equal(y.data, x.data * keep)
+    assert np.array_equal(x.grad, g * keep)
+
+
 def test_abs_subgradient_zero_at_kink():
     x = Tensor(np.array([0.0, -2.0, 2.0]), requires_grad=True)
     with Tape():
