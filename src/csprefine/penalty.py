@@ -139,11 +139,11 @@ def _card_pen(colsum: Tensor, sel: np.ndarray, counts: np.ndarray) -> Tensor:
 
 
 def _pad_stack(arrays) -> np.ndarray:
-    """Stack along a new leading axis, zero-padding axis 0 to the longest."""
-    first = arrays[0]
-    out = np.zeros((len(arrays), max(len(a) for a in arrays)) + first.shape[1:], first.dtype)
-    for b, a in enumerate(arrays):
-        out[b, : len(a)] = a
+    """Stack along a new leading axis, zero-padding axis 0 to the longest:
+    the arrays, concatenated, fill the rows that the lengths mark."""
+    lens = np.array([len(a) for a in arrays])
+    out = np.zeros((len(arrays), lens.max()) + arrays[0].shape[1:], arrays[0].dtype)
+    out[np.arange(lens.max()) < lens[:, None]] = np.concatenate(arrays)
     return out
 
 

@@ -44,6 +44,12 @@ at least ``eps``. Every loss gradient enters the model through its head
 softmax, so this one floor keeps subnormals out of the backward of every
 ``linear``, ``gelu``, ``layer_norm`` and ``attention`` op upstream of it.
 
+Every row scatter-add in a backward (:func:`gather_rows`, :func:`take_rows`,
+the query rows of :func:`attention`) is one ``np.add.at`` on the flat
+indices ``rows * w + arange(w)`` of the target viewed as 1-D, w its row
+width: numpy's fast 1-D loop, not its slow general one for a row index.
+Both add in index order, so each sum is the row form's, bit for bit.
+
 Subgradient choices are deterministic: ``abs'(0) = 0`` and ``relu'(0) = 0``.
 """
 
@@ -467,11 +473,19 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     out = Tensor(table.data[idx])
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, *table.shape[1:]))
+        gt = np.zeros(table.shape, table.data.dtype)
+        _scatter_add(gt, idx, g)
         return (gt,)
 
     return _record(out, (table,), bwd)
+
+
+def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``target[rows[i]] += values[i]`` for every i, in index order, into a
+    C-contiguous ``target``: the flat form of the module docstring."""
+    w = math.prod(target.shape[1:])
+    flat = (np.asarray(rows, dtype=np.int64).reshape(-1, 1) * w + np.arange(w)).reshape(-1)
+    np.add.at(target.reshape(-1, copy=False), flat, values.reshape(-1))
 
 
 def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -487,8 +501,9 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     out = Tensor(_take_rows(a.data, rows))
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (np.arange(a.shape[0])[:, None], rows), g)
+        B, n = a.shape[:2]
+        ga = np.zeros(a.shape, a.data.dtype)
+        _scatter_add(ga.reshape(B * n, *a.shape[2:]), np.arange(B)[:, None] * n + rows, g)
         return (ga,)
 
     return _record(out, (a,), bwd)
@@ -720,9 +735,10 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
         d_proj = d_proj.reshape(B * n, -1)
         gx = None
         if x.requires_grad:
-            gx = (d_proj @ w_cat.T).reshape(B, n, d)
+            gx = d_proj @ w_cat.T
             if rows is not None:
-                np.add.at(gx, (np.arange(B)[:, None], rows), (dq2 @ wq.data.T).reshape(B, S, d))
+                _scatter_add(gx, np.arange(B)[:, None] * n + rows, dq2 @ wq.data.T)
+            gx = gx.reshape(B, n, d)
         gw = [None] * len(full_w)
         if any(w.requires_grad for w in full_w):
             gw_cat = x2.T @ d_proj

@@ -33,7 +33,9 @@ def full_sudoku_grid() -> np.ndarray:
 
 
 def sudoku_puzzle(missing: int, seed: int):
-    """Blank ``missing`` random cells of the full grid."""
+    """Blank ``missing`` random cells of the full grid. Every puzzle is a
+    blanking of that one grid, so all of them share one solution; only the
+    benchmark's workloads draw random grids."""
     grid = full_sudoku_grid()
     rng = np.random.default_rng(seed)
     blank = rng.choice(81, size=missing, replace=False)
@@ -126,6 +128,25 @@ def composed_attention(x, wq, wk, wv, wo, heads, rows=None, keep=None, offset=No
 
 COMPOSED_OPS = {"layer_norm": composed_layer_norm, "linear": composed_linear,
                 "attention": composed_attention}
+
+
+# The row and loop forms that faster code replaced: the references whose
+# results it must equal byte for byte.
+
+
+def row_scatter_add(target, rows, values):
+    """``tensor._scatter_add`` as the row form it replaced: one
+    ``np.add.at`` with ``rows`` as an index into axis 0 of ``target``."""
+    np.add.at(target, np.asarray(rows).reshape(-1), values.reshape(-1, *target.shape[1:]))
+
+
+def loop_pad_stack(arrays):
+    """``penalty._pad_stack`` as the per-sample loop it replaced."""
+    first = arrays[0]
+    out = np.zeros((len(arrays), max(len(a) for a in arrays)) + first.shape[1:], first.dtype)
+    for b, a in enumerate(arrays):
+        out[b, : len(a)] = a
+    return out
 
 
 def dense_reference_forward(w, ctx, values, selected, rng=None, training=False, noise=None):

@@ -3,7 +3,10 @@ reference per-constraint forms, on random small instances of every
 constraint kind (duplicates and repeated scope entries included), random
 fixed variables and both transforms; matmul's gradients
 against an einsum reference; the fused tensor ops against their composed
-forms; softmax's floored backward against the plain form; a pool's subset
+forms; softmax's floored backward against the plain form; the flat row
+scatter-adds of the gather, take and attention backwards against the
+``np.add.at`` row form, and ``LossProgram.stack`` against the per-sample
+loop, byte for byte; a pool's subset
 and noise draws against each candidate's own; and the graph generator and greedy coloring
 against their numpy forms; the weight file round trip; float32 against float64;
 ``solve`` on damaged dataset files; and the CLI's numeric flags at non-finite,
@@ -53,22 +56,27 @@ from csprefine.model import (
 )
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
 from csprefine.solve import ViolationChecker, cut_value, greedy_coloring, instance_cut_value
+import csprefine.tensor as T
 from csprefine.tensor import (
     Tape,
     Tensor,
     attention,
     backward,
+    gather_rows,
     layer_norm,
     linear,
     matmul,
     softmax,
+    take_rows,
 )
 from csprefine.train import _batch_loss, _collate, prepare, random_assignment
 from conftest import (
     COMPOSED_OPS,
     assemble_relaxed,
     dense_reference_forward,
+    loop_pad_stack,
     replayed_mean_loss,
+    row_scatter_add,
     sudoku_puzzle,
     tiny_config,
     toy_alldiff,
@@ -159,6 +167,27 @@ def test_stacked_loss_matches_each_instance(data, n, m, seed):
     got = LossProgram.stack(programs).loss(Tensor(rel)).data
     want = [p.loss(Tensor(r)).item() for p, r in zip(programs, rel)]
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@given(st.data(), st.integers(2, 6), st.integers(2, 4), st.booleans())
+def test_stack_arrays_equal_the_loop_form(data, n, m, with_empty):
+    # the mix may hold a program with no edges and no scope rows at all
+    insts = data.draw(st.lists(instances(n, m), min_size=1, max_size=4))
+    if with_empty:
+        insts.insert(data.draw(st.integers(0, len(insts))),
+                     CspInstance(n, m, tuple((i,) for i in range(n)), (), (None,) * n))
+    cfg = data.draw(loss_configs())
+    programs = [LossProgram(inst, cfg) for inst in insts]
+    stacked = LossProgram.stack(programs)
+    got = [stacked.edge_i, stacked.edge_k, stacked.edge_coeff,
+           *stacked.exact, *stacked.atmost, *stacked.card]
+    want = [loop_pad_stack([getattr(p, a) for p in programs])
+            for a in ("edge_i", "edge_k", "edge_coeff")]
+    for kind in ("exact", "atmost", "card"):
+        want += [loop_pad_stack(arrays) for arrays in zip(*(getattr(p, kind) for p in programs))]
+    assert len(got) == len(want) == 11
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
 
 
 @given(instances(), st.integers(0, 2**32 - 1))
@@ -292,6 +321,60 @@ def test_softmax_backward_is_the_plain_form_floored(dtype, rows, m, spread, g_ex
     assert x.grad.dtype == dtype
     assert np.array_equal(x.grad[kept], plain[kept])
     assert np.all(x.grad[~kept] == 0.0)
+
+
+def _backward_bytes(op, args, g_seed, rows_form: bool):
+    """The gradients ``op(*args)`` hands back for an output gradient whose
+    entries spread over 60 binades (so that a change in summation order
+    shows), with the row scatters in the flat form or, with ``rows_form``,
+    in the row form they replaced."""
+    inputs = [Tensor(a, requires_grad=True) for a in args]
+    with pytest.MonkeyPatch.context() as mp:
+        if rows_form:
+            mp.setattr(T, "_scatter_add", row_scatter_add)
+        with Tape() as tape:
+            out = op(*inputs)
+        rng = np.random.default_rng(g_seed)
+        g = np.ldexp(rng.normal(size=out.shape), rng.integers(-30, 30, size=out.shape))
+        grads = tape.ops[-1][2](g.astype(out.data.dtype))
+    return [(x.dtype, x.shape, x.tobytes()) for x in grads if x is not None]
+
+
+def _assert_scatter_forms_agree(op, args, g_seed):
+    assert (_backward_bytes(op, args, g_seed, rows_form=False)
+            == _backward_bytes(op, args, g_seed, rows_form=True))
+
+
+@given(st.sampled_from([np.float32, np.float64]), st.integers(1, 5),
+       st.lists(st.integers(1, 3), max_size=2), st.data(), st.integers(0, 2**32 - 1))
+def test_gather_rows_backward_equals_the_row_form(dtype, rows, width, data, seed):
+    # 1-, 2- and 3-D tables, one-column ones included; empty and repeated indices
+    index_shape = data.draw(st.lists(st.integers(0, 4), max_size=2))
+    idx = np.random.default_rng(seed).integers(0, rows, size=index_shape)
+    table = np.random.default_rng(seed).normal(size=(rows, *width)).astype(dtype)
+    _assert_scatter_forms_agree(lambda t: gather_rows(t, idx), [table], seed)
+
+
+@given(st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.integers(1, 5),
+       st.integers(0, 6), st.lists(st.integers(1, 3), max_size=2), st.integers(0, 2**32 - 1))
+def test_take_rows_backward_equals_the_row_form(dtype, batch, n, s, width, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n, size=(batch, s))
+    a = rng.normal(size=(batch, n, *width)).astype(dtype)
+    _assert_scatter_forms_agree(lambda t: take_rows(t, rows), [a], seed)
+
+
+@given(st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.integers(1, 5),
+       st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_attention_rows_backward_equals_the_row_form(dtype, batch, n, heads, s, seed):
+    # every batch element asks for one query row twice
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n, size=(batch, s + 1))
+    rows[:, -1] = rows[:, 0]
+    d = 2 * heads
+    args = [rng.normal(size=(batch, n, d))] + [rng.normal(size=(d, d)) for _ in range(4)]
+    _assert_scatter_forms_agree(lambda *t: attention(*t, heads, rows=rows),
+                                [a.astype(dtype) for a in args], seed)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=20), st.integers(1, 12), st.integers(2, 5),
