@@ -466,10 +466,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     ``indices.shape + table.shape[1:]``. This is the embedding lookup.
     """
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(
-            f"gather_rows: index out of range for table with {table.shape[0]} rows"
-        )
+    _check_rows("gather_rows", idx, table.shape[0])
     out = Tensor(table.data[idx])
 
     def bwd(g):
@@ -483,9 +480,18 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """``target[rows[i]] += values[i]`` for every i, in index order, into a
     C-contiguous ``target``: the flat form of the module docstring."""
+    if not target.flags.c_contiguous:  # reshape(-1) would scatter into a copy
+        raise ValueError("_scatter_add: target must be C-contiguous")
     w = math.prod(target.shape[1:])
     flat = (np.asarray(rows, dtype=np.int64).reshape(-1, 1) * w + np.arange(w)).reshape(-1)
-    np.add.at(target.reshape(-1, copy=False), flat, values.reshape(-1))
+    np.add.at(target.reshape(-1), flat, values.reshape(-1))
+
+
+def _check_rows(op: str, rows: np.ndarray, n: int) -> None:
+    """Raise IndexError unless every entry of ``rows`` is in [0, n): numpy
+    wraps a negative row in the forward, the flat backward scatter would not."""
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise IndexError(f"{op}: row index out of range for {n} rows")
 
 
 def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -495,9 +501,10 @@ def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     """Row ``rows[b, s]`` of batch element b of ``a`` (B, n, ...), for a
-    (B, S) integer array ``rows``: (B, S, ...). Backward scatter-adds, so a
-    row taken twice gets both gradients."""
+    (B, S) integer array ``rows`` in [0, n): (B, S, ...). Backward
+    scatter-adds, so a row taken twice gets both gradients."""
     rows = np.asarray(rows)
+    _check_rows("take_rows", rows, a.shape[1])
     out = Tensor(_take_rows(a.data, rows))
 
     def bwd(g):
@@ -646,10 +653,10 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
     (B, n, d), as one op: per head, ``A = softmax(Q Kᵀ / sqrt(d / heads))``,
     then ``A V`` with the heads merged and projected by ``wo`` (d, d).
 
-    ``rows``, a (B, S) integer array, picks the query rows: output row s of
-    batch element b is the attention of row ``rows[b, s]``, so the output is
-    (B, S, d). ``None`` means every row in order (S = n). K and V always come
-    from all n rows. Q, K and V are one GEMM of ``x`` against
+    ``rows``, a (B, S) integer array in [0, n), picks the query rows: output
+    row s of batch element b is the attention of row ``rows[b, s]``, so the
+    output is (B, S, d). ``None`` means every row in order (S = n). K and
+    V always come from all n rows. Q, K and V are one GEMM of ``x`` against
     ``[wq|wk|wv]``; with ``rows``, Q is a GEMM of the query rows alone.
 
     ``keep``, a bool (or 0/1) array (n, n), or (B, 1, n, n) for one per
@@ -683,6 +690,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
         xq2, S = x2, n
     else:  # Q from the query rows only
         rows = np.asarray(rows)
+        _check_rows("attention", rows, n)
         full_w = (wk, wv)
         S = rows.shape[1]
         xq2 = _take_rows(x.data, rows).reshape(B * S, d)

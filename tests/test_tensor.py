@@ -353,6 +353,24 @@ def test_gather_rows_out_of_range():
         T.gather_rows(table, np.array([3]))
 
 
+@pytest.mark.parametrize("row", [-1, 3])
+def test_row_ops_reject_rows_out_of_range(row):
+    # numpy would wrap a negative row in the forward; the flat scatter of the
+    # backward would then add its gradient to the previous batch element
+    x = Tensor(np.zeros((2, 3, 4)))
+    rows = np.array([[0, 1], [2, row]])
+    with pytest.raises(IndexError):
+        T.take_rows(x, rows)
+    with pytest.raises(IndexError):
+        T.attention(x, *[Tensor(np.eye(4)) for _ in range(4)], 1, rows=rows)
+
+
+def test_scatter_add_refuses_a_target_it_would_copy():
+    target = np.zeros((4, 3))[:, :2]
+    with pytest.raises(ValueError):
+        T._scatter_add(target, np.array([0]), np.ones((1, 2)))
+
+
 def test_softmax_rows_sum_to_one(rng):
     x = Tensor(rng.normal(size=(4, 6)))
     y = T.softmax(x, axis=-1)
