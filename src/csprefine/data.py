@@ -30,7 +30,7 @@ from .csp import (
     build_nurse_rostering,
     build_sudoku,
 )
-from .model import ModelConfig, ModelWeights
+from .model import ModelConfig, ModelWeights, param_shapes
 from .solve import greedy_coloring
 from .tensor import NumericError, Tensor
 
@@ -443,7 +443,8 @@ def save_weights(weights: ModelWeights, path) -> None:
 
 def load_weights(path) -> ModelWeights:
     """Read a weight file of version 1 (float64) or 2 (the dtype its header
-    names); the tensors come back in that dtype."""
+    names); the tensors come back in that dtype. The header's tensor table
+    must name exactly the parameters, and shapes, of its model config."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise DataError(f"{path}: not a weight file (bad magic)")
@@ -463,8 +464,13 @@ def load_weights(path) -> ModelWeights:
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             # not UTF-8, not JSON, a missing or unknown key, or a rejected config
             raise DataError(f"{path}: bad header: {exc!r}") from None
+        if type(domain_size) is not int or domain_size < 1:
+            raise DataError(f"{path}: bad header: domain size {domain_size!r}")
+        expected = param_shapes(config, domain_size)
+        if shapes != expected:
+            raise DataError(f"{path}: the tensor table does not match the header's model")
         params: dict[str, Tensor] = {}
-        for name, shape in sorted(shapes.items()):
+        for name, shape in sorted(expected.items()):
             size = (int(np.prod(shape)) if shape else 1) * block.itemsize
             raw = fh.read(size)
             if len(raw) != size:

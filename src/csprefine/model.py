@@ -23,8 +23,8 @@ from .csp import CspInstance
 from .penalty import one_hot
 from .tensor import NumericError, Tensor
 
-RPE_MODES = ("masked", "learned", "none")
-APE_MODES = ("none", "1d", "multi")
+RPE_MODES = ("masked", "learned")
+APE_MODES = ("none", "multi")
 SAMPLERS = ("gumbel", "softmax")
 
 
@@ -42,7 +42,10 @@ class ModelConfig:
     ffn_mult: int = 4
 
     def __post_init__(self):
-        if min(self.layers, self.heads, self.d_model, self.ffn_mult) < 1:
+        sizes = (self.layers, self.heads, self.d_model, self.ffn_mult)
+        if not all(type(v) is int for v in sizes):
+            raise ValueError("layers, heads, d_model and ffn_mult must be integers")
+        if min(sizes) < 1:
             raise ValueError("layers, heads, d_model and ffn_mult must be positive")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.heads} heads")
@@ -69,13 +72,13 @@ class ArityMismatch(ValueError):
 
 
 def ape_table(inst: CspInstance, cfg: ModelConfig) -> np.ndarray:
-    """(n, d_model) positional table for one instance, per cfg.ape_mode: each
-    of the k index dimensions ("1d": the variable number, "multi": the index
-    tuple) gets a d_model/k wide interleaved sin/cos encoding."""
+    """(n, d_model) positional table for one instance: zeros for
+    ``ape_mode="none"``; for "multi", each of the k dimensions of the index
+    tuple gets a d_model/k wide interleaved sin/cos encoding."""
     d = cfg.d_model
     if cfg.ape_mode == "none":
         return np.zeros((inst.n, d))
-    idx = np.arange(inst.n)[:, None] if cfg.ape_mode == "1d" else np.array(inst.index_tuples)
+    idx = np.array(inst.index_tuples)
     n, k = idx.shape
     if d % k != 0:
         raise ArityMismatch(f"d_model {d} not divisible by index arity {k}")
@@ -134,42 +137,43 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def param_shapes(config: ModelConfig, domain_size: int) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every parameter of ``config`` at
+    ``domain_size``, in the order that ``init_weights`` draws them."""
+    d = config.d_model
+    ff = config.ffn_mult * d
+    m = domain_size
+    shapes = {"embed": (m, d), "select_embed": (d,), "alpha": (), "beta": (), "gamma": (),
+              "w_out": (d, m), "b_out": (m,), "lnf.g": (d,), "lnf.b": (d,)}
+    if config.rpe_mode == "learned":
+        shapes["rpe_theta"] = ()
+    for l in range(config.layers):
+        shapes |= {f"l{l}.ln1.g": (d,), f"l{l}.ln1.b": (d,),
+                   f"l{l}.wq": (d, d), f"l{l}.wk": (d, d), f"l{l}.wv": (d, d), f"l{l}.wo": (d, d),
+                   f"l{l}.ln2.g": (d,), f"l{l}.ln2.b": (d,),
+                   f"l{l}.w1": (d, ff), f"l{l}.b1": (ff,), f"l{l}.w2": (ff, d), f"l{l}.b2": (d,)}
+    return shapes
+
+
+def _init_value(name: str, shape: tuple[int, ...], rng: np.random.Generator):
+    if name in ("embed", "select_embed"):
+        return rng.normal(0.0, 0.02, size=shape)
+    if name == "rpe_theta":  # c = -softplus(theta); this value puts c near -1
+        return math.log(math.e - 1.0)
+    if not shape:  # the input mix: alpha, beta, gamma
+        return 1.0
+    if len(shape) == 2:
+        return _xavier(rng, *shape)
+    return np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+
+
 def init_weights(config: ModelConfig, domain_size: int, rng: np.random.Generator,
                  dtype=np.float32) -> ModelWeights:
     """Fresh parameters in ``dtype``: the float64 draws, cast once, so both
     dtypes start from the same values."""
-    d = config.d_model
-    ff = config.ffn_mult * d
-    m = domain_size
-    p = {
-        "embed": rng.normal(0.0, 0.02, size=(m, d)),
-        "select_embed": rng.normal(0.0, 0.02, size=(d,)),
-        "alpha": 1.0,
-        "beta": 1.0,
-        "gamma": 1.0,
-        "w_out": _xavier(rng, d, m),
-        "b_out": np.zeros(m),
-        "lnf.g": np.ones(d),
-        "lnf.b": np.zeros(d),
-    }
-    if config.rpe_mode == "learned":
-        # c = -softplus(theta); this value puts c near -1
-        p["rpe_theta"] = math.log(math.e - 1.0)
-    for l in range(config.layers):
-        p[f"l{l}.ln1.g"] = np.ones(d)
-        p[f"l{l}.ln1.b"] = np.zeros(d)
-        p[f"l{l}.wq"] = _xavier(rng, d, d)
-        p[f"l{l}.wk"] = _xavier(rng, d, d)
-        p[f"l{l}.wv"] = _xavier(rng, d, d)
-        p[f"l{l}.wo"] = _xavier(rng, d, d)
-        p[f"l{l}.ln2.g"] = np.ones(d)
-        p[f"l{l}.ln2.b"] = np.zeros(d)
-        p[f"l{l}.w1"] = _xavier(rng, d, ff)
-        p[f"l{l}.b1"] = np.zeros(ff)
-        p[f"l{l}.w2"] = _xavier(rng, ff, d)
-        p[f"l{l}.b2"] = np.zeros(d)
-    return ModelWeights(config, domain_size,
-                        {k: Tensor(np.asarray(v, dtype=dtype)) for k, v in p.items()})
+    return ModelWeights(config, domain_size, {
+        name: Tensor(np.asarray(_init_value(name, shape, rng), dtype=dtype))
+        for name, shape in param_shapes(config, domain_size).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +280,6 @@ def forward(
     ape = Tensor(ctx.ape.astype(dt, copy=False))
     h = w["alpha"] * emb + w["beta"] * ape + w["gamma"] * (sel * w["select_embed"])
 
-    keep = None if cfg.rpe_mode == "none" else ctx.keep
     offset = None
     if cfg.rpe_mode == "learned":
         offset = -T.log(1.0 + T.exp(w["rpe_theta"]))  # softplus keeps the offset <= 0
@@ -287,7 +290,7 @@ def forward(
         q_rows = rows if l == cfg.layers - 1 else None  # None: every row
         x = T.layer_norm(h, w[f"l{l}.ln1.g"], w[f"l{l}.ln1.b"])
         z = T.attention(x, w[f"l{l}.wq"], w[f"l{l}.wk"], w[f"l{l}.wv"], w[f"l{l}.wo"],
-                        cfg.heads, rows=q_rows, keep=keep, offset=offset)
+                        cfg.heads, ctx.keep, rows=q_rows, offset=offset)
         if q_rows is not None:
             h = T.take_rows(h, q_rows)
         if rng is not None:
@@ -302,17 +305,20 @@ def forward(
         h = h + x
 
     h = T.layer_norm(h, w["lnf.g"], w["lnf.b"])
-    out_logits = T.linear(h, w["w_out"], w["b_out"])  # (B, S, m)
+    # an overflow in the head, 1/tau's cast to the dtype included, is reported
+    # by the check below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_logits = T.linear(h, w["w_out"], w["b_out"])  # (B, S, m)
+        if cfg.sampler == "gumbel":
+            if noise is None:
+                if rng is None:
+                    raise ValueError("gumbel sampler needs an rng or explicit noise")
+                noise = gumbel_noise(rng, (B, n, m))
+            out_logits = out_logits + Tensor(noise[np.arange(B)[:, None], rows].astype(dt, copy=False))
+        out_logits = out_logits * (1.0 / cfg.tau)
     if not np.all(np.isfinite(out_logits.data)):
-        raise NumericError("non-finite output logits")
-
-    if cfg.sampler == "gumbel":
-        if noise is None:
-            if rng is None:
-                raise ValueError("gumbel sampler needs an rng or explicit noise")
-            noise = gumbel_noise(rng, (B, n, m))
-        out_logits = out_logits + Tensor(noise[np.arange(B)[:, None], rows].astype(dt, copy=False))
-    yhat = T.softmax(out_logits * (1.0 / cfg.tau), axis=-1)
+        raise NumericError(f"non-finite output logits at temperature {cfg.tau}")
+    yhat = T.softmax(out_logits, axis=-1)
     return T.put_rows(one_hot(values, m), rows, yhat, selected[np.arange(B)[:, None], rows])
 
 

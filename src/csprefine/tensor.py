@@ -647,7 +647,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: int,
-              rows: np.ndarray | None = None, keep: np.ndarray | None = None,
+              keep: np.ndarray, rows: np.ndarray | None = None,
               offset: Tensor | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention over the n rows of ``x``
     (B, n, d), as one op: per head, ``A = softmax(Q Kᵀ / sqrt(d / heads))``,
@@ -678,8 +678,6 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
     if (x.data.ndim != 3 or heads < 1 or d % heads
             or any(w.shape != (d, d) for w in (wq, wk, wv, wo))):
         raise ShapeMismatch("attention", x.shape, wq.shape, wk.shape, wv.shape, wo.shape)
-    if offset is not None and keep is None:
-        raise TensorError("attention: an offset applies where keep is 0, and keep is missing")
     B, n, _ = x.shape
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
@@ -702,18 +700,16 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
 
     logits = np.matmul(q, k.swapaxes(-1, -2))  # (B, heads, S, n)
     logits *= scale
-    nonedge = None
-    if keep is not None:
-        keep = np.asarray(keep)
-        try:
-            np.broadcast_to(keep, (B, 1, n, n))
-        except ValueError:
-            raise ShapeMismatch("attention", x.shape, keep.shape) from None
-        if rows is not None:  # (B, 1, S, n): the query rows
-            keep = _take_rows(np.broadcast_to(keep, (B, 1, n, n))[:, 0], rows)[:, None]
-        if offset is not None:
-            nonedge = 1.0 - np.asarray(keep, dtype=dt)
-            logits += offset.data * nonedge
+    keep = np.asarray(keep)
+    try:
+        np.broadcast_to(keep, (B, 1, n, n))
+    except ValueError:
+        raise ShapeMismatch("attention", x.shape, keep.shape) from None
+    if rows is not None:  # (B, 1, S, n): the query rows
+        keep = _take_rows(np.broadcast_to(keep, (B, 1, n, n))[:, 0], rows)[:, None]
+    if offset is not None:
+        nonedge = 1.0 - np.asarray(keep, dtype=dt)
+        logits += offset.data * nonedge
     a = _softmax(logits, -1, keep if offset is None else None, out=logits)  # in place
     z2 = np.empty((B * S, d), dtype=dt)  # A V with the heads merged, kept for d wo
     np.matmul(a, v, out=z2.reshape(B, S, heads, dh).transpose(0, 2, 1, 3))

@@ -100,11 +100,12 @@ def composed_linear(x, w, b):
 _softmax = T.softmax  # the op itself, before any test patches it
 
 
-def composed_attention(x, wq, wk, wv, wo, heads, rows=None, keep=None, offset=None):
+def composed_attention(x, wq, wk, wv, wo, heads, keep, rows=None, offset=None):
     """The attention block over every row, written out of elementwise ops:
-    three projections, each split into heads, the scaled logits, a -inf bias on masked entries (or ``offset`` on every entry
-    where ``keep`` is 0), the softmax, A V, the heads merged and the output
-    projection; then the rows of ``rows``, picked by a one-hot matmul."""
+    three projections, each split into heads, the scaled logits, a -inf
+    bias where ``keep`` is 0 (or ``offset`` there), the softmax, A V, the
+    heads merged and the output projection; then the rows of ``rows``,
+    picked by a one-hot matmul."""
     B, n, d = x.shape
     dh, dt = d // heads, x.data.dtype
 
@@ -113,9 +114,9 @@ def composed_attention(x, wq, wk, wv, wo, heads, rows=None, keep=None, offset=No
 
     q, k, v = split(x @ wq), split(x @ wk), split(x @ wv)
     logits = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    if keep is not None and offset is None:
+    if offset is None:
         logits = logits + Tensor(np.where(keep, 0.0, -np.inf).astype(dt))
-    elif keep is not None:
+    else:
         logits = logits + offset * Tensor((1.0 - keep).astype(dt))
     z = T.matmul(_softmax(logits, axis=-1), v)  # (B, heads, n, dh)
     z = T.transpose(z, (0, 2, 1, 3)).reshape(B, n, d) @ wo
@@ -160,12 +161,11 @@ def dense_reference_forward(w, ctx, values, selected, rng=None, training=False, 
     emb = T.gather_rows(w["embed"], values)
     ape = Tensor(ctx.ape.astype(dt, copy=False))
     h = w["alpha"] * emb + w["beta"] * ape + w["gamma"] * (sel * w["select_embed"])
-    keep = None if cfg.rpe_mode == "none" else ctx.keep
     offset = -T.log(1.0 + T.exp(w["rpe_theta"])) if cfg.rpe_mode == "learned" else None
     for l in range(cfg.layers):
         x = T.layer_norm(h, w[f"l{l}.ln1.g"], w[f"l{l}.ln1.b"])
         z = composed_attention(x, w[f"l{l}.wq"], w[f"l{l}.wk"], w[f"l{l}.wv"], w[f"l{l}.wo"],
-                               cfg.heads, keep=keep, offset=offset)
+                               cfg.heads, ctx.keep, offset=offset)
         z = T.dropout(z, cfg.dropout, rng, training) if rng is not None else z
         h = h + z
         x = T.layer_norm(h, w[f"l{l}.ln2.g"], w[f"l{l}.ln2.b"])

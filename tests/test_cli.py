@@ -464,6 +464,8 @@ def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_p
     ["generate", "--problem", "nurse", "--count", "1", "--n", "5"],
     ["generate", "--problem", "maxcut", "--count", "1", "--pose-at-greedy"],
     ["generate", "--problem", "maxcut", "--count", "1", "--nurses", "4"],
+    ["train", "--rpe", "none"],
+    ["train", "--ape", "1d"],
 ], ids=["solve-no-budget", "solve-zero-iters", "solve-nan-time", "train-zero-batch",
         "train-heads-d-model", "train-nan-tau", "train-dropout-one", "train-nan-lr",
         "train-inf-weight-decay", "train-nan-grad-clip", "train-zero-grad-clip",
@@ -475,7 +477,7 @@ def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_p
         "generate-nurse-zero-shifts", "generate-nurse-negative-per-shift",
         "generate-nurse-zero-nurses", "generate-nurse-fixed-k", "generate-maxcut-fixed-k",
         "generate-coloring-days", "generate-nurse-n", "generate-maxcut-pose-at-greedy",
-        "generate-maxcut-nurses"])
+        "generate-maxcut-nurses", "train-rpe-none", "train-ape-1d"])
 def test_rejected_configuration_is_a_usage_error(tmp_path, capsys, argv):
     dataset = _generate_coloring(tmp_path, count=2, n=5)
     out = tmp_path / "model.bin"
@@ -588,3 +590,70 @@ def test_every_malformed_weights_file_is_an_io_error(tmp_path, capsys):
         assert err.startswith("error: "), err
     rc = main(["solve", "--weights", str(good), "--dataset", str(dataset), "--iters", "1"])
     assert rc == EXIT_OK
+
+
+def _edited_weights(blob: bytes, edit) -> bytes:
+    """``blob``, a float32 weight file, rebuilt after ``edit`` changed its
+    header dict and its dict of arrays in place: the file that those hold."""
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    arrays, at = {}, 12 + hlen
+    for name in sorted(header["tensors"]):
+        shape = header["tensors"][name]
+        arrays[name] = np.frombuffer(blob, "<f4", int(np.prod(shape)), at).reshape(shape)
+        at += arrays[name].nbytes
+    edit(header, arrays)
+    text = json.dumps(header, sort_keys=True).encode()
+    return (blob[:8] + struct.pack("<I", len(text)) + text
+            + b"".join(arrays[k].astype("<f4").tobytes() for k in sorted(arrays)))
+
+
+def _drop_tensor(header, arrays, name):
+    del header["tensors"][name], arrays[name]
+
+
+def _transpose_embed(header, arrays):
+    arrays["embed"] = np.ascontiguousarray(arrays["embed"].T)
+    header["tensors"]["embed"] = list(arrays["embed"].shape)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h, a: h["config"].update(layers=1.0),
+    lambda h, a: h["config"].update(heads=1.0),
+    lambda h, a: h.update(domain_size=3.0),
+    lambda h, a: _drop_tensor(h, a, "l0.wq"),
+    lambda h, a: h["config"].update(layers=2),
+    _transpose_embed,
+    lambda h, a: h["config"].update(rpe_mode="none"),
+    lambda h, a: h["config"].update(ape_mode="1d"),
+], ids=["float-layers", "float-heads", "float-domain-size", "missing-tensor",
+        "layers-above-the-tensors", "transposed-embed", "rpe-none", "ape-1d"])
+def test_weights_whose_header_disagrees_with_its_model_are_an_io_error(tmp_path, capsys, edit):
+    # each of these loaded before, and solve then died with a traceback
+    dataset = _generate_coloring(tmp_path, count=1, n=5)
+    cfg = ModelConfig(layers=1, heads=1, d_model=8, ape_mode="multi", ffn_mult=1)
+    good = tmp_path / "good.bin"
+    save_weights(init_weights(cfg, 3, np.random.default_rng(0)), good)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_edited_weights(good.read_bytes(), edit))
+    capsys.readouterr()
+    rc = main(["solve", "--weights", str(bad), "--dataset", str(dataset), "--iters", "1"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO and err.startswith("error: ") and "Traceback" not in err
+    with pytest.raises(data.DataError):
+        load_weights(bad)
+    # the unedited rebuild is the file itself
+    assert _edited_weights(good.read_bytes(), lambda h, a: None) == good.read_bytes()
+
+
+def test_a_temperature_whose_reciprocal_overflows_is_a_numeric_failure(tmp_path, capsys):
+    # 1/tau overflows float32: the head's scaled logits are not finite, so
+    # solve reports a numeric failure instead of picking value 0 everywhere
+    dataset = _generate_coloring(tmp_path, count=2, n=5)
+    model = tmp_path / "model.bin"
+    assert main(["train", "--dataset", str(dataset), "--out", str(model), "--epochs", "0",
+                 "--layers", "1", "--heads", "1", "--d-model", "8", "--tau", "1e-39"]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["solve", "--weights", str(model), "--dataset", str(dataset), "--iters", "5"])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric failure: non-finite output logits")

@@ -5,7 +5,7 @@ same model in float64 is a property in ``test_properties.py``."""
 import numpy as np
 import pytest
 
-from csprefine.model import ModelConfig, init_weights
+from csprefine.model import RPE_MODES, ModelConfig, init_weights
 from csprefine.solve import Budget, multi_start
 from csprefine.tensor import Tape, Tensor, backward
 from csprefine.train import AdamW, TrainConfig, _batch_loss, prepare
@@ -41,7 +41,7 @@ def _tape_dtypes(tape):
     return {t.data.dtype for out, inputs, _ in tape.ops for t in (out, *inputs)}
 
 
-@pytest.mark.parametrize("rpe_mode", ["masked", "learned", "none"])
+@pytest.mark.parametrize("rpe_mode", RPE_MODES)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_float32_step_and_solve_stay_float32(workload, rpe_mode, gradients):
     cfg = ModelConfig(rpe_mode=rpe_mode, **WORKLOADS[workload])

@@ -20,20 +20,18 @@ from conftest import tiny_config, toy_alldiff
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ModelConfig(d_model=10, heads=3)
-    with pytest.raises(ValueError):
-        ModelConfig(select_p=0.0)
-    with pytest.raises(ValueError):
-        ModelConfig(select_p=1.5)
-    with pytest.raises(ValueError):
-        ModelConfig(rpe_mode="banded")
-    with pytest.raises(ValueError):
-        ModelConfig(ape_mode="learned")
-    with pytest.raises(ValueError):
-        ModelConfig(sampler="argmax")
-    with pytest.raises(ValueError):
-        ModelConfig(tau=0.0)
+    tiny_config()  # the valid base; each case below changes one field of it
+    for bad in [
+        dict(d_model=10, heads=3), dict(select_p=0.0), dict(select_p=1.5),
+        dict(rpe_mode="banded"), dict(ape_mode="learned"), dict(sampler="argmax"),
+        dict(tau=0.0),
+        # the deleted variants: no relative encoding, and the 1-D index
+        dict(rpe_mode="none"), dict(ape_mode="1d"),
+        # sizes must be ints; a weight file's JSON header may hold 1.0 or true
+        dict(layers=1.0), dict(heads=1.0), dict(d_model=16.0), dict(ffn_mult=True),
+    ]:
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
 
 
 def _line(n: int) -> CspInstance:
@@ -47,13 +45,12 @@ def _grid_cell(row: int, col: int) -> CspInstance:
 
 
 def test_sinusoidal_pe_position_zero():
-    for mode in ("1d", "multi"):
-        table = ape_table(_line(4), tiny_config(d_model=8, ape_mode=mode))
-        assert np.allclose(table[0], [0, 1, 0, 1, 0, 1, 0, 1])
+    table = ape_table(_line(4), tiny_config(d_model=8, ape_mode="multi"))
+    assert np.allclose(table[0], [0, 1, 0, 1, 0, 1, 0, 1])
 
 
 def test_sinusoidal_pe_first_pair():
-    table = ape_table(_line(4), tiny_config(d_model=8, ape_mode="1d"))
+    table = ape_table(_line(4), tiny_config(d_model=8, ape_mode="multi"))
     assert np.isclose(table[3, 0], np.sin(3.0))
     assert np.isclose(table[3, 1], np.cos(3.0))
     assert np.all(np.abs(table) <= 1.0)
@@ -62,14 +59,13 @@ def test_sinusoidal_pe_first_pair():
 def test_multi_dim_ape_concatenates():
     enc = ape_table(_grid_cell(2, 5), tiny_config(d_model=8, ape_mode="multi"))
     assert enc.shape == (1, 8)
-    half = ape_table(_line(6), tiny_config(d_model=4, ape_mode="1d"))
+    half = ape_table(_line(6), tiny_config(d_model=4, ape_mode="multi"))
     assert np.allclose(enc[0, :4], half[2])
     assert np.allclose(enc[0, 4:], half[5])
     nurse = build_nurse_rostering(1, 1, 1, 2)  # (day, shift, slot) indices
     with pytest.raises(ArityMismatch, match="index arity 3"):
         ape_table(nurse, tiny_config(d_model=8, ape_mode="multi"))
-    # "1d" has arity 1, and "none" no encoding
-    assert ape_table(nurse, tiny_config(d_model=8, ape_mode="1d")).shape == (nurse.n, 8)
+    # "none" has no encoding
     assert ape_table(nurse, tiny_config(d_model=8, ape_mode="none")).shape == (nurse.n, 8)
 
 
@@ -82,8 +78,6 @@ def test_ape_table_modes():
     # cells (1,1) and (1,2) share the row half of the encoding
     assert np.allclose(table[10][:8], table[11][:8])
     assert not np.allclose(table[10][8:], table[11][8:])
-    table1d = ape_table(inst, tiny_config(ape_mode="1d"))
-    assert np.allclose(table1d[5], ape_table(_line(6), tiny_config(ape_mode="1d"))[5])
     # an odd half width: sin takes the extra column
     odd = ape_table(inst, tiny_config(d_model=18, heads=1, ape_mode="multi"))
     assert np.allclose(odd[13, :9:2], np.sin(1.0 * np.power(10000.0, -2.0 * np.arange(5) / 9)))

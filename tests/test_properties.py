@@ -46,6 +46,9 @@ from csprefine.data import (
     save_weights,
 )
 from csprefine.model import (
+    APE_MODES,
+    RPE_MODES,
+    SAMPLERS,
     InstanceContext,
     ModelConfig,
     apply_update,
@@ -216,7 +219,7 @@ def test_adjacency_matches_constraint_graph(inst):
     assert np.array_equal(inst.compiled.adjacency(), want)
 
 
-@given(instances(), st.sampled_from(["masked", "learned", "none"]))
+@given(instances(), st.sampled_from(RPE_MODES))
 def test_context_keep_is_the_adjacency(inst, rpe_mode):
     ctx = InstanceContext.build(inst, tiny_config(rpe_mode=rpe_mode))
     assert ctx.keep.dtype == bool
@@ -249,8 +252,8 @@ def test_mixed_size_batch_loss_is_the_mean_of_own_losses(data, m, seed):
     insts = data.draw(st.lists(instances(m=m).flatmap(with_fixed), min_size=1, max_size=5))
     cfg = tiny_config(
         select_p=data.draw(st.sampled_from([0.3, 0.7, 1.0])),
-        rpe_mode=data.draw(st.sampled_from(["masked", "learned", "none"])),
-        ape_mode=data.draw(st.sampled_from(["none", "1d", "multi"])),
+        rpe_mode=data.draw(st.sampled_from(RPE_MODES)),
+        ape_mode=data.draw(st.sampled_from(APE_MODES)),
     )
     w = init_weights(cfg, m, np.random.default_rng(seed), dtype=np.float64)
     bundles = prepare(insts, cfg)
@@ -373,7 +376,8 @@ def test_attention_rows_backward_equals_the_row_form(dtype, batch, n, heads, s, 
     rows[:, -1] = rows[:, 0]
     d = 2 * heads
     args = [rng.normal(size=(batch, n, d))] + [rng.normal(size=(d, d)) for _ in range(4)]
-    _assert_scatter_forms_agree(lambda *t: attention(*t, heads, rows=rows),
+    keep = (rng.random((n, n)) < 0.5) | np.eye(n, dtype=bool)
+    _assert_scatter_forms_agree(lambda *t: attention(*t, heads, keep, rows=rows),
                                 [a.astype(dtype) for a in args], seed)
 
 
@@ -417,7 +421,7 @@ def _padded_rows(selected: np.ndarray) -> np.ndarray:
     return np.argsort(~selected, axis=1, kind="stable")[:, : selected.sum(axis=1).max()]
 
 
-@given(st.sampled_from(["masked", "learned", "none"]), st.booleans(), st.booleans(),
+@given(st.sampled_from(RPE_MODES), st.booleans(), st.booleans(),
        st.integers(1, 3), st.integers(1, 6), st.integers(1, 3), st.integers(1, 3),
        st.integers(0, 2**32 - 1))
 def test_attention_matches_the_composed_block(rpe_mode, stacked, subset, batch, n, heads,
@@ -428,10 +432,8 @@ def test_attention_matches_the_composed_block(rpe_mode, stacked, subset, batch, 
     d = heads * width
     args = [rng.normal(0.0, 1.5, size=(batch, n, d))]
     args += [rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)) for _ in range(4)]
-    kwargs = {}
-    if rpe_mode != "none":
-        r = rng.random((batch, 1, n, n) if stacked else (n, n))
-        kwargs["keep"] = ((r < 0.5) | np.eye(n, dtype=bool)).astype(np.float64)
+    r = rng.random((batch, 1, n, n) if stacked else (n, n))
+    kwargs = {"keep": ((r < 0.5) | np.eye(n, dtype=bool)).astype(np.float64)}
     if rpe_mode == "learned":
         args.append(rng.normal(0.0, 2.0, size=()))
     if subset:
@@ -448,7 +450,7 @@ def test_attention_matches_the_composed_block(rpe_mode, stacked, subset, batch, 
     _assert_same_values_and_gradients(call(attention), call(COMPOSED_OPS["attention"]), args, g)
 
 
-@given(st.sampled_from(["masked", "learned"]), st.booleans(), st.booleans(),
+@given(st.sampled_from(RPE_MODES), st.booleans(), st.booleans(),
        st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.integers(1, 6),
        st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_bool_and_float_keep_give_the_same_attention(rpe_mode, stacked, subset, dtype, batch,
@@ -488,9 +490,9 @@ def test_forward_matches_the_dense_reference(data, n, m, seed):
     heads = data.draw(st.sampled_from([1, 2]))
     cfg = ModelConfig(layers=data.draw(st.integers(1, 2)), heads=heads, d_model=4 * heads,
                       select_p=data.draw(st.sampled_from([0.3, 0.7, 1.0])),
-                      rpe_mode=data.draw(st.sampled_from(["masked", "learned", "none"])),
-                      ape_mode=data.draw(st.sampled_from(["none", "1d", "multi"])),
-                      tau=0.5, sampler=data.draw(st.sampled_from(["gumbel", "softmax"])),
+                      rpe_mode=data.draw(st.sampled_from(RPE_MODES)),
+                      ape_mode=data.draw(st.sampled_from(APE_MODES)),
+                      tau=0.5, sampler=data.draw(st.sampled_from(SAMPLERS)),
                       dropout=data.draw(st.sampled_from([0.0, 0.2])), ffn_mult=2)
     training = data.draw(st.booleans())
     w = init_weights(cfg, m, np.random.default_rng(seed), dtype=np.float64)
@@ -591,8 +593,8 @@ def test_greedy_coloring_matches_the_array_reference(data, n):
 
 
 @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.sampled_from([1, 2, 4]),
-       st.integers(1, 6), st.sampled_from(["masked", "learned", "none"]),
-       st.sampled_from(["none", "1d", "multi"]), st.integers(1, 3), st.integers(2, 9),
+       st.integers(1, 6), st.sampled_from(RPE_MODES),
+       st.sampled_from(APE_MODES), st.integers(1, 3), st.integers(2, 9),
        st.integers(0, 2**32 - 1))
 def test_weights_round_trip_byte_identically(dtype, layers, heads, width, rpe_mode, ape_mode,
                                              ffn_mult, m, seed):
@@ -628,8 +630,8 @@ def _loss_and_grads(cfg, insts, seed, dtype):
 # 1e-4 of its usual size, the same order as float32 rounding (one case
 # measured 0.42).
 @settings(max_examples=20)
-@given(st.sampled_from(["sudoku", "coloring20"]), st.sampled_from(["masked", "learned", "none"]),
-       st.sampled_from(["none", "1d", "multi"]), st.sampled_from(["gumbel", "softmax"]),
+@given(st.sampled_from(["sudoku", "coloring20"]), st.sampled_from(RPE_MODES),
+       st.sampled_from(APE_MODES), st.sampled_from(SAMPLERS),
        st.sampled_from([0.5, 1.0]), st.sampled_from([0.0, 0.1]), st.integers(1, 3),
        st.integers(0, 2**31 - 2))
 def test_float32_matches_float64_from_the_same_draws(workload, rpe_mode, ape_mode, sampler,

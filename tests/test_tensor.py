@@ -362,7 +362,7 @@ def test_row_ops_reject_rows_out_of_range(row):
     with pytest.raises(IndexError):
         T.take_rows(x, rows)
     with pytest.raises(IndexError):
-        T.attention(x, *[Tensor(np.eye(4)) for _ in range(4)], 1, rows=rows)
+        T.attention(x, *[Tensor(np.eye(4)) for _ in range(4)], 1, np.ones((3, 3)), rows=rows)
 
 
 def test_scatter_add_refuses_a_target_it_would_copy():

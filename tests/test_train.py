@@ -272,7 +272,7 @@ def test_batch_loss_mixes_sizes():
         build_graph_coloring(5, [(0, 1), (3, 4)], 3),
         build_graph_coloring(4, [(0, 3), (2, 3)], 3),
     ]
-    cfg = tiny_config(sampler="softmax", ape_mode="1d")
+    cfg = tiny_config(sampler="softmax", ape_mode="multi")
     w = init_weights(cfg, 3, np.random.default_rng(2), dtype=np.float64)
     bundles = prepare(insts, cfg)
     got = _batch_loss(w, bundles, np.random.default_rng(11), training=False)
