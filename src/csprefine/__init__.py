@@ -17,7 +17,7 @@ from .csp import (
 )
 from .model import ModelConfig, ModelWeights, init_weights
 from .penalty import LossConfig, LossProgram
-from .solve import Budget, SolveReport, iterate, multi_start
+from .solve import Budget, SolveReport, multi_start
 from .tensor import Tape, Tensor, backward, grad_check
 from .train import TrainConfig, train
 
@@ -46,7 +46,6 @@ __all__ = [
     "grad_check",
     "init_weights",
     "is_feasible",
-    "iterate",
     "multi_start",
     "train",
     "violation_degree",

@@ -10,16 +10,31 @@ Domains are normalized to ``0..m-1`` internally; the builders shift
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from numbers import Integral, Real
 
 import numpy as np
 
 
 class CspError(Exception):
     pass
+
+
+MODES = ("satisfaction", "maximization")
+
+
+def _is_int(x) -> bool:
+    """A Python or numpy integer; ``True`` and ``1.0`` are not."""
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+
+
+def _is_real(x) -> bool:
+    """A Python or numpy real number, integers included; ``True`` is not."""
+    return type(x) is float or (isinstance(x, Real) and not isinstance(x, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +109,20 @@ class CspInstance:
     mode: str = "satisfaction"  # or "maximization"
 
     def __post_init__(self):
+        if not (_is_int(self.n) and _is_int(self.m)):
+            raise CspError(f"sizes must be integers, got n={self.n!r} and m={self.m!r}")
         if self.n < 1 or self.m < 1:
             raise CspError("need at least one variable and one domain value")
+        if self.mode not in MODES:
+            raise CspError(f"mode {self.mode!r} is not one of {MODES}")
         dims = {len(t) for t in self.index_tuples}
         if len(self.index_tuples) != self.n or len(dims) != 1:
             raise CspError("index tuples must cover all variables with a shared arity")
         if len(self.fixed) != self.n:
             raise CspError("fixed markers must cover all variables")
         for v in self.fixed:
-            if v is not None and not 0 <= v < self.m:
-                raise CspError(f"fixed value {v} outside domain [0,{self.m})")
+            if v is not None and not (_is_int(v) and 0 <= v < self.m):
+                raise CspError(f"fixed value {v!r} is not an integer in [0,{self.m})")
         for c in self.constraints:
             _validate_constraint(c, self.n, self.m)
 
@@ -115,13 +134,13 @@ class CspInstance:
 
 def _validate_constraint(c: Constraint, n: int, m: int) -> None:
     for i in c.scope:
-        if not 0 <= i < n:
-            raise CspError(f"constraint scope index {i} out of range [0,{n})")
+        if not (_is_int(i) and 0 <= i < n):
+            raise CspError(f"constraint scope index {i!r} is not an integer in [0,{n})")
     if isinstance(c, Cardinality):
-        if not 0 <= c.value < m:
-            raise CspError(f"cardinality value {c.value} outside domain")
-        if not 0 <= c.count <= len(c.scope):
-            raise CspError(f"cardinality count {c.count} outside [0,{len(c.scope)}]")
+        if not (_is_int(c.value) and 0 <= c.value < m):
+            raise CspError(f"cardinality value {c.value!r} is not an integer in [0,{m})")
+        if not (_is_int(c.count) and 0 <= c.count <= len(c.scope)):
+            raise CspError(f"cardinality count {c.count!r} is not an integer in [0,{len(c.scope)}]")
     elif isinstance(c, AllDifferentExact):
         if len(c.scope) != m:
             raise CspError("exact alldifferent needs scope size == domain size")
@@ -131,6 +150,9 @@ def _validate_constraint(c: Constraint, n: int, m: int) -> None:
     elif isinstance(c, NotEqual):
         if c.i == c.k:
             raise CspError(f"not-equal constraint on a single variable {c.i}")
+        w = c.weight
+        if not (_is_real(w) and math.isfinite(w)):
+            raise CspError(f"not-equal weight {w!r} is not a finite number")
 
 
 def validate_assignment(inst: CspInstance, values) -> None:

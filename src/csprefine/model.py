@@ -31,7 +31,7 @@ SAMPLERS = ("gumbel", "softmax")
 @dataclass(frozen=True)
 class ModelConfig:
     layers: int = 7
-    heads: int = 3
+    heads: int = 4
     d_model: int = 128
     select_p: float = 0.5
     rpe_mode: str = "masked"

@@ -1,11 +1,10 @@
 """Test-time deployment of a trained refiner, plus non-neural baselines.
 
-``iterate`` feeds the model its own output assignment until the instance is
-feasible or the budget runs out. ``multi_start`` advances a pool of
-candidates in lockstep rounds and accepts the first feasible one; candidate
-0 replays the pool of size 1, so a bigger pool can never do worse on the
-same seed. Maximization instances (maxcut) never exit early and just
-track the best cut found.
+``multi_start`` is the one solve path: it advances a pool of candidates in
+lockstep rounds, feeding the model its own output assignment, until a
+candidate is feasible or the budget runs out. Candidate 0 replays the pool
+of size 1, so a bigger pool can never do worse on the same seed.
+Maximization instances (maxcut) never exit early and keep the best cut.
 """
 
 from __future__ import annotations
@@ -47,17 +46,23 @@ class Budget:
 
 @dataclass
 class SolveReport:
-    """One solve's outcome. When no candidate is feasible, ``final_assignment`` is candidate
-    0's last row and ``best_assignment`` the lowest-violation (or best-cut) row seen."""
+    """One solve's outcome. Every candidate keeps the first row at its lowest
+    score (violations, or the negated cut when maximizing); ``best_assignment``
+    is that row of the lowest-index candidate with the lowest score. When a
+    candidate is feasible, ``winner`` is its index and ``final_assignment``
+    its row; otherwise ``final_assignment`` is candidate 0's last row."""
 
-    feasible: bool
     iterations_used: int
     elapsed_ms: float
     final_assignment: np.ndarray
     best_assignment: np.ndarray
     objective: float | None = None  # best cut value in maximization mode
     violation_trace: list[int] | None = None
-    winner: int | None = None  # candidate index that finished first
+    winner: int | None = None  # lowest-index feasible candidate
+
+    @property
+    def feasible(self) -> bool:
+        return self.winner is not None
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +107,10 @@ def cut_value(weighted_edges, values) -> float:
 
 
 def instance_cut_value(inst: CspInstance, values):
-    """Cut of one assignment (n,), as a float, or of a pool (B, n), as (B,)."""
+    """Cut of each row of a pool (B, n), as (B,)."""
     cc = inst.compiled
-    values = np.asarray(values)
-    cut = values[..., cc.edge_i] != values[..., cc.edge_k]
-    out = np.where(cut, cc.edge_w, 0.0).sum(axis=-1)
-    return float(out) if values.ndim == 1 else out
+    cut = values[:, cc.edge_i] != values[:, cc.edge_k]
+    return np.where(cut, cc.edge_w, 0.0).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +136,14 @@ def multi_start(
     Each candidate owns an rng seeded from (seed, index) that draws its
     initial assignment (unless ``inits`` is given) and then its subsets and
     noise; candidate 0 therefore replays the pool of size 1 with the same
-    seed. First feasible candidate wins (lowest index on ties). In
-    maximization mode the best cut seen over all candidates and rounds is
-    kept. Given ``inits`` must be assignments of ``inst`` that keep its
-    givens (CspError otherwise).
+    seed. A satisfaction solve stops at the first round in which some
+    candidate is feasible, and the lowest such index wins; a maximization
+    solve runs out its budget. Each candidate keeps the first row at its
+    lowest score, the violation count or the negated cut, and the report's
+    ``best_assignment`` is that row of the lowest-index candidate with the
+    lowest score. ``inits`` is one assignment (n,) per candidate, (pool, n),
+    or a single (n,) for a pool of 1; each must keep the givens of ``inst``
+    (CspError otherwise).
     """
     if pool_size < 1:
         raise ValueError("pool size must be at least 1")
@@ -162,32 +169,18 @@ def multi_start(
     t0 = time.perf_counter()
     viol = checker.total(values)
     trace_rows: list[int] | None = [int(viol.min())] if trace else None
-    best_viol = np.full(pool_size, np.inf)
+    best_score = np.full(pool_size, np.inf)
     best_values = values.copy()
-    best_cut = -np.inf
+    winner = None
     rounds = 0
     while True:
-        if maximize:
-            cuts = instance_cut_value(inst, values)
-            if cuts.max() > best_cut:
-                best_cut = float(cuts.max())
-                best_values = values[int(cuts.argmax())][None].copy()
-        else:
-            improved = viol < best_viol
-            best_viol = np.where(improved, viol, best_viol)
-            best_values[improved] = values[improved]
-            feas = viol == 0
-            if feas.any():
-                win = int(np.argmax(feas))
-                return SolveReport(
-                    feasible=True,
-                    iterations_used=rounds,
-                    elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-                    final_assignment=values[win].copy(),
-                    best_assignment=values[win].copy(),
-                    violation_trace=trace_rows,
-                    winner=win,
-                )
+        score = -instance_cut_value(inst, values) if maximize else viol
+        improved = score < best_score
+        best_score[improved] = score[improved]
+        best_values[improved] = values[improved]
+        if not maximize and viol.min() == 0:
+            winner = int(viol.argmin())
+            break
         if frozen:
             break
         if budget.max_iterations is not None and rounds >= budget.max_iterations:
@@ -204,31 +197,15 @@ def multi_start(
         if trace_rows is not None:
             trace_rows.append(int(viol.min()))
 
+    best = int(best_score.argmin())
     return SolveReport(
-        feasible=False,
         iterations_used=rounds,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        final_assignment=values[0].copy(),
-        best_assignment=best_values[0 if maximize else int(best_viol.argmin())].copy(),
-        objective=best_cut if maximize else None,
+        final_assignment=values[0 if winner is None else winner].copy(),
+        best_assignment=best_values[best].copy(),
+        objective=float(-best_score[best]) if maximize else None,
         violation_trace=trace_rows,
-        winner=None,
-    )
-
-
-def iterate(
-    weights: ModelWeights,
-    inst: CspInstance,
-    init: np.ndarray,
-    budget: Budget,
-    seed: int = 0,
-    ctx: InstanceContext | None = None,
-    trace: bool = False,
-) -> SolveReport:
-    """Single-candidate refinement loop; the pool of size 1."""
-    return multi_start(
-        weights, inst, 1, budget, seed=seed, inits=np.asarray(init)[None],
-        ctx=ctx, trace=trace,
+        winner=winner,
     )
 
 

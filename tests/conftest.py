@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 import csprefine.tensor as T
-from csprefine.csp import AllDifferentExact, CspInstance, build_sudoku
+from csprefine.csp import AllDifferentExact, CspInstance, build_sudoku, total_violation
 from csprefine.data import gen_coloring_dataset
-from csprefine.model import ModelConfig, forward, gumbel_noise, select_subset
+from csprefine.model import (
+    InstanceContext,
+    ModelConfig,
+    apply_update,
+    forward,
+    gumbel_noise,
+    select_subset,
+)
 from csprefine.penalty import one_hot
+from csprefine.solve import cut_value
 from csprefine.tensor import Tensor
 from csprefine.train import random_assignment
 
@@ -194,6 +202,56 @@ def replayed_mean_loss(w, bundles, seed: int) -> float:
     for b, vals, sel in zip(bundles, values, selected):
         total += b.program.loss(forward(w, b.ctx, vals[None], sel[None])).data[0]
     return total / len(bundles)
+
+
+def replay_solve(w, inst, pool: int, rounds: int, seed: int, inits=None) -> dict:
+    """``multi_start`` with an iteration budget of ``rounds``, replayed from
+    its rng streams and judged by the reference semantics.
+
+    Candidate c draws from ``default_rng([seed, c])``: its initial row
+    (unless ``inits`` is given), then in every round its subset and its
+    noise. Every round of the budget is run and kept in ``rows``
+    (rounds + 1, pool, n); a fully fixed instance runs none. The expected
+    report follows from the rows: a satisfaction solve stops at the first
+    round with a feasible candidate, and the lowest such index wins. Up to
+    that round each candidate keeps its first row at its lowest score (the
+    violation count, or the negated cut when maximizing), and the best row
+    is that of the lowest-index candidate with the lowest score."""
+    rngs = [np.random.default_rng([seed, c]) for c in range(pool)]
+    if inits is None:
+        values = np.stack([random_assignment(inst, r) for r in rngs])
+    else:
+        values = np.array(inits).reshape(pool, inst.n)
+    ctx = InstanceContext.build(inst, w.config)
+    fixed = inst.compiled.fixed_mask
+    rows = [values]
+    for _ in range(0 if fixed.all() else rounds):
+        selected = select_subset(fixed, w.config.select_p, rngs)
+        noise = gumbel_noise(rngs, (inst.n, inst.m)) if w.config.sampler == "gumbel" else None
+        values = apply_update(values, selected, forward(w, ctx, values, selected, noise=noise))
+        rows.append(values)
+
+    maximize = inst.mode == "maximization"
+    edges = [(c.i, c.k, c.weight) for c in inst.constraints] if maximize else None
+    scores = [[-cut_value(edges, v) if maximize else total_violation(inst, v) for v in r]
+              for r in rows]
+    stop, winner = len(rows) - 1, None
+    if not maximize:
+        for r, round_scores in enumerate(scores):
+            if 0 in round_scores:
+                stop, winner = r, round_scores.index(0)
+                break
+    first_best = [min(range(stop + 1), key=lambda r: scores[r][c]) for c in range(pool)]
+    best = min(range(pool), key=lambda c: scores[first_best[c]][c])
+    return {
+        "rows": np.stack(rows),
+        "iterations_used": stop,
+        "winner": winner,
+        "final_assignment": rows[stop][0 if winner is None else winner],
+        "best_assignment": rows[first_best[best]][best],
+        "objective": -scores[first_best[best]][best] if maximize else None,
+        "violation_trace": [min(total_violation(inst, v) for v in r) for r in rows[: stop + 1]],
+    }
 
 
 @pytest.fixture

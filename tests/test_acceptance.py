@@ -55,7 +55,6 @@ from csprefine.solve import (
     Budget,
     cut_value,
     direct_sgd_counts,
-    iterate,
     multi_start,
 )
 from csprefine.tensor import Tensor, grad_check
@@ -223,7 +222,7 @@ def test_criterion_05_training_smoke_toy():
     for i in range(200):
         rng = np.random.default_rng(1000 + i)
         init = random_assignment(inst, rng)
-        report = iterate(w, inst, init, Budget(max_iterations=100), seed=1000 + i)
+        report = multi_start(w, inst, 1, Budget(max_iterations=100), seed=1000 + i, inits=init)
         solved += report.feasible
     elapsed = time.perf_counter() - t0
     assert solved >= 190, solved  # 95% of 200
@@ -256,8 +255,8 @@ def test_criterion_06_desk_scale_coloring():
     for j, inst in enumerate(held):
         rng = np.random.default_rng(900 + j)
         init = random_assignment(inst, rng)
-        report = iterate(w, inst, init, Budget(max_iterations=1000),
-                         seed=900 + j, trace=True)
+        report = multi_start(w, inst, 1, Budget(max_iterations=1000),
+                             seed=900 + j, inits=init, trace=True)
         solved += report.feasible
         trace = report.violation_trace
         model_viol.append(np.mean(trace[1:11]) if len(trace) > 1 else 0.0)

@@ -1,0 +1,29 @@
+"""The benchmark's span tracer names package functions by string; each
+name must still resolve, or the tracer skips it and its figures read 0."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+# a target that the tracer is known to skip (ROADMAP item 1 drops it)
+KNOWN_STALE = {"train._StackedPairLoss.loss"}
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    spans = _spans_module()
+    missing = set()
+    for mod_name, attr, _ in spans.TARGETS:
+        holder = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
+        for part in attr.split("."):
+            holder = getattr(holder, part, None)
+        if holder is None:
+            missing.add(f"{mod_name}.{attr}")
+    assert missing <= KNOWN_STALE, sorted(missing - KNOWN_STALE)

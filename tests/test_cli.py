@@ -531,7 +531,17 @@ def test_diverged_training_is_a_numeric_failure_and_saves_nothing(tmp_path, caps
     b"\x80\xff\xfe\n",  # not UTF-8
     b"[" * 100_000 + b"\n",  # nested deeper than the JSON parser recurses
     None,  # a directory
-], ids=["json-list", "string-n", "int-scope", "binary", "deep-nesting", "directory"])
+    # values that a looser check would read as something else
+    b'{"n": 2, "m": 3, "index_tuples": [[0], [1]], "fixed": [null, null], '
+    b'"constraints": [{"kind": "ne", "i": 0.0, "k": 1}]}\n',
+    b'{"n": 2.0, "m": 3, "index_tuples": [[0], [1]], "fixed": [null, null], "constraints": []}\n',
+    b'{"n": 2, "m": 3, "index_tuples": [[0], [1]], "fixed": [null, null], '
+    b'"constraints": [{"kind": "ne", "i": 0, "k": 1, "w": "a"}]}\n',
+    b'{"n": 2, "m": 3, "index_tuples": [[0], [1]], "fixed": [1.5, null], "constraints": []}\n',
+    b'{"n": 2, "m": 3, "mode": "maximisation", "index_tuples": [[0], [1]], '
+    b'"fixed": [null, null], "constraints": []}\n',
+], ids=["json-list", "string-n", "int-scope", "binary", "deep-nesting", "directory",
+        "float-index", "float-n", "string-weight", "float-fixed", "unknown-mode"])
 def test_malformed_dataset_is_an_io_error(tmp_path, capsys, content):
     weights = tmp_path / "w.bin"
     cfg = ModelConfig(layers=1, heads=1, d_model=2, ape_mode="none", ffn_mult=1)

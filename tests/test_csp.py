@@ -47,6 +47,14 @@ def test_instance_validation_rejects_bad_shapes():
     with pytest.raises(CspError):
         CspInstance(n=2, m=2, index_tuples=((0,), (1,)), constraints=(),
                     fixed=(None, 5))
+    # a loaded JSON line can hold 1.0 or true where an integer belongs,
+    # and any string as the mode
+    base = dict(n=2, m=2, index_tuples=((0,), (1,)), constraints=(), fixed=(None, None))
+    CspInstance(**{**base, "n": np.int64(2), "m": np.int32(2)})  # numpy integers are integers
+    for bad in [dict(n=2.0), dict(m=True), dict(fixed=(None, 1.0)), dict(fixed=(False, None)),
+                dict(mode="maximisation")]:
+        with pytest.raises(CspError):
+            CspInstance(**{**base, **bad})
 
 
 def test_instance_validation_rejects_bad_constraints():
@@ -63,6 +71,13 @@ def test_instance_validation_rejects_bad_constraints():
         CspInstance(constraints=(Cardinality(3, 1, (0, 1)),), **base)
     with pytest.raises(CspError):
         CspInstance(constraints=(Cardinality(0, 5, (0, 1)),), **base)
+    CspInstance(constraints=(NotEqual(np.int64(0), 1, weight=2), Cardinality(np.int8(1), 1, (0, 2))),
+                **base)
+    for bad in [NotEqual(0.0, 1), AllDifferentAtMostOnce((0, True)), Cardinality(1.0, 1, (0, 1)),
+                Cardinality(1, 1.0, (0, 1))] + [NotEqual(0, 1, weight=w) for w in ("a", True, np.nan, np.inf)]:
+        with pytest.raises(CspError):
+            CspInstance(constraints=(bad,), **base)
+
 
 
 def test_validate_assignment():

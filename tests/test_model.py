@@ -34,6 +34,15 @@ def test_config_validation():
             tiny_config(**bad)
 
 
+
+def test_default_config_builds():
+    # the paper-scale defaults are a valid config that init_weights accepts
+    cfg = ModelConfig()
+    w = init_weights(cfg, 3, np.random.default_rng(0))
+    assert w.config == cfg
+    assert w["l0.wq"].shape == (cfg.d_model, cfg.d_model)
+
+
 def _line(n: int) -> CspInstance:
     """n unconstrained variables indexed 0..n-1."""
     return build_graph_coloring(n, [], 2)

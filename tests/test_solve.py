@@ -21,10 +21,9 @@ from csprefine.solve import (
     direct_sgd_counts,
     greedy_coloring,
     instance_cut_value,
-    iterate,
     multi_start,
 )
-from conftest import full_sudoku_grid, sudoku_puzzle, tiny_config, toy_alldiff
+from conftest import full_sudoku_grid, replay_solve, sudoku_puzzle, tiny_config, toy_alldiff
 
 
 def test_budget_validation():
@@ -73,9 +72,9 @@ def test_cut_value():
     assert cut_value(edges, [0, 1, 0]) == 3.0
     assert cut_value(edges, [0, 0, 0]) == 0.0
     inst = build_maxcut(3, edges)
-    assert instance_cut_value(inst, [0, 1, 0]) == 3.0
     # a whole pool in one call
-    assert np.array_equal(instance_cut_value(inst, [[0, 1, 0], [0, 0, 0], [1, 1, 0]]), [3.0, 0.0, 1.5])
+    pool = np.array([[0, 1, 0], [0, 0, 0], [1, 1, 0]])
+    assert np.array_equal(instance_cut_value(inst, pool), [3.0, 0.0, 1.5])
 
 
 def _toy_model(seed=1, **cfg_kw):
@@ -86,7 +85,7 @@ def _toy_model(seed=1, **cfg_kw):
 def test_iterate_feasible_init_returns_immediately():
     inst = toy_alldiff(4)
     cfg, w = _toy_model()
-    report = iterate(w, inst, np.array([0, 1, 2, 3]), Budget(max_iterations=50))
+    report = multi_start(w, inst, 1, Budget(max_iterations=50), inits=np.array([0, 1, 2, 3]))
     assert report.feasible
     assert report.iterations_used == 0
     assert np.array_equal(report.final_assignment, [0, 1, 2, 3])
@@ -96,7 +95,7 @@ def test_iterate_respects_iteration_budget():
     inst = build_graph_coloring(2, [(0, 1)], 1)  # unsatisfiable with 1 color
     cfg = tiny_config()
     w = init_weights(cfg, 1, np.random.default_rng(0))
-    report = iterate(w, inst, np.array([0, 0]), Budget(max_iterations=7))
+    report = multi_start(w, inst, 1, Budget(max_iterations=7), inits=np.array([0, 0]))
     assert not report.feasible
     assert report.iterations_used == 7
     assert report.winner is None
@@ -105,8 +104,8 @@ def test_iterate_respects_iteration_budget():
 def test_iterate_trace_and_best_assignment():
     inst = toy_alldiff(4)
     cfg, w = _toy_model(sampler="gumbel")
-    report = iterate(
-        w, inst, np.array([0, 0, 0, 0]), Budget(max_iterations=200), seed=3,
+    report = multi_start(
+        w, inst, 1, Budget(max_iterations=200), seed=3, inits=np.array([0, 0, 0, 0]),
         trace=True,
     )
     assert report.violation_trace is not None
@@ -121,7 +120,7 @@ def test_iterate_keeps_fixed_variables():
     cfg = tiny_config(select_p=0.9, sampler="gumbel")
     w = init_weights(cfg, 9, np.random.default_rng(0))
     init = np.array([v if v is not None else 0 for v in inst.fixed])
-    report = iterate(w, inst, init, Budget(max_iterations=20), seed=1)
+    report = multi_start(w, inst, 1, Budget(max_iterations=20), seed=1, inits=init)
     for i, v in enumerate(inst.fixed):
         if v is not None:
             assert report.final_assignment[i] == v
@@ -134,7 +133,7 @@ def test_inits_must_keep_the_givens():
     w = init_weights(tiny_config(), 9, np.random.default_rng(0))
     relabelled = full_sudoku_grid() % 9
     with pytest.raises(CspError, match="differs from its given"):
-        iterate(w, inst, relabelled, Budget(max_iterations=5))
+        multi_start(w, inst, 1, Budget(max_iterations=5), inits=relabelled)
     with pytest.raises(CspError, match="differs from its given"):
         multi_start(w, inst, 2, Budget(max_iterations=5), inits=np.stack([relabelled] * 2))
 
@@ -143,9 +142,9 @@ def test_inits_must_lie_in_the_domain():
     inst = sudoku_puzzle(30, 1)
     w = init_weights(tiny_config(), 9, np.random.default_rng(0))
     with pytest.raises(CspError, match="outside domain"):
-        iterate(w, inst, np.full(81, 12), Budget(max_iterations=5))
+        multi_start(w, inst, 1, Budget(max_iterations=5), inits=np.full(81, 12))
     with pytest.raises(CspError, match="81 values"):
-        iterate(w, inst, np.zeros(80, dtype=int), Budget(max_iterations=5))
+        multi_start(w, inst, 1, Budget(max_iterations=5), inits=np.zeros(80, dtype=int))
 
 
 def test_multi_start_rejects_other_domain_size():
@@ -214,7 +213,7 @@ def test_maxcut_solve_tracks_best_cut():
     report = multi_start(w, inst, 2, Budget(max_iterations=60), seed=1)
     assert not report.feasible  # maximization never exits early
     assert report.objective is not None
-    assert np.isclose(report.objective, instance_cut_value(inst, report.best_assignment))
+    assert np.isclose(report.objective, cut_value(edges, report.best_assignment))
     assert report.objective <= 4.0 + 1e-12  # enumerated maximum
 
 
@@ -230,6 +229,21 @@ def test_maxcut_best_assignment_attains_objective():
     edges = [(c.i, c.k, c.weight) for c in inst.constraints]
     assert report.objective == 261.0
     assert cut_value(edges, report.best_assignment) == report.objective
+
+
+
+def test_maxcut_tie_across_candidates_keeps_the_lower_index_row():
+    # candidate 1 starts on a maximum cut of the path 0-1-2; candidate 0
+    # reaches the other one, its mirror, only in round 2. Equal cuts go to
+    # the lower index, not to the earlier round
+    inst = build_maxcut(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    w = init_weights(tiny_config(sampler="gumbel"), 2, np.random.default_rng(0))
+    inits = np.array([[0, 0, 0], [0, 1, 0]])
+    rows = replay_solve(w, inst, 2, 4, seed=1, inits=inits)["rows"]
+    assert rows[:3, 0].tolist() == [[0, 0, 0], [0, 0, 1], [1, 0, 1]]
+    report = multi_start(w, inst, 2, Budget(max_iterations=4), seed=1, inits=inits)
+    assert report.objective == 2.0
+    assert report.best_assignment.tolist() == [1, 0, 1]
 
 
 def test_time_budget_stops():
