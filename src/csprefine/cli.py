@@ -366,7 +366,7 @@ def _add_model_args(p):
     p.add_argument("--d-model", type=int, default=64)
     p.add_argument("--p", type=float, default=0.5, help="variable selection probability")
     p.add_argument("--rpe", choices=RPE_MODES, default="masked")
-    p.add_argument("--ape", choices=APE_MODES, default="multi")
+    p.add_argument("--ape", choices=APE_MODES, default="none")
     p.add_argument("--tau", type=float, default=0.1)
     p.add_argument("--sampler", choices=SAMPLERS, default="gumbel")
     p.add_argument("--dropout", type=float, default=0.1)

@@ -116,8 +116,10 @@ class CspInstance:
         if self.mode not in MODES:
             raise CspError(f"mode {self.mode!r} is not one of {MODES}")
         dims = {len(t) for t in self.index_tuples}
-        if len(self.index_tuples) != self.n or len(dims) != 1:
-            raise CspError("index tuples must cover all variables with a shared arity")
+        if len(self.index_tuples) != self.n or len(dims) != 1 or 0 in dims:
+            raise CspError("index tuples must cover all variables with one arity of at least 1")
+        if not all(_is_int(x) for t in self.index_tuples for x in t):
+            raise CspError("index tuple entries must be integers")
         if len(self.fixed) != self.n:
             raise CspError("fixed markers must cover all variables")
         for v in self.fixed:

@@ -8,7 +8,8 @@ the variables chosen for update this step. The constraint graph enters the
 attention as a bool mask on the softmax ("masked") or as a learned
 non-positive offset added to the logits ("learned"). The output head is a
 temperature softmax, optionally perturbed by Gumbel noise for
-differentiable discrete sampling.
+differentiable discrete sampling. This module makes every draw of a step,
+in training and in a solve: the start, the subset and the Gumbel sample.
 """
 
 from __future__ import annotations
@@ -197,7 +198,13 @@ class InstanceContext:
 
 
 # ---------------------------------------------------------------------------
-# Stochastic subset selection
+# Random draws
+
+
+def random_assignment(inst: CspInstance, rng: np.random.Generator) -> np.ndarray:
+    """Uniform values on non-fixed variables, givens kept."""
+    cc = inst.compiled
+    return np.where(cc.fixed_mask, cc.fixed_values, rng.integers(0, inst.m, size=inst.n))
 
 
 def select_subset(fixed_mask: np.ndarray, p: float, rng) -> np.ndarray:
@@ -233,12 +240,15 @@ def select_subset(fixed_mask: np.ndarray, p: float, rng) -> np.ndarray:
 
 
 def gumbel_noise(rng, shape) -> np.ndarray:
-    """Standard Gumbel noise of ``shape`` from ``rng``, or, for a list of
-    generators, (len(rng), *shape), one draw from each, transformed at once."""
+    """Standard Gumbel noise of ``shape`` from ``rng``, or from a list of
+    ``shape[0]`` generators, row c from ``rng[c]`` alone (ValueError for
+    another count); the rows are transformed at once."""
     if isinstance(rng, np.random.Generator):
         u = rng.random(shape)
     else:
-        u = np.stack([r.random(shape) for r in rng])
+        if len(rng) != shape[0]:
+            raise ValueError(f"need {shape[0]} generators, one per row, got {len(rng)}")
+        u = np.stack([r.random(shape[1:]) for r in rng])
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
 
@@ -248,9 +258,8 @@ def forward(
     ctx: InstanceContext,
     values: np.ndarray,
     selected: np.ndarray,
-    rng: np.random.Generator | None = None,
+    rng=None,
     training: bool = False,
-    noise: np.ndarray | None = None,
 ) -> Tensor:
     """One refinement step over a batch of assignments of one instance.
 
@@ -265,8 +274,10 @@ def forward(
     feed-forward block, the final LayerNorm and the head; the padded rows
     are then dropped. Its keys and values still come from every row.
     Dropout masks and Gumbel noise are drawn at the full (B, n, .) shape,
-    so the rng stream is the one of a forward over every row. Gumbel noise
-    comes from ``noise``, (B, n, m), when given, else from ``rng``.
+    so the rng stream is the one of a forward over every row. ``rng`` is
+    one generator, or one per batch row (see :func:`gumbel_noise`). The
+    gumbel sampler needs it; dropout, drawn only in training, needs one
+    generator.
     Everything runs in the weights' dtype: the context, the selection mask
     and the noise are cast to it.
     """
@@ -293,14 +304,14 @@ def forward(
                         cfg.heads, ctx.keep, rows=q_rows, offset=offset)
         if q_rows is not None:
             h = T.take_rows(h, q_rows)
-        if rng is not None:
+        if training:
             z = T.dropout(z, cfg.dropout, rng, training, rows=q_rows, n=n)
         h = h + z
 
         x = T.layer_norm(h, w[f"l{l}.ln2.g"], w[f"l{l}.ln2.b"])
         x = T.gelu(T.linear(x, w[f"l{l}.w1"], w[f"l{l}.b1"]))
         x = T.linear(x, w[f"l{l}.w2"], w[f"l{l}.b2"])
-        if rng is not None:
+        if training:
             x = T.dropout(x, cfg.dropout, rng, training, rows=q_rows, n=n)
         h = h + x
 
@@ -310,10 +321,9 @@ def forward(
     with np.errstate(over="ignore", invalid="ignore"):
         out_logits = T.linear(h, w["w_out"], w["b_out"])  # (B, S, m)
         if cfg.sampler == "gumbel":
-            if noise is None:
-                if rng is None:
-                    raise ValueError("gumbel sampler needs an rng or explicit noise")
-                noise = gumbel_noise(rng, (B, n, m))
+            if rng is None:
+                raise ValueError("gumbel sampler needs an rng")
+            noise = gumbel_noise(rng, (B, n, m))
             out_logits = out_logits + Tensor(noise[np.arange(B)[:, None], rows].astype(dt, copy=False))
         out_logits = out_logits * (1.0 / cfg.tau)
     if not np.all(np.isfinite(out_logits.data)):

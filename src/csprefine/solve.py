@@ -22,12 +22,11 @@ from .model import (
     ModelWeights,
     apply_update,
     forward,
-    gumbel_noise,
+    random_assignment,
     select_subset,
 )
 from .penalty import LossProgram, one_hot
 from .tensor import Tape, Tensor, backward
-from .train import random_assignment
 
 
 @dataclass(frozen=True)
@@ -134,16 +133,16 @@ def multi_start(
     """Advance ``pool_size`` candidates in lockstep refinement rounds.
 
     Each candidate owns an rng seeded from (seed, index) that draws its
-    initial assignment (unless ``inits`` is given) and then its subsets and
-    noise; candidate 0 therefore replays the pool of size 1 with the same
-    seed. A satisfaction solve stops at the first round in which some
-    candidate is feasible, and the lowest such index wins; a maximization
-    solve runs out its budget. Each candidate keeps the first row at its
-    lowest score, the violation count or the negated cut, and the report's
-    ``best_assignment`` is that row of the lowest-index candidate with the
-    lowest score. ``inits`` is one assignment (n,) per candidate, (pool, n),
-    or a single (n,) for a pool of 1; each must keep the givens of ``inst``
-    (CspError otherwise).
+    initial assignment (unless ``inits`` is given) and then, every round, its
+    subset and, inside ``forward``, its noise; candidate 0 therefore replays
+    the pool of size 1 with the same seed. A satisfaction solve stops at the
+    first round in which some candidate is feasible, and the lowest such
+    index wins; a maximization solve runs out its budget. Each candidate
+    keeps the first row at its lowest score, the violation count or the
+    negated cut, and the report's ``best_assignment`` is that row of the
+    lowest-index candidate with the lowest score. ``inits`` is one
+    assignment (n,) per candidate, (pool, n), or a single (n,) for a pool
+    of 1; each must keep the givens of ``inst`` (CspError otherwise).
     """
     if pool_size < 1:
         raise ValueError("pool size must be at least 1")
@@ -165,7 +164,6 @@ def multi_start(
 
     fixed_mask = inst.compiled.fixed_mask
     frozen = bool(fixed_mask.all())  # fully fixed: nothing can ever change
-    gumbel = weights.config.sampler == "gumbel"
     t0 = time.perf_counter()
     viol = checker.total(values)
     trace_rows: list[int] | None = [int(viol.min())] if trace else None
@@ -187,11 +185,8 @@ def multi_start(
             break
         if budget.time_limit_ms is not None and (time.perf_counter() - t0) * 1000.0 >= budget.time_limit_ms:
             break
-        # every candidate's subset, then its noise, from its own rng
         selected = select_subset(fixed_mask, weights.config.select_p, rngs)
-        noise = gumbel_noise(rngs, (inst.n, inst.m)) if gumbel else None
-        yhat = forward(weights, ctx, values, selected, training=False, noise=noise)
-        values = apply_update(values, selected, yhat)
+        values = apply_update(values, selected, forward(weights, ctx, values, selected, rngs))
         rounds += 1
         viol = checker.total(values)
         if trace_rows is not None:

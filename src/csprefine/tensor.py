@@ -408,17 +408,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         ga = gb = None
-        if b.data.ndim == 2:  # a weight: contract all rows of a at once, one GEMM per gradient
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                ga = (g2 @ b.data.T).reshape(a.shape)
-            if b.requires_grad:
-                gb = a.data.reshape(-1, b.shape[0]).T @ g2
-        else:
-            if a.requires_grad:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-            if b.requires_grad:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
     return _record(out, (a, b), bwd)

@@ -2,8 +2,9 @@
 
 Each batch draws fresh random assignments and fresh update subsets, runs one
 refinement forward pass, scores the soft outputs with the penalty loss, and
-takes one AdamW step. No multi-step unrolling: the model only ever sees a
-single improvement step during training.
+takes one AdamW step; ``csprefine.model`` makes every draw, from the
+training rng. No multi-step unrolling: the model only ever sees a single
+improvement step during training.
 
 Each batch groups its instances by structure (index tuples, which fix n)
 and by penalty transform, and runs one stacked forward per group, with the
@@ -27,6 +28,7 @@ from .model import (
     ModelWeights,
     forward,
     init_weights,
+    random_assignment,
     select_subset,
 )
 from .penalty import LossConfig, LossProgram
@@ -111,16 +113,6 @@ class AdamW:
                 p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
                 if not np.all(np.isfinite(p.data)):
                     raise OptimizerError(f"non-finite value in parameter {name!r} after the update")
-
-
-# ---------------------------------------------------------------------------
-# Assignment sampling
-
-
-def random_assignment(inst: CspInstance, rng: np.random.Generator) -> np.ndarray:
-    """Uniform values on non-fixed variables, givens kept."""
-    cc = inst.compiled
-    return np.where(cc.fixed_mask, cc.fixed_values, rng.integers(0, inst.m, size=inst.n))
 
 
 # ---------------------------------------------------------------------------

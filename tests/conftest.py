@@ -14,12 +14,12 @@ from csprefine.model import (
     apply_update,
     forward,
     gumbel_noise,
+    random_assignment,
     select_subset,
 )
 from csprefine.penalty import one_hot
 from csprefine.solve import cut_value
 from csprefine.tensor import Tensor
-from csprefine.train import random_assignment
 
 
 def toy_alldiff(n: int = 4) -> CspInstance:
@@ -158,7 +158,7 @@ def loop_pad_stack(arrays):
     return out
 
 
-def dense_reference_forward(w, ctx, values, selected, rng=None, training=False, noise=None):
+def dense_reference_forward(w, ctx, values, selected, rng=None, training=False):
     """The dense form of ``model.forward``: every layer and the head run on
     all n rows, and the result is the (B, n, m) distribution of every row. ``forward`` must equal
     ``assemble_relaxed(values, selected, dense_reference_forward(...))``
@@ -174,19 +174,17 @@ def dense_reference_forward(w, ctx, values, selected, rng=None, training=False, 
         x = T.layer_norm(h, w[f"l{l}.ln1.g"], w[f"l{l}.ln1.b"])
         z = composed_attention(x, w[f"l{l}.wq"], w[f"l{l}.wk"], w[f"l{l}.wv"], w[f"l{l}.wo"],
                                cfg.heads, ctx.keep, offset=offset)
-        z = T.dropout(z, cfg.dropout, rng, training) if rng is not None else z
+        z = T.dropout(z, cfg.dropout, rng, training)
         h = h + z
         x = T.layer_norm(h, w[f"l{l}.ln2.g"], w[f"l{l}.ln2.b"])
         x = T.gelu(T.linear(x, w[f"l{l}.w1"], w[f"l{l}.b1"]))
         x = T.linear(x, w[f"l{l}.w2"], w[f"l{l}.b2"])
-        x = T.dropout(x, cfg.dropout, rng, training) if rng is not None else x
+        x = T.dropout(x, cfg.dropout, rng, training)
         h = h + x
     h = T.layer_norm(h, w["lnf.g"], w["lnf.b"])
     out_logits = T.linear(h, w["w_out"], w["b_out"])
     if cfg.sampler == "gumbel":
-        if noise is None:
-            noise = gumbel_noise(rng, out_logits.shape)
-        out_logits = out_logits + Tensor(noise.astype(dt, copy=False))
+        out_logits = out_logits + Tensor(gumbel_noise(rng, out_logits.shape).astype(dt, copy=False))
     return _softmax(out_logits * (1.0 / cfg.tau), axis=-1)
 
 
@@ -227,8 +225,7 @@ def replay_solve(w, inst, pool: int, rounds: int, seed: int, inits=None) -> dict
     rows = [values]
     for _ in range(0 if fixed.all() else rounds):
         selected = select_subset(fixed, w.config.select_p, rngs)
-        noise = gumbel_noise(rngs, (inst.n, inst.m)) if w.config.sampler == "gumbel" else None
-        values = apply_update(values, selected, forward(w, ctx, values, selected, noise=noise))
+        values = apply_update(values, selected, forward(w, ctx, values, selected, rngs))
         rows.append(values)
 
     maximize = inst.mode == "maximization"

@@ -10,15 +10,12 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
-import csprefine.tensor as T
 from csprefine.csp import (
     AllDifferentAtMostOnce,
     AllDifferentExact,
     Cardinality,
     NotEqual,
-    build_graph_coloring,
     build_maxcut,
     build_nurse_rostering,
     build_sudoku,

@@ -413,7 +413,8 @@ def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_p
     nurse = out / "instances.jsonl"
     capsys.readouterr()
     rc = main(["train", "--dataset", str(nurse), "--out", str(tmp_path / "n.bin"),
-               "--epochs", "1", "--layers", "1", "--heads", "1", "--d-model", "16"])
+               "--epochs", "1", "--layers", "1", "--heads", "1", "--d-model", "16",
+               "--ape", "multi"])
     assert rc == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "index arity 3" in err
@@ -540,8 +541,14 @@ def test_diverged_training_is_a_numeric_failure_and_saves_nothing(tmp_path, caps
     b'{"n": 2, "m": 3, "index_tuples": [[0], [1]], "fixed": [1.5, null], "constraints": []}\n',
     b'{"n": 2, "m": 3, "mode": "maximisation", "index_tuples": [[0], [1]], '
     b'"fixed": [null, null], "constraints": []}\n',
+    # index tuples whose entries are not integers, or that have no entry
+    *(b'{"n": 2, "m": 3, "index_tuples": %s, "fixed": [null, null], '
+      b'"constraints": [{"kind": "ne", "i": 0, "k": 1}]}\n' % t
+      for t in [b'[["a"], ["b"]]', b"[[[0]], [[1]]]", b"[[], []]", b"[[0.5], [1.5]]",
+                b"[[true], [false]]"]),
 ], ids=["json-list", "string-n", "int-scope", "binary", "deep-nesting", "directory",
-        "float-index", "float-n", "string-weight", "float-fixed", "unknown-mode"])
+        "float-index", "float-n", "string-weight", "float-fixed", "unknown-mode",
+        "string-tuple", "nested-tuple", "empty-tuple", "float-tuple", "bool-tuple"])
 def test_malformed_dataset_is_an_io_error(tmp_path, capsys, content):
     weights = tmp_path / "w.bin"
     cfg = ModelConfig(layers=1, heads=1, d_model=2, ape_mode="none", ffn_mult=1)

@@ -47,12 +47,14 @@ def test_instance_validation_rejects_bad_shapes():
     with pytest.raises(CspError):
         CspInstance(n=2, m=2, index_tuples=((0,), (1,)), constraints=(),
                     fixed=(None, 5))
-    # a loaded JSON line can hold 1.0 or true where an integer belongs,
-    # and any string as the mode
+    # a loaded JSON line can hold 1.0 or true where an integer belongs, any
+    # string as the mode, and any list as an index tuple
     base = dict(n=2, m=2, index_tuples=((0,), (1,)), constraints=(), fixed=(None, None))
     CspInstance(**{**base, "n": np.int64(2), "m": np.int32(2)})  # numpy integers are integers
     for bad in [dict(n=2.0), dict(m=True), dict(fixed=(None, 1.0)), dict(fixed=(False, None)),
-                dict(mode="maximisation")]:
+                dict(mode="maximisation"), dict(index_tuples=(("a",), ("b",))),
+                dict(index_tuples=(([0],), ([1],))), dict(index_tuples=((), ())),
+                dict(index_tuples=((0.5,), (1.5,))), dict(index_tuples=((True,), (False,)))]:
         with pytest.raises(CspError):
             CspInstance(**{**base, **bad})
 

@@ -9,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from csprefine.csp import NotEqual, is_feasible
+from csprefine.csp import is_feasible
 from csprefine.data import (
     COLOR_DISTRIBUTIONS,
     DataError,

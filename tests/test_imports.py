@@ -1,4 +1,5 @@
-"""Source check: every module of the package reads each name it imports."""
+"""Source check: every module of the package, and every test module,
+reads each name it imports."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import csprefine
 
 SOURCES = sorted(Path(csprefine.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,6 +40,7 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["d", "os"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS])
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []

@@ -175,15 +175,23 @@ def test_forward_deterministic_without_sampling():
     assert np.array_equal(a.data, b.data)
 
 
-def test_forward_gumbel_needs_rng_or_noise():
+def test_gumbel_noise_needs_one_generator_per_row():
+    rngs = [np.random.default_rng([4, c]) for c in range(3)]
+    assert gumbel_noise(rngs, (3, 2, 5)).shape == (3, 2, 5)
+    for shape in [(2, 2, 5), (4, 2, 5)]:
+        with pytest.raises(ValueError):
+            gumbel_noise(rngs, shape)
+
+
+def test_forward_gumbel_needs_an_rng():
     inst, cfg, w, ctx = _toy_forward_setup(sampler="gumbel")
     values = np.array([[0, 1, 2, 3]])
     selected = np.array([[True, False, False, False]])
     with pytest.raises(ValueError):
         forward(w, ctx, values, selected)
-    noise = gumbel_noise(np.random.default_rng(2), (1, 4, 4))
-    out = forward(w, ctx, values, selected, noise=noise)
-    assert np.allclose(out.data.sum(axis=-1), 1.0)
+    for rng in [np.random.default_rng(2), [np.random.default_rng(2)]]:
+        out = forward(w, ctx, values, selected, rng)
+        assert np.allclose(out.data.sum(axis=-1), 1.0)
 
 
 def test_forward_selection_marker_changes_output():

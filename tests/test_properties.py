@@ -7,7 +7,8 @@ forms; softmax's floored backward against the plain form; the flat row
 scatter-adds of the gather, take and attention backwards against the
 ``np.add.at`` row form, and ``LossProgram.stack`` against the per-sample
 loop, byte for byte; a pool's subset
-and noise draws against each candidate's own; ``multi_start``'s report
+and noise draws, and a forward with a generator per row, against each
+candidate's own; ``multi_start``'s report
 against a replay of its rounds; and the graph generator and greedy coloring
 against their numpy forms; the weight file round trip; float32 against float64;
 ``solve`` on damaged dataset files; and the CLI's numeric flags at non-finite,
@@ -56,6 +57,7 @@ from csprefine.model import (
     forward,
     gumbel_noise,
     init_weights,
+    random_assignment,
     select_subset,
 )
 from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
@@ -80,7 +82,7 @@ from csprefine.tensor import (
     softmax,
     take_rows,
 )
-from csprefine.train import _batch_loss, _collate, prepare, random_assignment
+from csprefine.train import _batch_loss, _collate, prepare
 from conftest import (
     COMPOSED_OPS,
     assemble_relaxed,
@@ -286,8 +288,9 @@ def test_mixed_size_batch_loss_is_the_mean_of_own_losses(data, m, seed):
        st.lists(st.integers(1, 4), min_size=0, max_size=2),
        st.lists(st.integers(1, 6), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
 def test_matmul_gradients_match_einsum(kind, batch, nkf, seed):
-    # (B.., n, k) @ (k, f) takes one GEMM per gradient; (B, H, n, k) @ (B, H, k, f)
-    # and a broadcast 3-D weight (1, k, f) keep the batched form
+    # one batched backward for every form: a 2-D weight (k, f) under any
+    # leading axes of a, (B, H, n, k) @ (B, H, k, f), and a broadcast 3-D
+    # weight (1, k, f), whose gradient sums over the broadcast axes
     rng = np.random.default_rng(seed)
     n, k, f = nkf
     if kind == "weight":
@@ -413,12 +416,35 @@ def test_pool_draws_equal_the_per_candidate_draws(fixed, pool, m, p, seed):
     pooled = [np.random.default_rng([seed, c]) for c in range(pool)]
     alone = [np.random.default_rng([seed, c]) for c in range(pool)]
     sel = select_subset(fixed, p, pooled)
-    noise = gumbel_noise(pooled, (n, m))
+    noise = gumbel_noise(pooled, (pool, n, m))
     for c, rng in enumerate(alone):
         assert np.array_equal(sel[c], select_subset(fixed, p, rng))
-        assert np.array_equal(noise[c], gumbel_noise(rng, (n, m)))
+        assert np.array_equal(noise[c], gumbel_noise(rng, (1, n, m))[0])
     assert sel.shape == (pool, n) and noise.shape == (pool, n, m)
     assert [r.random() for r in pooled] == [r.random() for r in alone]
+
+
+@given(instances().flatmap(with_fixed), st.integers(1, 5), st.sampled_from(RPE_MODES),
+       st.sampled_from(SAMPLERS), st.integers(0, 2**32 - 1))
+def test_forward_with_a_generator_per_row_equals_the_one_row_forwards(inst, batch, rpe_mode,
+                                                                       sampler, seed):
+    # a solve's forward: B generators give, row by row, what the one-row
+    # forward gives from that row's generator alone, and each generator
+    # ends in the same state
+    cfg = tiny_config(layers=2, rpe_mode=rpe_mode, ape_mode="multi", sampler=sampler)
+    w = init_weights(cfg, inst.m, np.random.default_rng(seed), dtype=np.float64)
+    ctx = InstanceContext.build(inst, cfg)
+    rng = np.random.default_rng(seed)
+    values = np.stack([random_assignment(inst, rng) for _ in range(batch)])
+    selected = rng.random((batch, inst.n)) < 0.5
+    selected[0, rng.integers(inst.n)] = True  # some row is updated; others may be empty
+    pooled = [np.random.default_rng([seed, c]) for c in range(batch)]
+    alone = [np.random.default_rng([seed, c]) for c in range(batch)]
+    got = forward(w, ctx, values, selected, pooled).data
+    for c, r in enumerate(alone):
+        want = forward(w, ctx, values[c : c + 1], selected[c : c + 1], r).data[0]
+        assert np.allclose(got[c], want, rtol=1e-12, atol=1e-12)
+    assert [r.bit_generator.state for r in pooled] == [r.bit_generator.state for r in alone]
 
 
 

@@ -9,7 +9,6 @@ from csprefine.csp import (
     build_graph_coloring,
     build_maxcut,
     build_sudoku,
-    is_feasible,
     total_violation,
 )
 from csprefine.data import gen_maxcut_dataset
