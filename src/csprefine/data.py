@@ -292,6 +292,13 @@ def _constraint_from_json(d: dict):
     raise DataError(f"unknown constraint kind {kind!r}")
 
 
+def _json_number(x):
+    """A numpy number, which ``CspInstance`` accepts, as a Python number."""
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def instance_to_json(inst: CspInstance) -> str:
     return json.dumps(
         {
@@ -303,6 +310,7 @@ def instance_to_json(inst: CspInstance) -> str:
             "constraints": [_constraint_to_json(c) for c in inst.constraints],
         },
         sort_keys=True,
+        default=_json_number,
     )
 
 
@@ -373,22 +381,27 @@ def save_sudoku(instances, path) -> None:
             ) + "\n")
 
 
+def _gset_fields(path, lineno: int, line: str, form: str, types) -> list:
+    """A GSET line's fields by ``types``, or a DataError naming ``path:lineno``."""
+    parts = line.split()
+    try:
+        if len(parts) != len(types):
+            raise ValueError(f"{len(parts)} fields")
+        return [t(p) for t, p in zip(types, parts)]
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: expected {form}: {exc}") from None
+
+
 def load_gset(path) -> WeightedGraph:
     """Header 'n m', then m lines 'u v w' with 1-based vertex ids."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}:1: expected 'n m' header")
-        n, m = int(header[0]), int(header[1])
+        n, m = _gset_fields(path, 1, fh.readline(), "'n m' header", (int, int))
         edges = []
         for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
+            if not line.strip():
                 continue
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'u v w'")
-            u, v, w = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
-            edges.append((min(u, v), max(u, v), w))
+            u, v, w = _gset_fields(path, lineno, line, "'u v w'", (int, int, float))
+            edges.append((min(u, v) - 1, max(u, v) - 1, w))
     if len(edges) != m:
         raise DataError(f"{path}: header declares {m} edges, found {len(edges)}")
     return WeightedGraph(n, tuple(edges))

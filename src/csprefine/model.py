@@ -9,7 +9,8 @@ attention as a bool mask on the softmax ("masked") or as a learned
 non-positive offset added to the logits ("learned"). The output head is a
 temperature softmax, optionally perturbed by Gumbel noise for
 differentiable discrete sampling. This module makes every draw of a step,
-in training and in a solve: the start, the subset and the Gumbel sample.
+in training and in a solve: the start, the subset, the dropout masks and
+the Gumbel sample. ``forward`` draws from one generator per batch row.
 """
 
 from __future__ import annotations
@@ -207,50 +208,48 @@ def random_assignment(inst: CspInstance, rng: np.random.Generator) -> np.ndarray
     return np.where(cc.fixed_mask, cc.fixed_values, rng.integers(0, inst.m, size=inst.n))
 
 
-def select_subset(fixed_mask: np.ndarray, p: float, rng) -> np.ndarray:
+def select_subset(fixed_mask: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli(p) inclusion per non-fixed variable; (n,) bool.
 
     Redraws when nothing was selected but selectable variables exist: an
     empty step would be the identity and waste an iteration.
-
-    ``rng`` may be a list of generators instead of one: the result is then
-    (len(rng), n), row c being what ``rng[c]`` alone would give. Each draws
-    its first row, the test runs once on the stack, and only a row that
-    came out empty is redrawn, from its own generator.
     """
     free = ~fixed_mask
-    n = fixed_mask.shape[0]
-    if isinstance(rng, np.random.Generator):
-        if not free.any():
-            return np.zeros_like(fixed_mask)
-        while True:
-            sel = (rng.random(n) < p) & free
-            if sel.any():
-                return sel
     if not free.any():
-        return np.zeros((len(rng), n), dtype=bool)
-    sel = (np.stack([r.random(n) for r in rng]) < p) & free
-    for c in np.flatnonzero(~sel.any(axis=1)):
-        sel[c] = select_subset(fixed_mask, p, rng[c])
-    return sel
+        return np.zeros_like(fixed_mask)
+    while True:
+        sel = (rng.random(fixed_mask.shape[0]) < p) & free
+        if sel.any():
+            return sel
+
+
+def _uniform(rngs, shape) -> np.ndarray:
+    """Uniform [0, 1) draws of ``shape``, row b from ``rngs[b]`` alone: one
+    generator per row (ValueError for another count). Rows may share a
+    generator; since ``Generator.random`` fills in C order, a generator
+    shared by every row gives the bytes of one whole-shape draw."""
+    if len(rngs) != shape[0]:
+        raise ValueError(f"need {shape[0]} generators, one per row, got {len(rngs)}")
+    u = np.empty(shape)
+    for r, row in zip(rngs, u):
+        r.random(out=row)
+    return u
+
+
+def gumbel_noise(rngs, shape) -> np.ndarray:
+    """Standard Gumbel noise of ``shape``, row b from ``rngs[b]``."""
+    u = np.clip(_uniform(rngs, shape), 1e-12, 1.0 - 1e-12)
+    return -np.log(-np.log(u))
+
+
+def _dropout_mask(rngs, shape, rate: float, dtype) -> np.ndarray:
+    """Inverted-dropout mask of ``shape`` in ``dtype``, row b from
+    ``rngs[b]``: 0 where the draw is below ``rate``, 1 / (1 - rate) elsewhere."""
+    return (_uniform(rngs, shape) >= rate) * (1 / np.dtype(dtype).type(1.0 - rate))
 
 
 # ---------------------------------------------------------------------------
 # Forward pass
-
-
-def gumbel_noise(rng, shape) -> np.ndarray:
-    """Standard Gumbel noise of ``shape`` from ``rng``, or from a list of
-    ``shape[0]`` generators, row c from ``rng[c]`` alone (ValueError for
-    another count); the rows are transformed at once."""
-    if isinstance(rng, np.random.Generator):
-        u = rng.random(shape)
-    else:
-        if len(rng) != shape[0]:
-            raise ValueError(f"need {shape[0]} generators, one per row, got {len(rng)}")
-        u = np.stack([r.random(shape[1:]) for r in rng])
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return -np.log(-np.log(u))
 
 
 def forward(
@@ -258,7 +257,7 @@ def forward(
     ctx: InstanceContext,
     values: np.ndarray,
     selected: np.ndarray,
-    rng=None,
+    rngs=None,
     training: bool = False,
 ) -> Tensor:
     """One refinement step over a batch of assignments of one instance.
@@ -273,18 +272,22 @@ def forward(
     Only those S rows go through its attention output, residual and
     feed-forward block, the final LayerNorm and the head; the padded rows
     are then dropped. Its keys and values still come from every row.
-    Dropout masks and Gumbel noise are drawn at the full (B, n, .) shape,
-    so the rng stream is the one of a forward over every row. ``rng`` is
-    one generator, or one per batch row (see :func:`gumbel_noise`). The
-    gumbel sampler needs it; dropout, drawn only in training, needs one
-    generator.
-    Everything runs in the weights' dtype: the context, the selection mask
-    and the noise are cast to it.
+
+    ``rngs`` holds one generator per batch row, and rows may share one.
+    Row b draws from ``rngs[b]`` alone: in training each layer's two
+    dropout masks, then the gumbel sampler's noise, each at the full
+    (B, n, .) shape and read at the last layer's rows, so the streams do
+    not depend on the selection. A forward that draws needs ``rngs``
+    (ValueError otherwise). Everything runs in the weights' dtype: the
+    context, the selection mask, the masks and the noise are cast to it.
     """
     cfg = w.config
     B, n = values.shape
     m = w.domain_size
     dt = w.dtype
+    drop = training and cfg.dropout > 0.0
+    if rngs is None and (drop or cfg.sampler == "gumbel"):
+        raise ValueError("dropout in training and the gumbel sampler need rngs")
 
     sel = Tensor(selected[..., None].astype(dt))  # (B, n, 1)
     emb = T.gather_rows(w["embed"], values)  # (B, n, d)
@@ -297,6 +300,11 @@ def forward(
 
     # the selected rows first, in order, then unselected ones as padding
     rows = np.argsort(~selected, axis=1, kind="stable")[:, : selected.sum(axis=1).max()]
+    batch = np.arange(B)[:, None]
+
+    def at_rows(full: np.ndarray, q_rows) -> Tensor:  # a draw as a constant in the dtype
+        return Tensor((full if q_rows is None else full[batch, q_rows]).astype(dt, copy=False))
+
     for l in range(cfg.layers):
         q_rows = rows if l == cfg.layers - 1 else None  # None: every row
         x = T.layer_norm(h, w[f"l{l}.ln1.g"], w[f"l{l}.ln1.b"])
@@ -304,15 +312,15 @@ def forward(
                         cfg.heads, ctx.keep, rows=q_rows, offset=offset)
         if q_rows is not None:
             h = T.take_rows(h, q_rows)
-        if training:
-            z = T.dropout(z, cfg.dropout, rng, training, rows=q_rows, n=n)
+        if drop:
+            z = z * at_rows(_dropout_mask(rngs, (B, n, cfg.d_model), cfg.dropout, dt), q_rows)
         h = h + z
 
         x = T.layer_norm(h, w[f"l{l}.ln2.g"], w[f"l{l}.ln2.b"])
         x = T.gelu(T.linear(x, w[f"l{l}.w1"], w[f"l{l}.b1"]))
         x = T.linear(x, w[f"l{l}.w2"], w[f"l{l}.b2"])
-        if training:
-            x = T.dropout(x, cfg.dropout, rng, training, rows=q_rows, n=n)
+        if drop:
+            x = x * at_rows(_dropout_mask(rngs, (B, n, cfg.d_model), cfg.dropout, dt), q_rows)
         h = h + x
 
     h = T.layer_norm(h, w["lnf.g"], w["lnf.b"])
@@ -321,15 +329,12 @@ def forward(
     with np.errstate(over="ignore", invalid="ignore"):
         out_logits = T.linear(h, w["w_out"], w["b_out"])  # (B, S, m)
         if cfg.sampler == "gumbel":
-            if rng is None:
-                raise ValueError("gumbel sampler needs an rng")
-            noise = gumbel_noise(rng, (B, n, m))
-            out_logits = out_logits + Tensor(noise[np.arange(B)[:, None], rows].astype(dt, copy=False))
+            out_logits = out_logits + at_rows(gumbel_noise(rngs, (B, n, m)), rows)
         out_logits = out_logits * (1.0 / cfg.tau)
     if not np.all(np.isfinite(out_logits.data)):
         raise NumericError(f"non-finite output logits at temperature {cfg.tau}")
     yhat = T.softmax(out_logits, axis=-1)
-    return T.put_rows(one_hot(values, m), rows, yhat, selected[np.arange(B)[:, None], rows])
+    return T.put_rows(one_hot(values, m), rows, yhat, selected[batch, rows])
 
 
 def apply_update(values: np.ndarray, selected: np.ndarray, yhat) -> np.ndarray:

@@ -116,10 +116,6 @@ def instance_cut_value(inst: CspInstance, values):
 # Iterative refinement
 
 
-def _candidate_rngs(seed: int, pool: int):
-    return [np.random.default_rng([seed, c]) for c in range(pool)]
-
-
 def multi_start(
     weights: ModelWeights,
     inst: CspInstance,
@@ -150,7 +146,7 @@ def multi_start(
     if ctx is None:
         ctx = InstanceContext.build(inst, weights.config)
     checker = ViolationChecker(inst)
-    rngs = _candidate_rngs(seed, pool_size)
+    rngs = [np.random.default_rng([seed, c]) for c in range(pool_size)]
     maximize = inst.mode == "maximization"
 
     if inits is None:
@@ -185,7 +181,8 @@ def multi_start(
             break
         if budget.time_limit_ms is not None and (time.perf_counter() - t0) * 1000.0 >= budget.time_limit_ms:
             break
-        selected = select_subset(fixed_mask, weights.config.select_p, rngs)
+        selected = np.stack([select_subset(fixed_mask, weights.config.select_p, rng)
+                             for rng in rngs])
         values = apply_update(values, selected, forward(weights, ctx, values, selected, rngs))
         rounds += 1
         viol = checker.total(values)

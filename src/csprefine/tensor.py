@@ -14,6 +14,8 @@ float64.
 
 Every op computes its local derivative inside its backward closure, never in
 the forward, so a forward with no tape (inference) does forward work only.
+No op draws random numbers: a caller that needs dropout or noise draws
+it and passes it in as a constant, as ``mul``'s or ``add``'s other operand.
 Shape errors come from numpy and are reported as :class:`ShapeMismatch`.
 Fused ops keep the tape short, each with a closed-form backward:
 :func:`layer_norm`, :func:`linear` (``x @ w + b`` as one flat GEMM) and
@@ -371,28 +373,6 @@ def log(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (g / a.data,)
-
-    return _record(out, (a,), bwd)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
-            rows: np.ndarray | None = None, n: int | None = None) -> Tensor:
-    """Inverted dropout; the identity when not training or rate == 0.
-
-    With ``rows`` (B, S), ``a`` holds those rows of a (B, n, ...) tensor (as
-    :func:`take_rows` gives them): the mask is drawn at the full shape and
-    read at ``rows``, so the draws are the ones the full tensor would get.
-    """
-    if not training or rate <= 0.0:
-        return a
-    shape = a.shape if rows is None else (a.shape[0], n, *a.shape[2:])
-    keep = (rng.random(shape) >= rate) * (1 / a.data.dtype.type(1.0 - rate))  # a's dtype
-    if rows is not None:
-        keep = _take_rows(keep, rows)
-    out = Tensor(a.data * keep)
-
-    def bwd(g):
-        return (g * keep,)
 
     return _record(out, (a,), bwd)
 

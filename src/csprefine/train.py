@@ -165,7 +165,7 @@ def _batch_loss(weights, bundles, rng, training=True):
         group, vals, sel = zip(*rows)
         ctx, program = _collate(group)
         vals, sel = np.stack(vals), np.stack(sel)
-        rel = forward(weights, ctx, vals, sel, rng=rng, training=training)
+        rel = forward(weights, ctx, vals, sel, [rng] * len(group), training=training)
         parts.append(program.loss(rel).sum())
     return sum(parts[1:], parts[0]) * (1.0 / len(bundles))
 

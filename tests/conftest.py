@@ -13,7 +13,6 @@ from csprefine.model import (
     ModelConfig,
     apply_update,
     forward,
-    gumbel_noise,
     random_assignment,
     select_subset,
 )
@@ -160,11 +159,20 @@ def loop_pad_stack(arrays):
 
 def dense_reference_forward(w, ctx, values, selected, rng=None, training=False):
     """The dense form of ``model.forward``: every layer and the head run on
-    all n rows, and the result is the (B, n, m) distribution of every row. ``forward`` must equal
-    ``assemble_relaxed(values, selected, dense_reference_forward(...))``
-    and leave ``rng`` in the same state."""
+    all n rows, and the result is the (B, n, m) distribution of every row.
+    ``forward`` with ``[rng] * B`` must equal
+    ``assemble_relaxed(values, selected, dense_reference_forward(..., rng))``
+    and leave ``rng`` in the same state. Each dropout mask and the noise is
+    one whole-shape draw from ``rng``, not a fill row by row."""
     cfg = w.config
     dt = w.dtype
+
+    def dropout(x):
+        if not training or cfg.dropout == 0.0:
+            return x
+        scale = 1 / dt.type(1.0 - cfg.dropout)
+        return x * Tensor(np.where(rng.random(x.shape) >= cfg.dropout, scale, 0).astype(dt))
+
     sel = Tensor(selected[..., None].astype(dt))
     emb = T.gather_rows(w["embed"], values)
     ape = Tensor(ctx.ape.astype(dt, copy=False))
@@ -174,17 +182,16 @@ def dense_reference_forward(w, ctx, values, selected, rng=None, training=False):
         x = T.layer_norm(h, w[f"l{l}.ln1.g"], w[f"l{l}.ln1.b"])
         z = composed_attention(x, w[f"l{l}.wq"], w[f"l{l}.wk"], w[f"l{l}.wv"], w[f"l{l}.wo"],
                                cfg.heads, ctx.keep, offset=offset)
-        z = T.dropout(z, cfg.dropout, rng, training)
-        h = h + z
+        h = h + dropout(z)
         x = T.layer_norm(h, w[f"l{l}.ln2.g"], w[f"l{l}.ln2.b"])
         x = T.gelu(T.linear(x, w[f"l{l}.w1"], w[f"l{l}.b1"]))
         x = T.linear(x, w[f"l{l}.w2"], w[f"l{l}.b2"])
-        x = T.dropout(x, cfg.dropout, rng, training)
-        h = h + x
+        h = h + dropout(x)
     h = T.layer_norm(h, w["lnf.g"], w["lnf.b"])
     out_logits = T.linear(h, w["w_out"], w["b_out"])
     if cfg.sampler == "gumbel":
-        out_logits = out_logits + Tensor(gumbel_noise(rng, out_logits.shape).astype(dt, copy=False))
+        u = np.clip(rng.random(out_logits.shape), 1e-12, 1.0 - 1e-12)
+        out_logits = out_logits + Tensor((-np.log(-np.log(u))).astype(dt))
     return _softmax(out_logits * (1.0 / cfg.tau), axis=-1)
 
 
@@ -224,7 +231,7 @@ def replay_solve(w, inst, pool: int, rounds: int, seed: int, inits=None) -> dict
     fixed = inst.compiled.fixed_mask
     rows = [values]
     for _ in range(0 if fixed.all() else rounds):
-        selected = select_subset(fixed, w.config.select_p, rngs)
+        selected = np.stack([select_subset(fixed, w.config.select_p, r) for r in rngs])
         values = apply_update(values, selected, forward(w, ctx, values, selected, rngs))
         rows.append(values)
 

@@ -9,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from csprefine.csp import is_feasible
+from csprefine.csp import Cardinality, CspInstance, NotEqual, is_feasible
 from csprefine.data import (
     COLOR_DISTRIBUTIONS,
     DataError,
@@ -184,6 +184,17 @@ def test_instances_file_round_trip(tmp_path):
     assert load_instances(path) == instances
 
 
+def test_numpy_numbers_round_trip_through_a_file(tmp_path):
+    # CspInstance takes numpy integers and reals; the file holds plain JSON numbers
+    inst = CspInstance(n=2, m=np.int64(3), index_tuples=((np.int64(0),), (np.int64(1),)),
+                       constraints=(NotEqual(np.int64(0), 1, weight=np.float32(2.5)),
+                                    Cardinality(np.int8(1), np.int32(1), (np.int64(0), 1))),
+                       fixed=(None, np.int64(2)))
+    path = tmp_path / "numpy.jsonl"
+    save_instances([inst], path)
+    assert load_instances(path) == [inst]
+
+
 def test_load_instances_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(instance_to_json(toy_alldiff(3)) + "\n{broken\n")
@@ -240,6 +251,11 @@ def test_load_gset_errors(tmp_path):
     path.write_text("3 1\n1 2\n")
     with pytest.raises(DataError):
         load_gset(path)
+    # a field that is not a number names its line
+    for text, line in [("3 x\n", ":1:"), ("3 1\n1 2 abc\n", ":2:"), ("3 1\n1.5 2 1\n", ":2:")]:
+        path.write_text(text)
+        with pytest.raises(DataError, match=line):
+            load_gset(path)
 
 
 def test_weights_round_trip(tmp_path):

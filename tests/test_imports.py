@@ -1,5 +1,5 @@
-"""Source check: every module of the package, and every test module,
-reads each name it imports."""
+"""Source check: every module of the package, every test module and every
+benchmark module reads each name it imports."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import csprefine
 
 SOURCES = sorted(Path(csprefine.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,7 +41,8 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["d", "os"]
 
 
-@pytest.mark.parametrize("path", SOURCES + TESTS,
-                         ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS])
+@pytest.mark.parametrize("path", SOURCES + TESTS + BENCH,
+                         ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS]
+                         + [f"bench/{p.name}" for p in BENCH])
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []

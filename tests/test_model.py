@@ -1,5 +1,5 @@
 """Model tests: positional encodings, attention bias construction, subset
-selection, the forward contract, and update semantics."""
+selection, dropout masks, the forward contract, and update semantics."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from csprefine.model import (
     ArityMismatch,
     InstanceContext,
     ModelConfig,
+    ModelWeights,
+    _dropout_mask,
     apply_update,
     ape_table,
     forward,
@@ -142,8 +144,8 @@ def test_select_subset_all_fixed_is_empty():
 
 
 def test_gumbel_noise_deterministic():
-    a = gumbel_noise(np.random.default_rng(4), (3, 2))
-    b = gumbel_noise(np.random.default_rng(4), (3, 2))
+    a = gumbel_noise([np.random.default_rng(4)] * 3, (3, 2))
+    b = gumbel_noise([np.random.default_rng(4)] * 3, (3, 2))
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
 
@@ -189,9 +191,56 @@ def test_forward_gumbel_needs_an_rng():
     selected = np.array([[True, False, False, False]])
     with pytest.raises(ValueError):
         forward(w, ctx, values, selected)
-    for rng in [np.random.default_rng(2), [np.random.default_rng(2)]]:
-        out = forward(w, ctx, values, selected, rng)
-        assert np.allclose(out.data.sum(axis=-1), 1.0)
+    out = forward(w, ctx, values, selected, [np.random.default_rng(2)])
+    assert np.allclose(out.data.sum(axis=-1), 1.0)
+
+
+def test_dropout_mask_scale():
+    # kept entries are scaled by 1 / (1 - rate), so the mean stays near 1
+    keep = _dropout_mask([np.random.default_rng(1)], (1, 100_000), 0.3, np.float64)
+    assert np.allclose(keep[keep > 0], 1.0 / 0.7)
+    assert abs(keep.mean() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_mask_matches_the_where_form(dtype):
+    # (draw >= rate) * scale is np.where(draw >= rate, scale, 0), in the dtype
+    keep = _dropout_mask([np.random.default_rng(2)] * 2, (2, 4, 3), 0.3, dtype)
+    u = np.random.default_rng(2).random((2, 4, 3))
+    assert keep.dtype == dtype
+    assert np.array_equal(keep, np.where(u >= 0.3, 1 / np.dtype(dtype).type(0.7), 0))
+
+
+def _dropout_forward_setup():
+    inst, cfg, w, ctx = _toy_forward_setup(sampler="softmax", dropout=0.5)
+    return w, ctx, np.array([[0, 1, 2, 3], [3, 3, 0, 0]]), np.array([[True, True, False, False]] * 2)
+
+
+def test_forward_draws_no_dropout_outside_training():
+    # outside training, and at rate 0 in training, dropout is the identity and draws nothing
+    w, ctx, values, selected = _dropout_forward_setup()
+    plain = ModelWeights(tiny_config(sampler="softmax", dropout=0.0), w.domain_size, w.params)
+    want = forward(w, ctx, values, selected).data
+    rng = np.random.default_rng(5)
+    assert np.array_equal(forward(w, ctx, values, selected, [rng] * 2).data, want)
+    assert np.array_equal(forward(plain, ctx, values, selected, [rng] * 2, training=True).data, want)
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+def test_forward_dropout_is_deterministic_given_seed():
+    w, ctx, values, selected = _dropout_forward_setup()
+    a, b, c = (forward(w, ctx, values, selected, [np.random.default_rng(seed)] * 2, training=True).data
+               for seed in (3, 3, 4))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+def test_forward_dropout_in_training_needs_rngs():
+    w, ctx, values, selected = _dropout_forward_setup()
+    with pytest.raises(ValueError):
+        forward(w, ctx, values, selected, training=True)
+    with pytest.raises(ValueError):  # one generator per row
+        forward(w, ctx, values, selected, [np.random.default_rng(0)], training=True)
 
 
 def test_forward_selection_marker_changes_output():

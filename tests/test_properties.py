@@ -408,30 +408,37 @@ def test_attention_rows_backward_equals_the_row_form(dtype, batch, n, heads, s, 
 @given(st.lists(st.booleans(), min_size=1, max_size=20), st.integers(1, 12), st.integers(2, 5),
        st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
 def test_pool_draws_equal_the_per_candidate_draws(fixed, pool, m, p, seed):
-    # select_subset and gumbel_noise on a list of generators: each row is what
-    # that generator alone gives, drawn subset first, and each generator ends
-    # in the same state
+    # a solve's draws: each candidate's subset, then gumbel_noise with a
+    # generator per row, give what each generator alone gives, and each
+    # generator ends in the same state; a generator shared by every row
+    # gives the bytes of one whole-shape draw
     fixed = np.array(fixed)
     n = len(fixed)
     pooled = [np.random.default_rng([seed, c]) for c in range(pool)]
     alone = [np.random.default_rng([seed, c]) for c in range(pool)]
-    sel = select_subset(fixed, p, pooled)
+    sel = np.stack([select_subset(fixed, p, r) for r in pooled])
     noise = gumbel_noise(pooled, (pool, n, m))
     for c, rng in enumerate(alone):
         assert np.array_equal(sel[c], select_subset(fixed, p, rng))
-        assert np.array_equal(noise[c], gumbel_noise(rng, (1, n, m))[0])
+        assert np.array_equal(noise[c], gumbel_noise([rng], (1, n, m))[0])
     assert sel.shape == (pool, n) and noise.shape == (pool, n, m)
     assert [r.random() for r in pooled] == [r.random() for r in alone]
+    u = np.clip(np.random.default_rng(seed).random((pool, n, m)), 1e-12, 1.0 - 1e-12)
+    shared = np.random.default_rng(seed)
+    assert np.array_equal(gumbel_noise([shared] * pool, (pool, n, m)), -np.log(-np.log(u)))
 
 
 @given(instances().flatmap(with_fixed), st.integers(1, 5), st.sampled_from(RPE_MODES),
-       st.sampled_from(SAMPLERS), st.integers(0, 2**32 - 1))
+       st.sampled_from(SAMPLERS), st.booleans(), st.sampled_from([0.0, 0.2]),
+       st.integers(0, 2**32 - 1))
 def test_forward_with_a_generator_per_row_equals_the_one_row_forwards(inst, batch, rpe_mode,
-                                                                       sampler, seed):
-    # a solve's forward: B generators give, row by row, what the one-row
-    # forward gives from that row's generator alone, and each generator
-    # ends in the same state
-    cfg = tiny_config(layers=2, rpe_mode=rpe_mode, ape_mode="multi", sampler=sampler)
+                                                                       sampler, training,
+                                                                       dropout, seed):
+    # B generators give, row by row, what the one-row forward gives from that
+    # row's generator alone, dropout masks in training included, and each
+    # generator ends in the same state
+    cfg = tiny_config(layers=2, rpe_mode=rpe_mode, ape_mode="multi", sampler=sampler,
+                      dropout=dropout)
     w = init_weights(cfg, inst.m, np.random.default_rng(seed), dtype=np.float64)
     ctx = InstanceContext.build(inst, cfg)
     rng = np.random.default_rng(seed)
@@ -440,9 +447,9 @@ def test_forward_with_a_generator_per_row_equals_the_one_row_forwards(inst, batc
     selected[0, rng.integers(inst.n)] = True  # some row is updated; others may be empty
     pooled = [np.random.default_rng([seed, c]) for c in range(batch)]
     alone = [np.random.default_rng([seed, c]) for c in range(batch)]
-    got = forward(w, ctx, values, selected, pooled).data
+    got = forward(w, ctx, values, selected, pooled, training).data
     for c, r in enumerate(alone):
-        want = forward(w, ctx, values[c : c + 1], selected[c : c + 1], r).data[0]
+        want = forward(w, ctx, values[c : c + 1], selected[c : c + 1], [r], training).data[0]
         assert np.allclose(got[c], want, rtol=1e-12, atol=1e-12)
     assert [r.bit_generator.state for r in pooled] == [r.bit_generator.state for r in alone]
 
@@ -571,19 +578,20 @@ def test_forward_matches_the_dense_reference(data, n, m, seed):
         selected[data.draw(st.integers(0, len(insts) - 1))] = False
     g = Tensor(rng.normal(size=(len(insts), n, m)))
 
-    def run(fn):
+    def run(fn, rngs):
+        # forward takes a generator per row, here one shared; the reference one generator
         w.zero_grad()
         draws = np.random.default_rng(seed + 2)
         with Tape():
-            out = fn(w, ctx, values, selected, rng=draws, training=training)
+            out = fn(w, ctx, values, selected, rngs(draws), training=training)
             backward((out * g).sum())
         return out.data, {k: p.grad for k, p in w.named_parameters()}, draws.bit_generator.state
 
     def reference(*args, **kwargs):
         return assemble_relaxed(values, selected, dense_reference_forward(*args, **kwargs))
 
-    got, got_grads, got_state = run(forward)
-    want, want_grads, want_state = run(reference)
+    got, got_grads, got_state = run(forward, lambda r: [r] * len(insts))
+    want, want_grads, want_state = run(reference, lambda r: r)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
     for k, ref in want_grads.items():
         assert np.allclose(got_grads[k], ref, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(ref).max())), k
