@@ -364,7 +364,8 @@ def _add_model_args(p):
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--heads", type=int, default=2)
     p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--p", type=float, default=0.5, help="variable selection probability")
+    p.add_argument("--p", type=float, default=0.5,
+                   help="variable selection probability, in [0.001, 1]")
     p.add_argument("--rpe", choices=RPE_MODES, default="masked")
     p.add_argument("--ape", choices=APE_MODES, default="none")
     p.add_argument("--tau", type=float, default=0.1)

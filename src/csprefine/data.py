@@ -401,6 +401,10 @@ def load_gset(path) -> WeightedGraph:
             if not line.strip():
                 continue
             u, v, w = _gset_fields(path, lineno, line, "'u v w'", (int, int, float))
+            if u == v or not (1 <= u <= n and 1 <= v <= n):
+                raise DataError(f"{path}:{lineno}: edge {u} {v} needs two distinct ids in 1..{n}")
+            if not np.isfinite(w):
+                raise DataError(f"{path}:{lineno}: edge {u} {v} has weight {w}, not finite")
             edges.append((min(u, v) - 1, max(u, v) - 1, w))
     if len(edges) != m:
         raise DataError(f"{path}: header declares {m} edges, found {len(edges)}")

@@ -51,8 +51,10 @@ class ModelConfig:
             raise ValueError("layers, heads, d_model and ffn_mult must be positive")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.heads} heads")
-        if not 0.0 < self.select_p <= 1.0:
-            raise ValueError(f"selection probability {self.select_p} outside (0,1]")
+        # select_subset redraws until a draw selects something: at p >= 1e-3
+        # that takes at most 1,000 draws in expectation
+        if not 1e-3 <= self.select_p <= 1.0:
+            raise ValueError(f"selection probability {self.select_p} outside [0.001,1]")
         if self.rpe_mode not in RPE_MODES:
             raise ValueError(f"rpe_mode must be one of {RPE_MODES}")
         if self.ape_mode not in APE_MODES:
@@ -311,7 +313,7 @@ def forward(
         z = T.attention(x, w[f"l{l}.wq"], w[f"l{l}.wk"], w[f"l{l}.wv"], w[f"l{l}.wo"],
                         cfg.heads, ctx.keep, rows=q_rows, offset=offset)
         if q_rows is not None:
-            h = T.take_rows(h, q_rows)
+            h = T.gather_rows(h.reshape(B * n, -1), batch * n + q_rows)
         if drop:
             z = z * at_rows(_dropout_mask(rngs, (B, n, cfg.d_model), cfg.dropout, dt), q_rows)
         h = h + z

@@ -228,13 +228,14 @@ def direct_sgd_counts(
     lr: float = 0.1,
     seed: int = 0,
 ) -> np.ndarray:
-    """Optimize free logit rows by plain gradient descent on the penalty
-    loss; returns the number of satisfied constraints per run.
+    """Optimize logit rows by plain gradient descent on the penalty loss;
+    returns the number of satisfied constraints per run.
 
     Variables are kept on the simplex through a softmax of the logits, so
-    no projection is needed. Runs are batched along the leading axis and
-    optimized independently. Raises ValueError unless ``lr`` is positive
-    and finite.
+    no projection is needed. A given is held as a saturated logit row, 1000
+    at its value and 0 elsewhere. Runs are batched along the leading axis
+    and optimized independently. Raises ValueError unless ``lr`` is
+    positive and finite.
     """
     if not 0.0 < lr < math.inf:
         raise ValueError("learning rate must be positive and finite")
@@ -243,20 +244,18 @@ def direct_sgd_counts(
     rng = np.random.default_rng(seed)
     program = LossProgram(inst)
     cc = inst.compiled
-    hard = one_hot(cc.fixed_values, inst.m)
-    fixed_rows = Tensor(np.broadcast_to(hard, (runs, inst.n, inst.m)).copy())
-    free_mask = Tensor((~cc.fixed_mask).astype(np.float64)[None, :, None])
-
     z = Tensor(rng.normal(0.0, 0.1, size=(runs, inst.n, inst.m)), requires_grad=True)
+    # exp(-1000) is exactly 0 in float64, so softmax turns a given's row into
+    # its exact one-hot and its backward gives that row a zero gradient: the
+    # givens never move, and their argmax is the given value
+    z.data[:, cc.fixed_mask] = 1000.0 * one_hot(cc.fixed_values[cc.fixed_mask], inst.m)
     for _ in range(steps):
         z.zero_grad()
         with Tape():
-            rel = free_mask * T.softmax(z, axis=-1) + (1.0 - free_mask) * fixed_rows
-            loss = program.loss(rel).sum()
-            backward(loss)
+            backward(program.loss(T.softmax(z, axis=-1)).sum())
         z.data -= lr * z.grad
 
-    rounded = np.where(cc.fixed_mask, cc.fixed_values, np.argmax(z.data, axis=-1))
+    rounded = np.argmax(z.data, axis=-1)
     sat = np.zeros(runs, dtype=np.int64)
     for r in range(runs):
         sat[r] = sum(1 for c in inst.constraints if violation_degree(c, rounded[r]) == 0)

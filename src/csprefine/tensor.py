@@ -22,7 +22,8 @@ Fused ops keep the tape short, each with a closed-form backward:
 :func:`attention`, a whole multi-head attention block whose queries may
 come from a subset of the rows, whose bool ``keep`` mask never
 exponentiates -inf, and whose backward keeps Q, K, V, A and A V;
-:func:`take_rows` and :func:`put_rows` move rows to and from such a subset.
+:func:`gather_rows` on the flattened (B n, ...) rows takes such a subset,
+and :func:`put_rows` writes one back.
 
 A backward closure (``bwd``) maps the output gradient ``g`` to one entry per
 input: ``None`` for an input that needs no gradient (``requires_grad``
@@ -46,8 +47,8 @@ at least ``eps``. Every loss gradient enters the model through its head
 softmax, so this one floor keeps subnormals out of the backward of every
 ``linear``, ``gelu``, ``layer_norm`` and ``attention`` op upstream of it.
 
-Every row scatter-add in a backward (:func:`gather_rows`, :func:`take_rows`,
-the query rows of :func:`attention`) is one ``np.add.at`` on the flat
+Every row scatter-add in a backward (:func:`gather_rows` and the query
+rows of :func:`attention`) is one ``np.add.at`` on the flat
 indices ``rows * w + arange(w)`` of the target viewed as 1-D, w its row
 width: numpy's fast 1-D loop, not its slow general one for a row index.
 Both add in index order, so each sum is the row form's, bit for bit.
@@ -470,23 +471,6 @@ def _check_rows(op: str, rows: np.ndarray, n: int) -> None:
 def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``x[b, rows[b, s]]`` for ``x`` (B, n, ...) and ``rows`` (B, S): (B, S, ...)."""
     return x[np.arange(x.shape[0])[:, None], rows]
-
-
-def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """Row ``rows[b, s]`` of batch element b of ``a`` (B, n, ...), for a
-    (B, S) integer array ``rows`` in [0, n): (B, S, ...). Backward
-    scatter-adds, so a row taken twice gets both gradients."""
-    rows = np.asarray(rows)
-    _check_rows("take_rows", rows, a.shape[1])
-    out = Tensor(_take_rows(a.data, rows))
-
-    def bwd(g):
-        B, n = a.shape[:2]
-        ga = np.zeros(a.shape, a.data.dtype)
-        _scatter_add(ga.reshape(B * n, *a.shape[2:]), np.arange(B)[:, None] * n + rows, g)
-        return (ga,)
-
-    return _record(out, (a,), bwd)
 
 
 def put_rows(base: np.ndarray, rows: np.ndarray, a: Tensor, where: np.ndarray) -> Tensor:

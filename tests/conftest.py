@@ -1,12 +1,19 @@
 """Shared fixtures and small builders used across the test modules."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import csprefine.tensor as T
-from csprefine.csp import AllDifferentExact, CspInstance, build_sudoku, total_violation
+from csprefine.csp import (
+    AllDifferentExact,
+    CspInstance,
+    build_sudoku,
+    total_violation,
+    violation_degree,
+)
 from csprefine.data import gen_coloring_dataset
 from csprefine.model import (
     InstanceContext,
@@ -16,9 +23,9 @@ from csprefine.model import (
     random_assignment,
     select_subset,
 )
-from csprefine.penalty import one_hot
+from csprefine.penalty import LossProgram, one_hot
 from csprefine.solve import cut_value
-from csprefine.tensor import Tensor
+from csprefine.tensor import Tape, Tensor, backward
 
 
 def toy_alldiff(n: int = 4) -> CspInstance:
@@ -258,9 +265,53 @@ def replay_solve(w, inst, pool: int, rounds: int, seed: int, inits=None) -> dict
     }
 
 
+def masked_direct_sgd_counts(inst, runs: int, steps: int, lr: float, seed: int) -> np.ndarray:
+    """``solve.direct_sgd_counts`` with its givens held by mask arithmetic:
+    each step blends the softmax of the free rows with the givens' exact
+    one-hot rows, and the givens are written into the rounded rows."""
+    rng = np.random.default_rng(seed)
+    program = LossProgram(inst)
+    cc = inst.compiled
+    hard = one_hot(cc.fixed_values, inst.m)
+    fixed_rows = Tensor(np.broadcast_to(hard, (runs, inst.n, inst.m)).copy())
+    free_mask = Tensor((~cc.fixed_mask).astype(np.float64)[None, :, None])
+    z = Tensor(rng.normal(0.0, 0.1, size=(runs, inst.n, inst.m)), requires_grad=True)
+    for _ in range(steps):
+        z.zero_grad()
+        with Tape():
+            rel = free_mask * T.softmax(z, axis=-1) + (1.0 - free_mask) * fixed_rows
+            backward(program.loss(rel).sum())
+        z.data -= lr * z.grad
+    rounded = np.where(cc.fixed_mask, cc.fixed_values, np.argmax(z.data, axis=-1))
+    return np.array([sum(violation_degree(c, r) == 0 for c in inst.constraints) for r in rounded])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+# Acceptance criteria that take 25 s or more each: ``pytest -m "not slow"``
+# runs every other test. A name that test_acceptance.py no longer defines
+# is an error, so the list cannot go stale.
+SLOW = (
+    "test_criterion_05_training_smoke_toy",
+    "test_criterion_06_desk_scale_coloring",
+    "test_criterion_08_multi_start_dominance",
+    "test_criterion_09_direct_sgd_trend",
+    "test_criterion_10_maxcut_correctness",
+)
+_ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+
+
+def pytest_collection_modifyitems(config, items):
+    source = _ACCEPTANCE.read_text()
+    stale = [name for name in SLOW if f"\ndef {name}(" not in source]
+    if stale:
+        raise pytest.UsageError(f"SLOW names tests that {_ACCEPTANCE.name} does not define: {stale}")
+    for item in items:
+        if item.path == _ACCEPTANCE and item.name in SLOW:
+            item.add_marker(pytest.mark.slow)
 
 
 try:

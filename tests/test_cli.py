@@ -467,6 +467,7 @@ def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_p
     ["generate", "--problem", "maxcut", "--count", "1", "--nurses", "4"],
     ["train", "--rpe", "none"],
     ["train", "--ape", "1d"],
+    ["train", "--p", "1e-300"],
 ], ids=["solve-no-budget", "solve-zero-iters", "solve-nan-time", "train-zero-batch",
         "train-heads-d-model", "train-nan-tau", "train-dropout-one", "train-nan-lr",
         "train-inf-weight-decay", "train-nan-grad-clip", "train-zero-grad-clip",
@@ -478,7 +479,8 @@ def test_index_arity_that_does_not_divide_d_model_is_a_compatibility_error(tmp_p
         "generate-nurse-zero-shifts", "generate-nurse-negative-per-shift",
         "generate-nurse-zero-nurses", "generate-nurse-fixed-k", "generate-maxcut-fixed-k",
         "generate-coloring-days", "generate-nurse-n", "generate-maxcut-pose-at-greedy",
-        "generate-maxcut-nurses", "train-rpe-none", "train-ape-1d"])
+        "generate-maxcut-nurses", "train-rpe-none", "train-ape-1d",
+        "train-tiny-p"])
 def test_rejected_configuration_is_a_usage_error(tmp_path, capsys, argv):
     dataset = _generate_coloring(tmp_path, count=2, n=5)
     out = tmp_path / "model.bin"
@@ -577,13 +579,14 @@ def _header_variants(blob: bytes):
 
     extra_key = {**header, "config": {**header["config"], "colour": 1}}
     rejected = {**header, "config": {**header["config"], "tau": -1.0}}
+    tiny_p = {**header, "config": {**header["config"], "select_p": 1e-4}}
     no_heads = {**header, "config": {**header["config"], "heads": 0}}
     no_domain = {k: v for k, v in header.items() if k != "domain_size"}
     listed_tensors = {**header, "tensors": list(header["tensors"])}
     no_dtype = {k: v for k, v in header.items() if k != "dtype"}
     other_dtype = {**header, "dtype": "float16"}
     listed_dtype = {**header, "dtype": [header["dtype"]]}
-    for variant in (extra_key, rejected, no_heads, no_domain, listed_tensors, no_dtype,
+    for variant in (extra_key, rejected, tiny_p, no_heads, no_domain, listed_tensors, no_dtype,
                     other_dtype, listed_dtype):
         yield repack(json.dumps(variant).encode())
     yield repack(b"\xff" + json.dumps(header).encode())

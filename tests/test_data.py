@@ -256,6 +256,12 @@ def test_load_gset_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(DataError, match=line):
             load_gset(path)
+    # an id outside 1..n, a self-loop or a non-finite weight names its line
+    # and quotes the file's own ids
+    for edge in ["0 2 1", "1 4 1", "2 2 1", "1 2 nan", "1 2 inf"]:
+        path.write_text(f"3 1\n{edge}\n")
+        with pytest.raises(DataError, match=f":2: edge {edge[:3]} "):
+            load_gset(path)
 
 
 def test_weights_round_trip(tmp_path):

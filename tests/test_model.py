@@ -25,6 +25,7 @@ def test_config_validation():
     tiny_config()  # the valid base; each case below changes one field of it
     for bad in [
         dict(d_model=10, heads=3), dict(select_p=0.0), dict(select_p=1.5),
+        dict(select_p=1e-4),  # select_subset could redraw for ever
         dict(rpe_mode="banded"), dict(ape_mode="learned"), dict(sampler="argmax"),
         dict(tau=0.0),
         # the deleted variants: no relative encoding, and the 1-D index

@@ -80,7 +80,6 @@ from csprefine.tensor import (
     linear,
     matmul,
     softmax,
-    take_rows,
 )
 from csprefine.train import _batch_loss, _collate, prepare
 from conftest import (
@@ -380,15 +379,6 @@ def test_gather_rows_backward_equals_the_row_form(dtype, rows, width, data, seed
     idx = np.random.default_rng(seed).integers(0, rows, size=index_shape)
     table = np.random.default_rng(seed).normal(size=(rows, *width)).astype(dtype)
     _assert_scatter_forms_agree(lambda t: gather_rows(t, idx), [table], seed)
-
-
-@given(st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.integers(1, 5),
-       st.integers(0, 6), st.lists(st.integers(1, 3), max_size=2), st.integers(0, 2**32 - 1))
-def test_take_rows_backward_equals_the_row_form(dtype, batch, n, s, width, seed):
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, n, size=(batch, s))
-    a = rng.normal(size=(batch, n, *width)).astype(dtype)
-    _assert_scatter_forms_agree(lambda t: take_rows(t, rows), [a], seed)
 
 
 @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.integers(1, 5),

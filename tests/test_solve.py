@@ -22,7 +22,14 @@ from csprefine.solve import (
     instance_cut_value,
     multi_start,
 )
-from conftest import full_sudoku_grid, replay_solve, sudoku_puzzle, tiny_config, toy_alldiff
+from conftest import (
+    full_sudoku_grid,
+    masked_direct_sgd_counts,
+    replay_solve,
+    sudoku_puzzle,
+    tiny_config,
+    toy_alldiff,
+)
 
 
 def test_budget_validation():
@@ -276,8 +283,18 @@ def test_greedy_coloring_known_cases():
 
 
 def test_direct_sgd_zero_missing_is_perfect():
+    # every row a given: descent moves none of them in any run
     inst = build_sudoku(full_sudoku_grid().tolist())
-    assert direct_sgd_counts(inst, runs=1, steps=1, lr=0.1, seed=0).tolist() == [27]
+    assert direct_sgd_counts(inst, runs=3, steps=50, lr=0.5, seed=0).tolist() == [27] * 3
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("missing", [41, 47, 55])
+def test_direct_sgd_equals_the_masked_reference(missing, seed):
+    # givens held as saturated logits give the counts of the loop that masks them
+    inst = sudoku_puzzle(missing, 1000 * missing + seed)
+    kw = dict(runs=2, steps=300, lr=0.1, seed=seed)
+    assert direct_sgd_counts(inst, **kw).tolist() == masked_direct_sgd_counts(inst, **kw).tolist()
 
 
 def test_direct_sgd_counts_batched_shape():

@@ -337,16 +337,6 @@ def test_gather_rows_repeated_index_scatter_adds():
     assert np.allclose(table.grad[0], 0.0)
 
 
-def test_take_rows_repeated_row_scatter_adds():
-    a = Tensor(np.zeros((2, 3, 2)), requires_grad=True)
-    with Tape():
-        out = T.take_rows(a, np.array([[1, 1, 1], [2, 0, 2]]))
-        backward(out.sum())
-    assert np.allclose(a.grad[0, 1], 3.0)
-    assert np.allclose(a.grad[0, [0, 2]], 0.0)
-    assert np.allclose(a.grad[1], [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
-
-
 def test_gather_rows_out_of_range():
     table = Tensor(np.zeros((3, 2)))
     with pytest.raises(IndexError):
@@ -359,8 +349,6 @@ def test_row_ops_reject_rows_out_of_range(row):
     # backward would then add its gradient to the previous batch element
     x = Tensor(np.zeros((2, 3, 4)))
     rows = np.array([[0, 1], [2, row]])
-    with pytest.raises(IndexError):
-        T.take_rows(x, rows)
     with pytest.raises(IndexError):
         T.attention(x, *[Tensor(np.eye(4)) for _ in range(4)], 1, np.ones((3, 3)), rows=rows)
 
