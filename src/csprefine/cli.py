@@ -253,8 +253,10 @@ def cmd_baseline(args) -> int:
         for idx, inst in enumerate(instances):
             cc = inst.compiled
             colors, k_greedy = greedy_coloring(inst.n, zip(cc.edge_i.tolist(), cc.edge_k.tolist()))
-            # greedy sees only the not-equal edges; the other constraints decide too
-            solved = k_greedy <= inst.m and is_feasible(inst, colors)
+            # greedy sees only the not-equal edges; the givens and the other
+            # constraints decide too
+            solved = (k_greedy <= inst.m and not np.any(cc.fixed_mask & (colors != cc.fixed_values))
+                      and is_feasible(inst, colors))
             rec = {"instance": idx, "k_greedy": k_greedy, "k_posed": inst.m,
                    "solved_by_greedy": solved,
                    "seed": args.seed, "config": chash}

@@ -396,7 +396,9 @@ def load_gset(path) -> WeightedGraph:
     """Header 'n m', then m lines 'u v w' with 1-based vertex ids."""
     with open(path) as fh:
         n, m = _gset_fields(path, 1, fh.readline(), "'n m' header", (int, int))
-        edges = []
+        if n < 1:
+            raise DataError(f"{path}:1: header declares {n} vertices, needs at least 1")
+        edges, seen = [], set()
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -405,7 +407,11 @@ def load_gset(path) -> WeightedGraph:
                 raise DataError(f"{path}:{lineno}: edge {u} {v} needs two distinct ids in 1..{n}")
             if not np.isfinite(w):
                 raise DataError(f"{path}:{lineno}: edge {u} {v} has weight {w}, not finite")
-            edges.append((min(u, v) - 1, max(u, v) - 1, w))
+            pair = (min(u, v) - 1, max(u, v) - 1)
+            if pair in seen:
+                raise DataError(f"{path}:{lineno}: edge {u} {v} repeats an earlier edge")
+            seen.add(pair)
+            edges.append((*pair, w))
     if len(edges) != m:
         raise DataError(f"{path}: header declares {m} edges, found {len(edges)}")
     return WeightedGraph(n, tuple(edges))

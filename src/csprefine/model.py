@@ -281,7 +281,7 @@ def forward(
     (B, n, .) shape and read at the last layer's rows, so the streams do
     not depend on the selection. A forward that draws needs ``rngs``
     (ValueError otherwise). Everything runs in the weights' dtype: the
-    context, the selection mask, the masks and the noise are cast to it.
+    context, the selection mask, the masks and the noise enter as arrays.
     """
     cfg = w.config
     B, n = values.shape
@@ -291,10 +291,9 @@ def forward(
     if rngs is None and (drop or cfg.sampler == "gumbel"):
         raise ValueError("dropout in training and the gumbel sampler need rngs")
 
-    sel = Tensor(selected[..., None].astype(dt))  # (B, n, 1)
     emb = T.gather_rows(w["embed"], values)  # (B, n, d)
-    ape = Tensor(ctx.ape.astype(dt, copy=False))
-    h = w["alpha"] * emb + w["beta"] * ape + w["gamma"] * (sel * w["select_embed"])
+    h = (w["alpha"] * emb + w["beta"] * ctx.ape
+         + w["gamma"] * (selected[..., None] * w["select_embed"]))
 
     offset = None
     if cfg.rpe_mode == "learned":
@@ -304,8 +303,8 @@ def forward(
     rows = np.argsort(~selected, axis=1, kind="stable")[:, : selected.sum(axis=1).max()]
     batch = np.arange(B)[:, None]
 
-    def at_rows(full: np.ndarray, q_rows) -> Tensor:  # a draw as a constant in the dtype
-        return Tensor((full if q_rows is None else full[batch, q_rows]).astype(dt, copy=False))
+    def at_rows(full: np.ndarray, q_rows) -> np.ndarray:  # a draw at the layer's rows
+        return full if q_rows is None else full[batch, q_rows]
 
     for l in range(cfg.layers):
         q_rows = rows if l == cfg.layers - 1 else None  # None: every row

@@ -133,9 +133,7 @@ def _atmost_pen(colsum: Tensor) -> Tensor:
 
 
 def _card_pen(colsum: Tensor, sel: np.ndarray, counts: np.ndarray) -> Tensor:
-    dt = colsum.data.dtype
-    return T.abs_(Tensor(counts.astype(dt, copy=False))
-                  - (colsum * Tensor(sel.astype(dt, copy=False))).sum(axis=-1))
+    return T.abs_(counts - (colsum * sel).sum(axis=-1))
 
 
 def _pad_stack(arrays) -> np.ndarray:
@@ -206,25 +204,23 @@ class LossProgram:
 
     def loss(self, rel: Tensor) -> Tensor:
         """Per-sample loss; shape = rel.shape[:-2], in rel's dtype: every
-        constant is cast to it."""
+        constant enters as an array, which the tensor ops cast to it."""
         if rel.shape[-2:] != (self.n, self.m):
             raise ShapeMismatch("loss over (..., n, m) rows", rel.shape, (self.n, self.m))
-        dt = rel.data.dtype
-        total = Tensor(np.zeros(rel.shape[:-2], dtype=dt))
+        total = Tensor(np.zeros(rel.shape[:-2], dtype=rel.data.dtype))
         f = self.cfg.transform
 
         for group, pen in ((self.exact, _exact_pen), (self.atmost, _atmost_pen),
                            (self.card, _card_pen)):
             mat, row_w = group[0], group[-1]
             if mat.shape[-2]:
-                colsum = T.matmul(Tensor(mat.astype(dt, copy=False)), rel)  # (..., C, m)
+                colsum = T.matmul(mat, rel)  # (..., C, m)
                 p = pen(colsum, *group[1:-1])
-                total = total + (_apply_f(p, f) * Tensor(row_w.astype(dt, copy=False))).sum(axis=-1)
+                total = total + (_apply_f(p, f) * row_w).sum(axis=-1)
 
         if self.edge_coeff.shape[-1]:
             dots = (self._edge_rows(rel, self.edge_i) * self._edge_rows(rel, self.edge_k)).sum(axis=-1)
-            coeff = Tensor(self.edge_coeff.astype(dt, copy=False))
-            total = total + (_apply_f(dots, f) * coeff).sum(axis=-1)
+            total = total + (_apply_f(dots, f) * self.edge_coeff).sum(axis=-1)
 
         return total
 

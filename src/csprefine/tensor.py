@@ -7,10 +7,11 @@ tape. Calling :func:`backward` on a scalar replays the tape in reverse and
 accumulates gradients into every reachable tensor that requires them.
 
 A tensor keeps float32 data as float32 and stores anything else as
-float64. Every op computes in the dtype of its tensor inputs: a Python
-number that meets a tensor takes the tensor's dtype, and masks are cast to
-the input's dtype, so a float32 forward and backward never promote to
-float64.
+float64. Every op computes in the dtype of its tensor inputs: a number or
+an array that meets a tensor, on either side of :func:`add`, :func:`sub`,
+:func:`mul`, :func:`matmul` or their operators (numpy defers ``array + t``
+to the tensor), takes the tensor's dtype, so a float32 forward and backward
+never promote to float64.
 
 Every op computes its local derivative inside its backward closure, never in
 the forward, so a forward with no tape (inference) does forward work only.
@@ -134,6 +135,7 @@ _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_node")
+    __array_ufunc__ = None  # numpy hands ``array + t`` to ``t.__radd__``
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -174,28 +176,28 @@ class Tensor:
     # -- operator sugar ------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _wrap(other, self))
+        return add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, _wrap(other, self))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other, self))
+        return mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, _wrap(1.0 / other, self))
-        return mul(self, pow_scalar(other, -1.0))
+        if isinstance(other, Tensor):
+            return mul(self, pow_scalar(other, -1.0))
+        return mul(self, 1.0 / other)
 
     def __neg__(self):
-        return mul(self, _wrap(-1.0, self))
+        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -213,14 +215,6 @@ class Tensor:
 
     def transpose(self, *axes):
         return transpose(self, axes)
-
-
-def _wrap(x, like: Tensor | None = None) -> Tensor:
-    """``x`` as a tensor; a non-tensor takes the dtype of ``like``, the
-    other operand, so that a Python number never promotes a float32 op."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64 if like is None else like.data.dtype))
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -242,10 +236,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _binary(fn, op: str, a: Tensor, b: Tensor) -> np.ndarray:
-    """``fn(a.data, b.data)``, with numpy's shape error as :class:`ShapeMismatch`."""
+def _binary(fn, op: str, a, b) -> tuple[Tensor, Tensor, Tensor]:
+    """``a``, ``b`` and ``fn(a.data, b.data)`` as tensors; a non-tensor takes
+    the other operand's dtype (float64 for two), and numpy's shape error
+    becomes :class:`ShapeMismatch`."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype if isinstance(b, Tensor) else _F64))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
     try:
-        return fn(a.data, b.data)
+        return a, b, Tensor(fn(a.data, b.data))
     except ValueError:
         raise ShapeMismatch(op, a.shape, b.shape) from None
 
@@ -254,9 +254,8 @@ def _binary(fn, op: str, a: Tensor, b: Tensor) -> np.ndarray:
 # Elementwise ops
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(_binary(np.add, "add", a, b))
+def add(a, b) -> Tensor:
+    a, b, out = _binary(np.add, "add", a, b)
 
     def bwd(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -265,9 +264,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(_binary(np.subtract, "sub", a, b))
+def sub(a, b) -> Tensor:
+    a, b, out = _binary(np.subtract, "sub", a, b)
 
     def bwd(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -276,9 +274,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(_binary(np.multiply, "mul", a, b))
+def mul(a, b) -> Tensor:
+    a, b, out = _binary(np.multiply, "mul", a, b)
 
     def bwd(g):
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
@@ -382,10 +379,10 @@ def log(a: Tensor) -> Tensor:
 # Linear algebra and shaping
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a, b) -> Tensor:
+    a, b, out = _binary(np.matmul, "matmul", a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:  # backward swaps the last two axes
         raise ShapeMismatch("matmul", a.shape, b.shape)
-    out = Tensor(_binary(np.matmul, "matmul", a, b))
 
     def bwd(g):
         ga = gb = None
@@ -430,7 +427,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else a.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), _wrap(1.0 / n, a))
+    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -477,11 +474,14 @@ def put_rows(base: np.ndarray, rows: np.ndarray, a: Tensor, where: np.ndarray) -
     """A copy of the constant ``base`` (B, n, ...), in ``a``'s dtype, with
     row ``rows[b, s]`` of batch element b replaced by ``a[b, s]`` wherever
     ``where[b, s]``; ``a`` is (B, S, ...), and the rows written into one
-    batch element must be distinct. ``a`` gets the gradient of the rows it
-    wrote and zero elsewhere."""
-    b, s = np.nonzero(where)
-    r = np.asarray(rows)[b, s]
+    batch element must be distinct, and every row in [0, n) (IndexError
+    otherwise). ``a`` gets the gradient of the rows it wrote and zero
+    elsewhere."""
+    rows = np.asarray(rows)
     y = np.array(base, dtype=a.data.dtype)
+    _check_rows("put_rows", rows, y.shape[1])
+    b, s = np.nonzero(where)
+    r = rows[b, s]
     y[b, r] = a.data[b, s]
     out = Tensor(y)
 
@@ -659,11 +659,11 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
     logits *= scale
     keep = np.asarray(keep)
     try:
-        np.broadcast_to(keep, (B, 1, n, n))
+        keep_b = np.broadcast_to(keep, (B, 1, n, n))
     except ValueError:
         raise ShapeMismatch("attention", x.shape, keep.shape) from None
     if rows is not None:  # (B, 1, S, n): the query rows
-        keep = _take_rows(np.broadcast_to(keep, (B, 1, n, n))[:, 0], rows)[:, None]
+        keep = _take_rows(keep_b[:, 0], rows)[:, None]
     if offset is not None:
         nonedge = 1.0 - np.asarray(keep, dtype=dt)
         logits += offset.data * nonedge

@@ -15,7 +15,7 @@ import pytest
 import csprefine
 from csprefine import data
 from csprefine.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from csprefine.csp import build_graph_coloring
+from csprefine.csp import CspInstance, NotEqual, build_graph_coloring
 from csprefine.data import load_instances, load_weights, save_instances, save_sudoku, save_weights
 from csprefine.model import ModelConfig, init_weights
 from csprefine.train import TrainConfig, train
@@ -267,6 +267,18 @@ def test_baseline_greedy_checks_every_constraint(tmp_path, capsys):
     assert len(recs) == 2
     assert all(r["k_greedy"] <= r["k_posed"] for r in recs)
     assert not any(r["solved_by_greedy"] for r in recs)
+
+
+def test_baseline_greedy_keeps_the_givens(tmp_path, capsys):
+    # first-fit colors vertex 0 with 0, not its given 2: the coloring meets
+    # every constraint but moves a given, so greedy did not solve it
+    inst = CspInstance(n=3, m=3, index_tuples=((0,), (1,), (2,)),
+                       constraints=(NotEqual(0, 1), NotEqual(1, 2)), fixed=(2, None, None))
+    path = tmp_path / "given.jsonl"
+    save_instances([inst], path)
+    assert main(["baseline", "--kind", "greedy", "--dataset", str(path)]) == EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["k_greedy"] == 2 and not rec["solved_by_greedy"]
 
 
 def test_baseline_direct_sgd(tmp_path, capsys):

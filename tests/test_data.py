@@ -262,6 +262,17 @@ def test_load_gset_errors(tmp_path):
         path.write_text(f"3 1\n{edge}\n")
         with pytest.raises(DataError, match=f":2: edge {edge[:3]} "):
             load_gset(path)
+    # a repeated edge, in either orientation, names its second line and
+    # quotes the file's own ids
+    for second in ["2 1", "1 2"]:
+        path.write_text(f"3 2\n1 2 1\n{second} 5\n")
+        with pytest.raises(DataError, match=f":3: edge {second} "):
+            load_gset(path)
+    # a header with fewer than one vertex names line 1
+    for text in ["-3 0\n", "0 0\n"]:
+        path.write_text(text)
+        with pytest.raises(DataError, match=":1:"):
+            load_gset(path)
 
 
 def test_weights_round_trip(tmp_path):

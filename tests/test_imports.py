@@ -1,5 +1,6 @@
-"""Source check: every module of the package, every test module and every
-benchmark module reads each name it imports."""
+"""Source checks: every module of the package, every test module and every
+benchmark module reads each name it imports, and the modules that build
+forward and loss graphs leave casting constants to the tensor ops."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,35 @@ def test_unused_imports_are_found():
                          + [f"bench/{p.name}" for p in BENCH])
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the modules that build forward and loss graphs
+GRAPH_BUILDERS = [Path(csprefine.__file__).parent / f"{m}.py"
+                  for m in ("model", "penalty", "solve", "train")]
+
+
+def hand_casts(source: str) -> list[int]:
+    """The lines of ``source`` that call ``Tensor`` on an ``.astype``
+    expression: a tensor op casts a constant to its tensor operand's dtype."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args
+        and "Tensor" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "astype"
+                for n in ast.walk(node.args[0]))
+    )
+
+
+def test_hand_casts_are_found():
+    source = (
+        "a = Tensor(x.astype(dt))\n"
+        "b = T.Tensor((x if c else y[0]).astype(dt, copy=False))\n"
+        "c = Tensor(np.zeros(3)) * x.astype(dt)\n"
+    )
+    assert hand_casts(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", GRAPH_BUILDERS, ids=[p.name for p in GRAPH_BUILDERS])
+def test_graph_builders_leave_casts_to_the_tensor_ops(path):
+    assert hand_casts(path.read_text()) == []

@@ -2,6 +2,7 @@
 finite differences, tape semantics, and error paths."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -39,6 +40,72 @@ def test_operator_sugar():
     assert np.allclose((-a).data, [-2.0, -4.0])
     assert np.allclose((a / 2.0).data, [1.0, 2.0])
     assert np.allclose((3.0 * a).data, [6.0, 12.0])
+
+
+_T32 = np.array([[0.1, 2.5], [-3.3, 7.0]], dtype=np.float32)
+_CONSTANTS = {"float": 0.7, "np.float64": np.float64(0.7),
+              "array": np.array([[1.3, -0.2], [0.9, 5.1]])}
+_OPS = (("add", operator.add, "+"), ("sub", operator.sub, "-"), ("mul", operator.mul, "*"))
+
+
+def _f32(x):
+    return np.asarray(x, dtype=np.float32)
+
+
+def _forms():
+    """(id, op, constant, form of a tensor t and the constant x, the same
+    arithmetic on float32 arrays): every way a constant meets a tensor."""
+    for c in _CONSTANTS:
+        for op, fn, sym in _OPS:
+            yield (f"{op}(t, {c})", op, c, lambda t, x, op=op: getattr(T, op)(t, x),
+                   lambda a, x, fn=fn: fn(a, _f32(x)))
+            yield (f"{op}({c}, t)", op, c, lambda t, x, op=op: getattr(T, op)(x, t),
+                   lambda a, x, fn=fn: fn(_f32(x), a))
+            yield (f"t {sym} {c}", op, c, fn, lambda a, x, fn=fn: fn(a, _f32(x)))
+            yield (f"{c} {sym} t", op, c, lambda t, x, fn=fn: fn(x, t),
+                   lambda a, x, fn=fn: fn(_f32(x), a))
+        # division multiplies by the reciprocal, taken before the cast
+        yield f"t / {c}", "mul", c, operator.truediv, lambda a, x: a * _f32(1.0 / x)
+    yield "-t", "mul", "float", lambda t, x: -t, lambda a, x: -a
+    yield ("matmul(t, array)", "matmul", "array", lambda t, x: T.matmul(t, x),
+           lambda a, x: a @ _f32(x))
+    yield ("matmul(array, t)", "matmul", "array", lambda t, x: T.matmul(x, t),
+           lambda a, x: _f32(x) @ a)
+    yield "t @ array", "matmul", "array", operator.matmul, lambda a, x: a @ _f32(x)
+
+
+_FORMS = list(_forms())
+
+
+@pytest.mark.parametrize("c, form, reference", [f[2:] for f in _FORMS],
+                         ids=[f[0] for f in _FORMS])
+def test_a_constant_takes_the_tensor_dtype(c, form, reference):
+    out = form(Tensor(_T32), _CONSTANTS[c])
+    assert isinstance(out, Tensor) and out.data.dtype == np.float32
+    assert np.array_equal(out.data, reference(_T32, _CONSTANTS[c]))
+
+
+def test_numpy_defers_to_a_tensor():
+    # without the opt-out numpy would build an object array of Tensors
+    t = Tensor(np.arange(3.0, dtype=np.float32))
+    for out in (np.ones(3) * t, np.ones(3) - t):
+        assert isinstance(out, Tensor) and out.data.dtype == np.float32
+    assert np.array_equal((np.ones(3) - t).data, 1.0 - t.data)
+
+
+_OPERATOR_FORMS = [f for f in _FORMS if "(" not in f[0]]
+
+
+@pytest.mark.parametrize("op, c, form", [f[1:4] for f in _OPERATOR_FORMS],
+                         ids=[f[0] for f in _OPERATOR_FORMS])
+def test_every_operator_reaches_its_op_through_the_module(monkeypatch, op, c, form):
+    # bench/spans.py traces ``a + b`` by rebinding the module's op functions
+    calls = []
+    for name in ("add", "sub", "mul", "matmul"):
+        monkeypatch.setattr(T, name, lambda *args, fn=getattr(T, name), name=name:
+                            calls.append(name) or fn(*args))
+    assert isinstance(form(Tensor(_T32), _CONSTANTS[c]), Tensor)
+    assert calls == [op]
 
 
 def test_shape_mismatch_raises():
@@ -351,6 +418,8 @@ def test_row_ops_reject_rows_out_of_range(row):
     rows = np.array([[0, 1], [2, row]])
     with pytest.raises(IndexError):
         T.attention(x, *[Tensor(np.eye(4)) for _ in range(4)], 1, np.ones((3, 3)), rows=rows)
+    with pytest.raises(IndexError):
+        T.put_rows(x.data, rows, Tensor(np.ones((2, 2, 4))), np.ones((2, 2), dtype=bool))
 
 
 def test_scatter_add_refuses_a_target_it_would_copy():
