@@ -5,7 +5,8 @@ Subcommands: ``generate`` (datasets), ``train`` (weights), ``solve``
 coloring / direct gradient descent), and ``gradcheck`` (finite-difference
 verification of penalties and a toy model).
 
-Exit codes: 0 success, 2 usage, 3 I/O or compatibility, 4 numeric failure.
+Exit codes: 0 success, 1 a ``gradcheck`` check failed, 2 usage, 3 I/O or
+compatibility, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .tensor import NumericError, Tensor, grad_check
 from .train import TrainConfig, train
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
@@ -308,7 +310,7 @@ def cmd_gradcheck(args) -> int:
         report(f"attention.{name}", res)
     for name, res in _model_grad_checks(rng):
         report(f"model.{name}", res)
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _attention_grad_checks(rng: np.random.Generator):

@@ -323,6 +323,7 @@ def constraint_graph(inst: CspInstance) -> ConstraintGraph:
 
 def build_sudoku(givens) -> CspInstance:
     """9x9 sudoku from 81 entries: digits 1-9 are givens, 0/None are blanks.
+    An entry is a Python or numpy integer; a bool or a float raises CspError.
 
     Consistency of the givens is not checked; an inconsistent puzzle is a
     legal (unsolvable) instance.
@@ -332,10 +333,10 @@ def build_sudoku(givens) -> CspInstance:
         raise CspError(f"sudoku needs 81 entries, got {len(givens)}")
     fixed: list[int | None] = []
     for g in givens:
-        if g is None or g == 0:
+        if g is None or (_is_int(g) and g == 0):
             fixed.append(None)
-        elif isinstance(g, int) and 1 <= g <= 9:
-            fixed.append(g - 1)
+        elif _is_int(g) and 1 <= g <= 9:
+            fixed.append(int(g) - 1)
         else:
             raise CspError(f"sudoku entry {g!r} not a digit 1-9 or blank")
     index_tuples = tuple((r, c) for r in range(9) for c in range(9))

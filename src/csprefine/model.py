@@ -210,19 +210,32 @@ def random_assignment(inst: CspInstance, rng: np.random.Generator) -> np.ndarray
     return np.where(cc.fixed_mask, cc.fixed_values, rng.integers(0, inst.m, size=inst.n))
 
 
-def select_subset(fixed_mask: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli(p) inclusion per non-fixed variable; (n,) bool.
+def select_subset(fixed_mask: np.ndarray, p: float, rngs) -> np.ndarray:
+    """Bernoulli(p) inclusion per non-fixed variable of ``fixed_mask`` (n,).
 
-    Redraws when nothing was selected but selectable variables exist: an
-    empty step would be the identity and waste an iteration.
+    ``rngs`` is one generator, for an (n,) subset, or a sequence of
+    distinct generators (ValueError when two rows share one), one per row
+    of a (len(rngs), n) subset. Every row draws once, and then only a row
+    that selected nothing draws again, from its own generator, until it
+    selects something: an empty step would be the identity and waste an
+    iteration. Since no row reads another row's generator, row b is the
+    subset that ``rngs[b]`` alone gives. When every variable is fixed,
+    nothing is drawn and the subset is empty.
     """
+    one = isinstance(rngs, np.random.Generator)
+    gens = [rngs] if one else rngs
+    if len({id(r) for r in gens}) < len(gens):
+        raise ValueError("each row of a subset needs its own generator")
     free = ~fixed_mask
+    n = fixed_mask.shape[0]
     if not free.any():
-        return np.zeros_like(fixed_mask)
-    while True:
-        sel = (rng.random(fixed_mask.shape[0]) < p) & free
-        if sel.any():
-            return sel
+        sel = np.zeros((len(gens), n), dtype=bool)
+    else:
+        sel = (_uniform(gens, (len(gens), n)) < p) & free
+        for b in np.flatnonzero(~sel.any(axis=1)):
+            while not sel[b].any():
+                sel[b] = (gens[b].random(n) < p) & free
+    return sel[0] if one else sel
 
 
 def _uniform(rngs, shape) -> np.ndarray:
@@ -239,9 +252,16 @@ def _uniform(rngs, shape) -> np.ndarray:
 
 
 def gumbel_noise(rngs, shape) -> np.ndarray:
-    """Standard Gumbel noise of ``shape``, row b from ``rngs[b]``."""
-    u = np.clip(_uniform(rngs, shape), 1e-12, 1.0 - 1e-12)
-    return -np.log(-np.log(u))
+    """Standard Gumbel noise of ``shape``, row b from ``rngs[b]``: the
+    uniform draws u clipped to [1e-12, 1 - 1e-12], then ``-log(-log(u))``,
+    each step in place on the draw buffer."""
+    u = _uniform(rngs, shape)
+    np.maximum(u, 1e-12, out=u)
+    np.minimum(u, 1.0 - 1e-12, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    return np.negative(u, out=u)
 
 
 def _dropout_mask(rngs, shape, rate: float, dtype) -> np.ndarray:
@@ -299,12 +319,13 @@ def forward(
     if cfg.rpe_mode == "learned":
         offset = -T.log(1.0 + T.exp(w["rpe_theta"]))  # softplus keeps the offset <= 0
 
-    # the selected rows first, in order, then unselected ones as padding
-    rows = np.argsort(~selected, axis=1, kind="stable")[:, : selected.sum(axis=1).max()]
-    batch = np.arange(B)[:, None]
+    # the selected rows first, in order, then unselected ones as padding;
+    # ``flat`` holds the same rows as indices into the B n rows
+    rows = (~selected).argsort(axis=1, kind="stable")[:, : selected.sum(axis=1).max()]
+    flat = rows + np.arange(0, B * n, n)[:, None]
 
     def at_rows(full: np.ndarray, q_rows) -> np.ndarray:  # a draw at the layer's rows
-        return full if q_rows is None else full[batch, q_rows]
+        return full if q_rows is None else full.reshape(B * n, -1).take(flat, 0)
 
     for l in range(cfg.layers):
         q_rows = rows if l == cfg.layers - 1 else None  # None: every row
@@ -312,7 +333,7 @@ def forward(
         z = T.attention(x, w[f"l{l}.wq"], w[f"l{l}.wk"], w[f"l{l}.wv"], w[f"l{l}.wo"],
                         cfg.heads, ctx.keep, rows=q_rows, offset=offset)
         if q_rows is not None:
-            h = T.gather_rows(h.reshape(B * n, -1), batch * n + q_rows)
+            h = T.gather_rows(h.reshape(B * n, -1), flat)
         if drop:
             z = z * at_rows(_dropout_mask(rngs, (B, n, cfg.d_model), cfg.dropout, dt), q_rows)
         h = h + z
@@ -332,10 +353,10 @@ def forward(
         if cfg.sampler == "gumbel":
             out_logits = out_logits + at_rows(gumbel_noise(rngs, (B, n, m)), rows)
         out_logits = out_logits * (1.0 / cfg.tau)
-    if not np.all(np.isfinite(out_logits.data)):
+    if not np.isfinite(out_logits.data).all():
         raise NumericError(f"non-finite output logits at temperature {cfg.tau}")
     yhat = T.softmax(out_logits, axis=-1)
-    return T.put_rows(one_hot(values, m), rows, yhat, selected[batch, rows])
+    return T.put_rows(one_hot(values, m), rows, yhat, selected.take(flat))
 
 
 def apply_update(values: np.ndarray, selected: np.ndarray, yhat) -> np.ndarray:

@@ -43,11 +43,9 @@ def default_loss_config(inst: CspInstance) -> LossConfig:
 
 
 def one_hot(values, m: int) -> np.ndarray:
-    """Exact one-hot rows, shape ``values.shape + (m,)``."""
-    values = np.asarray(values, dtype=np.int64)
-    out = np.zeros(values.shape + (m,), dtype=np.float64)
-    np.put_along_axis(out, values[..., None], 1.0, axis=-1)
-    return out
+    """Exact float64 one-hot rows, shape ``values.shape + (m,)``: the rows
+    of the identity that the values pick (IndexError for a value of m or more)."""
+    return np.eye(m)[np.asarray(values, dtype=np.int64)]
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,8 @@ def multi_start(
     while True:
         score = -instance_cut_value(inst, values) if maximize else viol
         improved = score < best_score
-        best_score[improved] = score[improved]
-        best_values[improved] = values[improved]
+        np.copyto(best_score, score, where=improved)
+        np.copyto(best_values, values, where=improved[:, None])
         if not maximize and viol.min() == 0:
             winner = int(viol.argmin())
             break
@@ -181,8 +181,7 @@ def multi_start(
             break
         if budget.time_limit_ms is not None and (time.perf_counter() - t0) * 1000.0 >= budget.time_limit_ms:
             break
-        selected = np.stack([select_subset(fixed_mask, weights.config.select_p, rng)
-                             for rng in rngs])
+        selected = select_subset(fixed_mask, weights.config.select_p, rngs)
         values = apply_update(values, selected, forward(weights, ctx, values, selected, rngs))
         rounds += 1
         viol = checker.total(values)

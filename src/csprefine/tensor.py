@@ -21,8 +21,10 @@ Shape errors come from numpy and are reported as :class:`ShapeMismatch`.
 Fused ops keep the tape short, each with a closed-form backward:
 :func:`layer_norm`, :func:`linear` (``x @ w + b`` as one flat GEMM) and
 :func:`attention`, a whole multi-head attention block whose queries may
-come from a subset of the rows, whose bool ``keep`` mask never
-exponentiates -inf, and whose backward keeps Q, K, V, A and A V;
+come from a subset of the rows, whose bool ``keep`` mask (one (n, n) graph
+for the batch, as a solve passes it, or one per batch element, as training
+stacks it) never exponentiates -inf, and whose backward keeps Q, K, V, A
+and A V;
 :func:`gather_rows` on the flattened (B n, ...) rows takes such a subset,
 and :func:`put_rows` writes one back.
 
@@ -201,6 +203,9 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     def sum(self, axis=None, keepdims: bool = False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
@@ -438,7 +443,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     """
     idx = np.asarray(indices, dtype=np.int64)
     _check_rows("gather_rows", idx, table.shape[0])
-    out = Tensor(table.data[idx])
+    out = Tensor(table.data.take(idx, 0))
 
     def bwd(g):
         gt = np.zeros(table.shape, table.data.dtype)
@@ -460,14 +465,11 @@ def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> No
 
 def _check_rows(op: str, rows: np.ndarray, n: int) -> None:
     """Raise IndexError unless every entry of ``rows`` is in [0, n): numpy
-    wraps a negative row in the forward, the flat backward scatter would not."""
-    if rows.size and (rows.min() < 0 or rows.max() >= n):
+    wraps a negative row in the forward, the flat backward scatter would not.
+    Read as unsigned, a negative row is at least 2^(bits - 1), so one max
+    checks both ends."""
+    if rows.size and rows.view(f"u{rows.itemsize}").max() >= n:
         raise IndexError(f"{op}: row index out of range for {n} rows")
-
-
-def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``x[b, rows[b, s]]`` for ``x`` (B, n, ...) and ``rows`` (B, S): (B, S, ...)."""
-    return x[np.arange(x.shape[0])[:, None], rows]
 
 
 def put_rows(base: np.ndarray, rows: np.ndarray, a: Tensor, where: np.ndarray) -> Tensor:
@@ -507,7 +509,7 @@ def _softmax(x: np.ndarray, axis: int = -1, keep: np.ndarray | None = None,
     """
     xmax = np.max(x if keep is None else x + np.where(keep, 0, x.dtype.type(-np.inf)),
                   axis=axis, keepdims=True)
-    if np.any(np.isneginf(xmax)):
+    if (xmax == -np.inf).any():
         raise NumericError("softmax: a slice is entirely -inf or masked")
     y = np.subtract(x, xmax, out=out)
     if keep is not None:
@@ -616,8 +618,10 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
     V always come from all n rows. Q, K and V are one GEMM of ``x`` against
     ``[wq|wk|wv]``; with ``rows``, Q is a GEMM of the query rows alone.
 
-    ``keep``, a bool (or 0/1) array (n, n), or (B, 1, n, n) for one per
-    batch element, is true where a row may attend to a column. Without
+    ``keep``, a bool (or 0/1) array, is true where a row may attend to a
+    column: one (n, n) graph for every batch element, whose query rows are
+    picked from it directly, or one per batch element, (B, 1, n, n) or any
+    shape that broadcasts to it (ShapeMismatch for another shape). Without
     ``offset`` it masks the softmax, which runs in place on the logits: an
     entry where it is false gets an exact zero weight and a zero gradient,
     and is never exponentiated. With ``offset``, a scalar tensor, it masks
@@ -648,7 +652,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
         _check_rows("attention", rows, n)
         full_w = (wk, wv)
         S = rows.shape[1]
-        xq2 = _take_rows(x.data, rows).reshape(B * S, d)
+        flat = rows + np.arange(0, B * n, n)[:, None]  # the query rows of x2
+        xq2 = x2.take(flat.reshape(-1), 0)
     w_cat = np.concatenate([w.data for w in full_w], axis=1)
     # (slot, B, heads, n, dh) views of one (B, n, slots * d) product
     proj = (x2 @ w_cat).reshape(B, n, len(full_w), heads, dh).transpose(2, 0, 3, 1, 4)
@@ -658,12 +663,16 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
     logits = np.matmul(q, k.swapaxes(-1, -2))  # (B, heads, S, n)
     logits *= scale
     keep = np.asarray(keep)
-    try:
-        keep_b = np.broadcast_to(keep, (B, 1, n, n))
-    except ValueError:
-        raise ShapeMismatch("attention", x.shape, keep.shape) from None
-    if rows is not None:  # (B, 1, S, n): the query rows
-        keep = _take_rows(keep_b[:, 0], rows)[:, None]
+    if keep.shape == (n, n):  # one graph for the batch, as a solve passes it
+        if rows is not None:  # (B, 1, S, n): the query rows
+            keep = keep.take(rows, 0)[:, None]
+    else:
+        try:
+            keep_b = np.broadcast_to(keep, (B, 1, n, n))
+        except ValueError:
+            raise ShapeMismatch("attention", x.shape, keep.shape) from None
+        if rows is not None:
+            keep = keep_b[:, 0][np.arange(B)[:, None], rows][:, None]
     if offset is not None:
         nonedge = 1.0 - np.asarray(keep, dtype=dt)
         logits += offset.data * nonedge
@@ -698,7 +707,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
         if x.requires_grad:
             gx = d_proj @ w_cat.T
             if rows is not None:
-                _scatter_add(gx, np.arange(B)[:, None] * n + rows, dq2 @ wq.data.T)
+                _scatter_add(gx, flat, dq2 @ wq.data.T)
             gx = gx.reshape(B, n, d)
         gw = [None] * len(full_w)
         if any(w.requires_grad for w in full_w):

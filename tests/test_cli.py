@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import csprefine
-from csprefine import data
-from csprefine.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from csprefine import Tensor, cli, data
+from csprefine.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from csprefine.csp import CspInstance, NotEqual, build_graph_coloring
 from csprefine.data import load_instances, load_weights, save_instances, save_sudoku, save_weights
 from csprefine.model import ModelConfig, init_weights
@@ -316,6 +316,15 @@ def test_gradcheck_passes(capsys):
             assert f"gradcheck attention.{mode}.{name}:" in out
     assert "gradcheck model.embed" in out and "gradcheck model.l1.w2" in out
     assert "FAIL" not in out
+
+
+def test_gradcheck_failure_exits_1(monkeypatch, capsys):
+    # a penalty whose backward takes one factor of x * x as a constant
+    monkeypatch.setattr(cli, "pen_not_equal", lambda x, i, k: (x * Tensor(x.data.copy())).sum())
+    assert main(["gradcheck", "--seed", "0"]) == EXIT_CHECK_FAILED == 1
+    out = capsys.readouterr().out
+    assert "gradcheck not_equal:" in out and out.count("FAIL") == 1
+    assert "FAIL" in next(line for line in out.splitlines() if "not_equal" in line)
 
 
 def test_package_runs_without_scipy():

@@ -207,10 +207,19 @@ def test_sudoku_builder_givens_shift():
 def test_sudoku_builder_rejects_bad_entries():
     with pytest.raises(CspError):
         build_sudoku([0] * 80)
-    bad = [0] * 81
-    bad[3] = 10
-    with pytest.raises(CspError):
-        build_sudoku(bad)
+    for entry in (10, True, False, 0.0, 5.0):
+        bad = [0] * 81
+        bad[3] = entry
+        with pytest.raises(CspError):
+            build_sudoku(bad)
+
+
+def test_sudoku_builder_takes_a_numpy_grid():
+    grid = full_sudoku_grid().reshape(-1)
+    grid[::4] = 0
+    inst = build_sudoku(grid)
+    assert inst == build_sudoku(grid.tolist())
+    assert all(v is None or type(v) is int for v in inst.fixed)
 
 
 def test_sudoku_full_grid_feasible():

@@ -151,6 +151,25 @@ def test_gumbel_noise_deterministic():
     assert np.all(np.isfinite(a))
 
 
+class _Fill:
+    """A stand-in generator whose every draw is ``values``."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, out):
+        out[...] = self.values
+
+
+def test_gumbel_noise_equals_the_clip_form():
+    # draws at and past both ends of the clip, and between them
+    u = np.array([0.0, 1e-300, 1e-13, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0 - 1e-13,
+                  np.nextafter(1.0, 0.0)])
+    rows = [_Fill(u), _Fill(u[::-1])]
+    ref = -np.log(-np.log(np.clip(np.stack([u, u[::-1]]), 1e-12, 1.0 - 1e-12)))
+    assert np.array_equal(gumbel_noise(rows, (2, len(u))), ref)
+
+
 def _toy_forward_setup(**cfg_kw):
     inst = toy_alldiff(4)
     cfg = tiny_config(**cfg_kw)

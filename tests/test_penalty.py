@@ -35,6 +35,18 @@ def test_one_hot_shape_and_values():
     assert np.array_equal(out.sum(axis=-1), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("shape", [(), (4,), (3, 5), (2, 3, 4)])
+def test_one_hot_equals_the_put_along_axis_form(shape):
+    m = 5
+    values = np.random.default_rng(len(shape)).integers(0, m, size=shape)
+    ref = np.zeros(shape + (m,))
+    np.put_along_axis(ref, values[..., None], 1.0, axis=-1)
+    out = one_hot(values, m)
+    assert out.dtype == ref.dtype and out.shape == ref.shape and np.array_equal(out, ref)
+    with pytest.raises(IndexError):
+        one_hot(np.full(shape, m), m)
+
+
 def test_cardinality_penalty_value():
     rel = Tensor(np.array([[0.7, 0.3], [0.2, 0.8], [0.0, 1.0]]))
     p = pen_cardinality(rel, [0, 1, 2], value=0, count=2)

@@ -395,18 +395,53 @@ def test_attention_rows_backward_equals_the_row_form(dtype, batch, n, heads, s, 
                                 [a.astype(dtype) for a in args], seed)
 
 
+def _loop_subset(fixed, p, rng):
+    """The per-candidate draw: Bernoulli(p) on the free variables, drawn
+    again until it selects one; no draw when every variable is fixed."""
+    while not fixed.all():
+        sel = (rng.random(len(fixed)) < p) & ~fixed
+        if sel.any():
+            return sel
+    return np.zeros(len(fixed), dtype=bool)
+
+
+@given(st.integers(0, 3), st.integers(0, 20), st.integers(1, 12), st.floats(0.001, 0.05),
+       st.integers(0, 2**32 - 1))
+def test_pool_subsets_redraw_as_each_candidate_alone(free, fixed_count, pool, p, seed):
+    # at a small p with 1 to 3 free variables most first draws select
+    # nothing and are drawn again; 0 free variables draws nothing
+    n = free + fixed_count
+    fixed = np.ones(n, dtype=bool)
+    fixed[np.random.default_rng(seed).permutation(n)[:free]] = False
+    pooled = [np.random.default_rng([seed, c]) for c in range(pool)]
+    alone = [np.random.default_rng([seed, c]) for c in range(pool)]
+    sel = select_subset(fixed, p, pooled)
+    assert sel.shape == (pool, n) and sel.dtype == bool
+    for c, rng in enumerate(alone):
+        assert np.array_equal(sel[c], _loop_subset(fixed, p, rng))
+    assert [r.random() for r in pooled] == [r.random() for r in alone]
+    # candidate 0 replays the pool of size 1
+    assert np.array_equal(select_subset(fixed, p, np.random.default_rng([seed, 0])), sel[0])
+
+
+def test_pool_subsets_need_a_generator_per_row():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        select_subset(np.zeros(4, dtype=bool), 0.5, [rng, np.random.default_rng(1), rng])
+
+
 @given(st.lists(st.booleans(), min_size=1, max_size=20), st.integers(1, 12), st.integers(2, 5),
        st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
 def test_pool_draws_equal_the_per_candidate_draws(fixed, pool, m, p, seed):
-    # a solve's draws: each candidate's subset, then gumbel_noise with a
-    # generator per row, give what each generator alone gives, and each
+    # a solve's draws: select_subset and gumbel_noise with a generator per
+    # row, give what each generator alone gives, and each
     # generator ends in the same state; a generator shared by every row
     # gives the bytes of one whole-shape draw
     fixed = np.array(fixed)
     n = len(fixed)
     pooled = [np.random.default_rng([seed, c]) for c in range(pool)]
     alone = [np.random.default_rng([seed, c]) for c in range(pool)]
-    sel = np.stack([select_subset(fixed, p, r) for r in pooled])
+    sel = select_subset(fixed, p, pooled)
     noise = gumbel_noise(pooled, (pool, n, m))
     for c, rng in enumerate(alone):
         assert np.array_equal(sel[c], select_subset(fixed, p, rng))

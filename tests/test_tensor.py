@@ -72,6 +72,7 @@ def _forms():
     yield ("matmul(array, t)", "matmul", "array", lambda t, x: T.matmul(x, t),
            lambda a, x: _f32(x) @ a)
     yield "t @ array", "matmul", "array", operator.matmul, lambda a, x: a @ _f32(x)
+    yield "array @ t", "matmul", "array", lambda t, x: x @ t, lambda a, x: _f32(x) @ a
 
 
 _FORMS = list(_forms())
@@ -529,6 +530,41 @@ def test_masked_softmax_raises_on_a_slice_masked_entirely(rng):
     _attention_on_logits(x, keep, rows=np.array([[2], [1]]))  # that row asks no query
     with pytest.raises(NumericError):
         _attention_on_logits(x, keep, rows=np.array([[0], [2]]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [None, np.array([[0, 3, 2], [4, 1, 0], [2, 1, 3]])],
+                         ids=["all_rows", "rows"])
+@pytest.mark.parametrize("learned", [False, True], ids=["masked", "learned"])
+def test_one_keep_equals_the_keep_stacked_per_batch_element(learned, rows, dtype):
+    # a solve passes one (n, n) graph, training stacks it to (B, 1, n, n):
+    # the output and every gradient are the same bytes
+    rng = np.random.default_rng(3)
+    B, n, d = 3, 5, 4
+    keep = rng.random((n, n)) < 0.5
+    np.fill_diagonal(keep, True)
+    arrays = [rng.normal(size=(B, n, d))] + [rng.normal(size=(d, d)) for _ in range(4)]
+    arrays += [np.asarray(-0.7)] if learned else []
+    g = rng.normal(size=(B, n if rows is None else rows.shape[1], d)).astype(dtype)
+
+    def run(k):
+        ins = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        with Tape():
+            y = T.attention(*ins[:5], 2, k, rows=rows, offset=ins[5] if learned else None)
+            backward((y * Tensor(g)).sum())
+        return [y.data] + [t.grad for t in ins]
+
+    for one, stacked in zip(run(keep), run(np.stack([keep] * B)[:, None]), strict=True):
+        assert one.dtype == stacked.dtype == dtype and np.array_equal(one, stacked)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (2, 2, 4, 4)])
+@pytest.mark.parametrize("rows", [None, np.array([[0], [3]])], ids=["all_rows", "rows"])
+def test_attention_rejects_a_keep_of_another_shape(shape, rows):
+    x = Tensor(np.ones((2, 4, 4)))
+    with pytest.raises(ShapeMismatch):
+        T.attention(x, *[Tensor(np.eye(4)) for _ in range(4)], 1, np.ones(shape, dtype=bool),
+                    rows=rows)
 
 
 @pytest.mark.parametrize("op,args", [
