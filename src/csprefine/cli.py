@@ -100,6 +100,12 @@ _non_negative_int = _int_at_least(0, "a non-negative integer")
 _graph_size = _int_at_least(2, "a graph size (at least 2 vertices)")
 
 
+# the model flags of ``train``, with their defaults; with --resume the model
+# comes from the weights, and a given model flag is a usage error
+_MODEL_FLAGS = {"layers": 2, "heads": 2, "d_model": 64, "p": 0.5, "rpe": "masked",
+                "ape": "none", "tau": 0.1, "sampler": "gumbel", "dropout": 0.1}
+
+
 def _model_config(args) -> ModelConfig:
     return _from_args(
         ModelConfig,
@@ -169,6 +175,12 @@ def _load_dataset(args) -> list:
 
 
 def cmd_train(args) -> int:
+    given = [k for k in _MODEL_FLAGS if hasattr(args, k)]
+    if args.resume and given:
+        names = ", ".join("--" + k.replace("_", "-") for k in given)
+        raise UsageError(f"--resume takes the model from its weights; it does not read {names}")
+    for key, default in _MODEL_FLAGS.items():
+        vars(args).setdefault(key, default)
     tcfg = _from_args(
         TrainConfig,
         batch_size=args.batch_size,
@@ -365,16 +377,19 @@ def _model_grad_checks(rng: np.random.Generator):
 
 
 def _add_model_args(p):
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--p", type=float, default=0.5,
+    # a model flag that is not given stays out of the namespace; cmd_train
+    # fills in the defaults of _MODEL_FLAGS
+    s = argparse.SUPPRESS
+    p.add_argument("--layers", type=int, default=s)
+    p.add_argument("--heads", type=int, default=s)
+    p.add_argument("--d-model", type=int, default=s)
+    p.add_argument("--p", type=float, default=s,
                    help="variable selection probability, in [0.001, 1]")
-    p.add_argument("--rpe", choices=RPE_MODES, default="masked")
-    p.add_argument("--ape", choices=APE_MODES, default="none")
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--sampler", choices=SAMPLERS, default="gumbel")
-    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--rpe", choices=RPE_MODES, default=s)
+    p.add_argument("--ape", choices=APE_MODES, default=s)
+    p.add_argument("--tau", type=float, default=s)
+    p.add_argument("--sampler", choices=SAMPLERS, default=s)
+    p.add_argument("--dropout", type=float, default=s)
 
 
 def build_parser() -> argparse.ArgumentParser:

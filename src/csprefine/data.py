@@ -30,7 +30,7 @@ from .csp import (
     build_nurse_rostering,
     build_sudoku,
 )
-from .model import ModelConfig, ModelWeights, param_shapes
+from .model import ModelConfig, ModelWeights, param_count, param_shapes
 from .solve import greedy_coloring
 from .tensor import NumericError, Tensor
 
@@ -489,7 +489,10 @@ def load_weights(path) -> ModelWeights:
             raise DataError(f"{path}: bad header: {exc!r}") from None
         if type(domain_size) is not int or domain_size < 1:
             raise DataError(f"{path}: bad header: domain size {domain_size!r}")
-        expected = param_shapes(config, domain_size)
+        # the count first, so that a header with a huge layer count fails
+        # before any enumeration
+        expected = (param_shapes(config, domain_size)
+                    if len(shapes) == param_count(config) else None)
         if shapes != expected:
             raise DataError(f"{path}: the tensor table does not match the header's model")
         params: dict[str, Tensor] = {}

@@ -10,13 +10,17 @@ non-positive offset added to the logits ("learned"). The output head is a
 temperature softmax, optionally perturbed by Gumbel noise for
 differentiable discrete sampling. This module makes every draw of a step,
 in training and in a solve: the start, the subset, the dropout masks and
-the Gumbel sample. ``forward`` draws from one generator per batch row.
+the Gumbel sample. ``forward`` draws from one generator per batch row. A
+training step draws the starts and the subsets of its whole batch with one
+call each (a :class:`Givens` batch and a (B, n) mask), in the stream of
+one call per instance in turn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,6 +163,12 @@ def param_shapes(config: ModelConfig, domain_size: int) -> dict[str, tuple[int, 
     return shapes
 
 
+def param_count(config: ModelConfig) -> int:
+    """The number of entries of ``param_shapes(config, m)``, at any m, in
+    closed form: nothing is enumerated, whatever the layer count."""
+    return 9 + (config.rpe_mode == "learned") + 12 * config.layers
+
+
 def _init_value(name: str, shape: tuple[int, ...], rng: np.random.Generator):
     if name in ("embed", "select_embed"):
         return rng.normal(0.0, 0.02, size=shape)
@@ -204,24 +214,59 @@ class InstanceContext:
 # Random draws
 
 
-def random_assignment(inst: CspInstance, rng: np.random.Generator) -> np.ndarray:
-    """Uniform values on non-fixed variables, givens kept."""
-    cc = inst.compiled
-    return np.where(cc.fixed_mask, cc.fixed_values, rng.integers(0, inst.m, size=inst.n))
+class Givens(NamedTuple):
+    """The givens of a batch of instances of one domain size, padded: row b
+    has ``sizes[b]`` variables, the first ``sizes[b]`` columns; ``mask`` is
+    true on a given variable and ``values`` holds its value, and both are
+    false and 0 past the row's variables."""
+
+    mask: np.ndarray  # (B, n) bool
+    values: np.ndarray  # (B, n) int
+    sizes: np.ndarray  # (B,) int
+    m: int
 
 
-def select_subset(fixed_mask: np.ndarray, p: float, rngs) -> np.ndarray:
-    """Bernoulli(p) inclusion per non-fixed variable of ``fixed_mask`` (n,).
+def random_assignment(inst: CspInstance | Givens, rng: np.random.Generator) -> np.ndarray:
+    """Uniform values on non-fixed variables, givens kept.
 
-    ``rngs`` is one generator, for an (n,) subset, or a sequence of
-    distinct generators (ValueError when two rows share one), one per row
-    of a (len(rngs), n) subset. Every row draws once, and then only a row
-    that selected nothing draws again, from its own generator, until it
-    selects something: an empty step would be the identity and waste an
-    iteration. Since no row reads another row's generator, row b is the
-    subset that ``rngs[b]`` alone gives. When every variable is fixed,
-    nothing is drawn and the subset is empty.
+    For one :class:`CspInstance`, an (n,) row from one ``integers`` call of
+    n values. For the :class:`Givens` of a batch, a (B, n) array from one
+    ``integers`` call over the rows' variables in row order, 0 past a row's
+    variables: since ``integers`` fills in order, row b holds the values
+    that the instance of row b would draw alone after rows 0 to b-1.
     """
+    if isinstance(inst, CspInstance):
+        cc = inst.compiled
+        return np.where(cc.fixed_mask, cc.fixed_values, rng.integers(0, inst.m, size=inst.n))
+    cols = np.arange(inst.mask.shape[1]) < inst.sizes[:, None]  # the rows' variables
+    draws = np.zeros(inst.mask.shape, dtype=np.int64)
+    draws[cols] = rng.integers(0, inst.m, size=np.count_nonzero(cols))
+    return np.where(inst.mask, inst.values, draws)
+
+
+def select_subset(fixed_mask: np.ndarray, p: float, rngs,
+                  sizes: np.ndarray | None = None) -> np.ndarray:
+    """Bernoulli(p) inclusion per non-fixed variable of ``fixed_mask``.
+
+    For an (n,) ``fixed_mask``, ``rngs`` is one generator, for an (n,)
+    subset, or a sequence of distinct generators (ValueError when two rows
+    share one), one per row of a (len(rngs), n) subset. Every row draws
+    once, and then only a row that selected nothing draws again, from its
+    own generator, until it selects something: an empty step would be the
+    identity and waste an iteration. Since no row reads another row's
+    generator, row b is the subset that ``rngs[b]`` alone gives.
+
+    For a (B, n) ``fixed_mask``, one row per instance of a batch, ``rngs``
+    is one generator that the rows draw from in turn, row b over its first
+    ``sizes[b]`` variables: row b is the subset that
+    ``select_subset(fixed_mask[b, :sizes[b]], p, rngs)`` gives after rows
+    0 to b-1, and is false past them. See :func:`_subset_rows`.
+
+    When every variable of a row is fixed, the row draws nothing and its
+    subset is empty.
+    """
+    if fixed_mask.ndim == 2:
+        return _subset_rows(fixed_mask, p, rngs, np.arange(fixed_mask.shape[1]) < sizes[:, None])
     one = isinstance(rngs, np.random.Generator)
     gens = [rngs] if one else rngs
     if len({id(r) for r in gens}) < len(gens):
@@ -236,6 +281,39 @@ def select_subset(fixed_mask: np.ndarray, p: float, rngs) -> np.ndarray:
             while not sel[b].any():
                 sel[b] = (gens[b].random(n) < p) & free
     return sel[0] if one else sel
+
+
+def _subset_rows(fixed_mask: np.ndarray, p: float, rng: np.random.Generator,
+                 cols: np.ndarray) -> np.ndarray:
+    """The subsets of rows drawn in turn from one generator, as one
+    ``random`` call over every variable of the rows that have a free one.
+
+    A row that selected nothing would have drawn again before the next row
+    drew. So the generator goes back to its state before the call, replays
+    the draws of the rows before that row, which stand, and redraws that
+    row until it selects something; the rows after it are drawn again in
+    one call, from the point where the sequential draws would be.
+    """
+    free = ~fixed_mask & cols
+    draws = free.any(axis=1)
+    drawn = cols & draws[:, None]
+    sel = np.zeros(fixed_mask.shape, dtype=bool)
+    row = 0
+    while True:
+        state = rng.bit_generator.state
+        u = np.ones(sel[row:].shape)  # 1.0 is never below p
+        u[drawn[row:]] = rng.random(np.count_nonzero(drawn[row:]))
+        sel[row:] = (u < p) & free[row:]
+        empty = np.flatnonzero(draws[row:] & ~sel[row:].any(axis=1))
+        if not len(empty):
+            return sel
+        b = row + empty[0]
+        rng.bit_generator.state = state
+        rng.random(np.count_nonzero(drawn[row:b]))
+        n_b = np.count_nonzero(cols[b])
+        while not sel[b].any():
+            sel[b, :n_b] = (rng.random(n_b) < p) & free[b, :n_b]
+        row = b + 1
 
 
 def _uniform(rngs, shape) -> np.ndarray:

@@ -175,7 +175,8 @@ class LossProgram:
 
         The programs must share n, m and the transform (ValueError
         otherwise). Shorter edge lists and scope groups are padded with
-        zero-weight entries.
+        zero-weight entries; ``lengths`` keeps each sample's own lengths,
+        which :meth:`take` reads.
         """
         first = programs[0]
         for p in programs[1:]:
@@ -186,12 +187,27 @@ class LossProgram:
                 )
         out = cls.__new__(cls)
         out.cfg, out.n, out.m = first.cfg, first.n, first.m
+        out.lengths = {"edge": np.array([len(p.edge_i) for p in programs])}
         out.edge_i, out.edge_k, out.edge_coeff = (
             _pad_stack([getattr(p, a) for p in programs]) for a in ("edge_i", "edge_k", "edge_coeff")
         )
         for kind in ("exact", "atmost", "card"):
             groups = [getattr(p, kind) for p in programs]
+            out.lengths[kind] = np.array([len(group[0]) for group in groups])
             setattr(out, kind, tuple(_pad_stack(arrays) for arrays in zip(*groups)))
+        return out
+
+    def take(self, rows) -> "LossProgram":
+        """The samples ``rows`` (an index array) of a stacked program, each
+        padded axis cut to the longest of them: the bytes of :meth:`stack`
+        over those samples' own programs."""
+        out = LossProgram.__new__(LossProgram)
+        out.cfg, out.n, out.m = self.cfg, self.n, self.m
+        cut = {kind: lens[rows].max() for kind, lens in self.lengths.items()}
+        out.edge_i, out.edge_k, out.edge_coeff = (
+            a[rows, : cut["edge"]] for a in (self.edge_i, self.edge_k, self.edge_coeff))
+        for kind in ("exact", "atmost", "card"):
+            setattr(out, kind, tuple(a[rows, : cut[kind]] for a in getattr(self, kind)))
         return out
 
     def _edge_rows(self, rel: Tensor, idx: np.ndarray) -> Tensor:

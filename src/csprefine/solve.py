@@ -233,8 +233,9 @@ def direct_sgd_counts(
     Variables are kept on the simplex through a softmax of the logits, so
     no projection is needed. A given is held as a saturated logit row, 1000
     at its value and 0 elsewhere. Runs are batched along the leading axis
-    and optimized independently. Raises ValueError unless ``lr`` is
-    positive and finite.
+    and optimized independently. On an instance with no constraints no
+    gradient reaches the logits, so each run keeps its start and satisfies
+    0 of 0. Raises ValueError unless ``lr`` is positive and finite.
     """
     if not 0.0 < lr < math.inf:
         raise ValueError("learning rate must be positive and finite")
@@ -252,7 +253,8 @@ def direct_sgd_counts(
         z.zero_grad()
         with Tape():
             backward(program.loss(T.softmax(z, axis=-1)).sum())
-        z.data -= lr * z.grad
+        if z.grad is not None:  # None when no constraint reads z: a zero gradient
+            z.data -= lr * z.grad
 
     rounded = np.argmax(z.data, axis=-1)
     sat = np.zeros(runs, dtype=np.int64)

@@ -6,11 +6,16 @@ takes one AdamW step; ``csprefine.model`` makes every draw, from the
 training rng. No multi-step unrolling: the model only ever sees a single
 improvement step during training.
 
-Each batch groups its instances by structure (index tuples, which fix n)
-and by penalty transform, and runs one stacked forward per group, with the
-group's compiled constraints stacked along the batch axis into one loss
-program. A training set may therefore mix sizes and kinds, but not domain
-sizes.
+A training step's fixed cost does not grow with its sample count.
+:func:`prepare` groups the instances by structure (index tuples, which fix
+n) and by penalty transform, and stacks each group's attention masks and
+compiled constraints once (:class:`TrainingSet`). A step draws its start
+values in one ``integers`` call and its subsets in one ``random`` call,
+the stream that one draw per instance in turn would give, then takes each
+group's rows and runs one stacked forward per group. The probe batch that
+picks the best weights is drawn once per :func:`train` call. AdamW updates
+every parameter at once, over one flat buffer. A training set may
+therefore mix sizes and kinds, but not domain sizes.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csp import CspInstance
 from .model import (
+    Givens,
     InstanceContext,
     ModelConfig,
     ModelWeights,
+    ape_table,
     forward,
     init_weights,
     random_assignment,
@@ -73,14 +79,41 @@ def _decays(name: str, p: Tensor) -> bool:
 
 
 class AdamW:
-    """Adam with decoupled weight decay; state mirrors the parameter dict."""
+    """Adam with decoupled weight decay over one flat buffer.
+
+    The parameters move into one buffer, the decaying ones first, and each
+    parameter's data becomes a view of it; the moments ``m`` and ``v`` are
+    views of two buffers of the same layout. A step gathers the gradients
+    into one flat array and updates every parameter with a few whole-buffer
+    operations, each the elementwise arithmetic of the per-parameter
+    update, so the bytes are the same.
+    """
 
     def __init__(self, weights: ModelWeights, cfg: TrainConfig):
         self.weights = weights
         self.cfg = cfg
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in weights.named_parameters()}
-        self.v = {k: np.zeros_like(p.data) for k, p in weights.named_parameters()}
+        params = dict(weights.named_parameters())
+        if len({p.data.dtype for p in params.values()}) > 1:
+            raise ValueError("AdamW needs parameters of one dtype")
+        self._order = sorted(params, key=lambda k: not _decays(k, params[k]))  # stable
+        ends = np.cumsum([params[k].data.size for k in self._order])
+        self._at = {k: (end - params[k].data.size, end, params[k].data.shape)
+                    for k, end in zip(self._order, ends)}
+        self._decayed = sum(params[k].data.size for k in params if _decays(k, params[k]))
+        self._flat = np.concatenate([params[k].data.reshape(-1) for k in self._order])
+        self._m, self._v = np.zeros_like(self._flat), np.zeros_like(self._flat)
+        for name, view in self._views(self._flat).items():
+            params[name].data = view
+        self.m, self.v = self._views(self._m), self._views(self._v)
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's part of ``flat``, in ``named_parameters`` order."""
+        return {name: flat[self._at[name][0] : self._at[name][1]].reshape(self._at[name][2])
+                for name, _ in self.weights.named_parameters()}
+
+    def _first_non_finite(self, flat: np.ndarray) -> str:
+        return next(k for k, a in self._views(flat).items() if not np.isfinite(a).all())
 
     def step(self) -> None:
         cfg = self.cfg
@@ -88,31 +121,39 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - _BETA1**t
         bc2 = 1.0 - _BETA2**t
-        grads = {}
-        for name, p in self.weights.named_parameters():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise OptimizerError(f"non-finite gradient in parameter {name!r}")
-            grads[name] = g
+        params = self.weights.params
+        g = np.empty_like(self._flat)
+        np.concatenate([np.zeros(params[k].data.size, g.dtype) if params[k].grad is None
+                        else params[k].grad.reshape(-1) for k in self._order], out=g)
+        if not np.isfinite(g).all():
+            raise OptimizerError(f"non-finite gradient in parameter {self._first_non_finite(g)!r}")
         if cfg.grad_clip is not None:
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            # summed per parameter, in parameter order
+            norm = math.sqrt(sum(float((x * x).sum()) for x in self._views(g).values()))
             if norm > cfg.grad_clip:
-                scale = cfg.grad_clip / norm  # a Python float keeps each g's dtype
-                grads = {k: g * scale for k, g in grads.items()}
+                g *= cfg.grad_clip / norm  # a Python float keeps g's dtype
         # an update may overflow; the parameter check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            for name, p in self.weights.named_parameters():
-                # the moments update in place, in the order of b1*m + (1-b1)*g
-                g, m, v = grads[name], self.m[name], self.v[name]
-                m *= _BETA1
-                m += (1.0 - _BETA1) * g
-                v *= _BETA2
-                v += (1.0 - _BETA2) * g * g
-                if _decays(name, p):
-                    p.data *= 1.0 - cfg.lr * cfg.weight_decay
-                p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
-                if not np.all(np.isfinite(p.data)):
-                    raise OptimizerError(f"non-finite value in parameter {name!r} after the update")
+            # in place, in the order of b1*m + (1-b1)*g and b2*v + (1-b2)*g*g
+            scratch = np.multiply(g, 1.0 - _BETA1)
+            self._m *= _BETA1
+            self._m += scratch
+            np.multiply(g, 1.0 - _BETA2, out=scratch)
+            scratch *= g
+            self._v *= _BETA2
+            self._v += scratch
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps), into g
+            np.divide(self._v, bc2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += _EPS
+            np.divide(self._m, bc1, out=g)
+            g *= cfg.lr
+            g /= scratch
+            self._flat[: self._decayed] *= 1.0 - cfg.lr * cfg.weight_decay
+            self._flat -= g
+        if not np.isfinite(self._flat).all():
+            raise OptimizerError(f"non-finite value in parameter "
+                                 f"{self._first_non_finite(self._flat)!r} after the update")
 
 
 # ---------------------------------------------------------------------------
@@ -120,68 +161,118 @@ class AdamW:
 
 
 @dataclass
-class InstanceBundle:
-    inst: CspInstance
-    ctx: InstanceContext
-    program: LossProgram
+class _Group:
+    """The instances of a training set that share index tuples, and so n
+    and the positional table, and the penalty transform, stacked: one
+    positional table, each member's attention mask and its compiled
+    constraints, padded to the group's longest."""
+
+    ape: np.ndarray  # (n, d)
+    keep: np.ndarray  # (G, n, n) bool
+    program: LossProgram  # stacked over the G members
+
+    def take(self, rows: np.ndarray) -> tuple[InstanceContext, LossProgram]:
+        """The batched context and loss program of members ``rows``: each
+        sample keeps its own attention mask, (B, 1, n, n), and its own
+        compiled constraints, each padded axis cut to the longest of the
+        batch."""
+        return InstanceContext(self.ape, self.keep[rows][:, None]), self.program.take(rows)
 
 
-def prepare(instances, mcfg: ModelConfig, loss_cfg: LossConfig | None = None):
-    return [
-        InstanceBundle(inst, InstanceContext.build(inst, mcfg), LossProgram(inst, loss_cfg))
-        for inst in instances
-    ]
+class TrainingSet:
+    """A training set prepared once: its instances grouped by structure,
+    each group's masks and loss programs stacked (:class:`_Group`), and the
+    givens of every instance padded to the longest instance.
+    :meth:`draw` makes a batch's draws and cuts its stacked arrays.
+    """
+
+    def __init__(self, instances, mcfg: ModelConfig, loss_cfg: LossConfig | None = None):
+        instances = list(instances)
+        if len({inst.m for inst in instances}) > 1:
+            raise ValueError("a training set may not mix domain sizes")
+        programs = [LossProgram(inst, loss_cfg) for inst in instances]
+        members: dict[tuple, list[int]] = {}
+        for i, (inst, program) in enumerate(zip(instances, programs)):
+            members.setdefault((inst.index_tuples, program.cfg.transform), []).append(i)
+        self.groups: list[_Group] = []
+        self.group_of = np.zeros(len(instances), dtype=np.int64)
+        self.row_of = np.zeros(len(instances), dtype=np.int64)
+        for g, idx in enumerate(members.values()):
+            self.groups.append(_Group(ape_table(instances[idx[0]], mcfg),
+                                      np.stack([instances[i].compiled.adjacency() for i in idx]),
+                                      LossProgram.stack([programs[i] for i in idx])))
+            self.group_of[idx], self.row_of[idx] = g, np.arange(len(idx))
+        self.sizes = np.array([inst.n for inst in instances], dtype=np.int64)
+        width = self.sizes.max(initial=0)
+        self.fixed_mask = np.zeros((len(instances), width), dtype=bool)
+        self.fixed_values = np.zeros((len(instances), width), dtype=np.int64)
+        for i, inst in enumerate(instances):
+            self.fixed_mask[i, : inst.n] = inst.compiled.fixed_mask
+            self.fixed_values[i, : inst.n] = inst.compiled.fixed_values
+        self.m = instances[0].m if instances else 0
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def draw(self, idx: np.ndarray, p: float, rng: np.random.Generator) -> list:
+        """The batch of instances ``idx``: start values, then subsets, each
+        kind drawn in one call in batch order, so the stream is that of one
+        draw per instance in turn; then one (ctx, program, values, selected)
+        part per group, in order of first appearance in the batch."""
+        givens = Givens(self.fixed_mask[idx], self.fixed_values[idx], self.sizes[idx], self.m)
+        values = random_assignment(givens, rng)
+        selected = select_subset(givens.mask, p, rng, givens.sizes)
+        gids = self.group_of[idx]
+        _, first = np.unique(gids, return_index=True)
+        parts = []
+        for g in gids[np.sort(first)]:
+            at = np.flatnonzero(gids == g)
+            ctx, program = self.groups[g].take(self.row_of[idx[at]])
+            parts.append((ctx, program, values[at, : program.n], selected[at, : program.n]))
+        return parts
 
 
-def _collate(bundles):
-    """Batched (ctx, loss program) for bundles that share index tuples, and
-    so n and the positional table, and the penalty transform. Each sample
-    keeps its own attention mask, stacked to (B, 1, n, n), and its own
-    compiled constraints."""
-    ctx = InstanceContext(bundles[0].ctx.ape, np.stack([b.ctx.keep for b in bundles])[:, None])
-    return ctx, LossProgram.stack([b.program for b in bundles])
+def prepare(instances, mcfg: ModelConfig, loss_cfg: LossConfig | None = None) -> TrainingSet:
+    return TrainingSet(instances, mcfg, loss_cfg)
 
 
 # ---------------------------------------------------------------------------
 # Epoch loop
 
 
-def _batch_loss(weights, bundles, rng, training=True):
-    """Forward one batch inside the active tape; returns the mean loss.
+def _parts_loss(weights, parts, rng, training=True):
+    """Mean loss of drawn batch parts (:meth:`TrainingSet.draw`), inside the
+    active tape: one stacked forward per part, in order, with ``rng`` as
+    every row's generator."""
+    losses = []
+    for ctx, program, values, selected in parts:
+        rel = forward(weights, ctx, values, selected, [rng] * len(values), training=training)
+        losses.append(program.loss(rel).sum())
+    return sum(losses[1:], losses[0]) * (1.0 / sum(len(part[2]) for part in parts))
 
-    Assignments and subsets are drawn in batch order; then each group of
-    instances that share index tuples and penalty transform runs one
-    stacked forward, in order of first appearance.
+
+def _batch_loss(weights, data: TrainingSet, rng, training=True, idx=None):
+    """Forward one batch, the instances ``idx`` of ``data`` (all of them by
+    default), inside the active tape; returns the mean loss. Assignments
+    and subsets are drawn in batch order; then each group of instances that
+    share index tuples and penalty transform runs one stacked forward, in
+    order of first appearance.
     """
-    values = [random_assignment(b.inst, rng) for b in bundles]
-    selected = [select_subset(b.inst.compiled.fixed_mask, weights.config.select_p, rng)
-                for b in bundles]
-    groups: dict[tuple, list] = {}
-    for b, vals, sel in zip(bundles, values, selected):
-        key = (b.inst.index_tuples, b.program.cfg.transform)
-        groups.setdefault(key, []).append((b, vals, sel))
-    parts = []
-    for rows in groups.values():
-        group, vals, sel = zip(*rows)
-        ctx, program = _collate(group)
-        vals, sel = np.stack(vals), np.stack(sel)
-        rel = forward(weights, ctx, vals, sel, [rng] * len(group), training=training)
-        parts.append(program.loss(rel).sum())
-    return sum(parts[1:], parts[0]) * (1.0 / len(bundles))
+    idx = np.arange(len(data)) if idx is None else idx
+    return _parts_loss(weights, data.draw(idx, weights.config.select_p, rng), rng, training)
 
 
-def train_epoch(weights: ModelWeights, opt: AdamW, bundles, cfg: TrainConfig,
+def train_epoch(weights: ModelWeights, opt: AdamW, data: TrainingSet, cfg: TrainConfig,
                 rng: np.random.Generator) -> float:
     """One shuffled pass over the dataset; returns the epoch mean loss."""
-    if not bundles:
+    if not len(data):
         raise ValueError("empty training dataset")
-    order = rng.permutation(len(bundles))
+    order = rng.permutation(len(data))
     losses = []
     for start in range(0, len(order), cfg.batch_size):
-        chunk = [bundles[i] for i in order[start : start + cfg.batch_size]]
         weights.zero_grad()
         with Tape():
-            loss = _batch_loss(weights, chunk, rng)
+            loss = _batch_loss(weights, data, rng, idx=order[start : start + cfg.batch_size])
             backward(loss)
         opt.step()
         losses.append(loss.item())
@@ -195,20 +286,40 @@ class TrainResult:
     history: list[float] = field(default_factory=list)
 
     def load_best(self) -> ModelWeights:
+        """The weights set to the best parameters, copied into the arrays
+        that the weights hold, which may be an optimizer's views."""
         for name, p in self.weights.named_parameters():
-            p.data = self.best_params[name].copy()
+            p.data[...] = self.best_params[name]
         return self.weights
 
 
-def _probe_loss(weights: ModelWeights, bundles, cfg: TrainConfig) -> float:
-    """Mean loss of the current weights on a pinned batch: the first
-    ``batch_size`` bundles, with assignments, subsets and noise drawn from
-    their own rng, so every call scores the same draws and the training
+@dataclass
+class _Probe:
+    """The pinned probe batch, drawn once: the first ``batch_size``
+    instances with their assignments and subsets from
+    ``default_rng([seed, 1])``, that generator, and its state after those
+    draws."""
+
+    parts: list
+    rng: np.random.Generator
+    state: dict
+
+
+def _draw_probe(data: TrainingSet, weights: ModelWeights, cfg: TrainConfig) -> _Probe:
+    rng = np.random.default_rng([cfg.seed, 1])
+    parts = data.draw(np.arange(min(cfg.batch_size, len(data))), weights.config.select_p, rng)
+    return _Probe(parts, rng, rng.bit_generator.state)
+
+
+def _probe_loss(weights: ModelWeights, probe: _Probe) -> float:
+    """Mean loss of the current weights on the pinned probe batch. Each call
+    restores the probe's generator to its state after the batch's draws
+    before the forwards draw their noise, so every call scores the same
+    draws, the ones a fresh draw of the batch would give, and the training
     stream is untouched. Dropout is off."""
+    probe.rng.bit_generator.state = probe.state
     with no_grad():
-        loss = _batch_loss(weights, bundles[: cfg.batch_size],
-                           np.random.default_rng([cfg.seed, 1]), training=False)
-    return loss.item()
+        return _parts_loss(weights, probe.parts, probe.rng, training=False).item()
 
 
 def train(
@@ -225,8 +336,9 @@ def train(
     for satisfaction, the identity for maximization.
 
     After each epoch the weights are scored on the pinned probe batch
-    (:func:`_probe_loss`); the best weights are those with the lowest
-    finite probe loss, or the starting weights if no epoch gives one."""
+    (:func:`_probe_loss`), drawn once per call; the best weights are those
+    with the lowest finite probe loss, or the starting weights if no epoch
+    gives one."""
     if not instances:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(tcfg.seed)
@@ -235,15 +347,16 @@ def train(
     for inst in instances:
         weights.check_domain(inst)
     opt = AdamW(weights, tcfg)
-    bundles = prepare(instances, mcfg)
+    data = prepare(instances, mcfg)
+    probe = _draw_probe(data, weights, tcfg)
     history: list[float] = []
     best = {k: p.data.copy() for k, p in weights.named_parameters()}
     best_loss = float("inf")
     for epoch in range(tcfg.epochs):
         t0 = time.perf_counter()
-        mean_loss = train_epoch(weights, opt, bundles, tcfg, rng)
+        mean_loss = train_epoch(weights, opt, data, tcfg, rng)
         history.append(mean_loss)
-        scored = _probe_loss(weights, bundles, tcfg)
+        scored = _probe_loss(weights, probe)
         if scored < best_loss:  # False for NaN; +inf never beats the start
             best_loss = scored
             best = {k: p.data.copy() for k, p in weights.named_parameters()}

@@ -2,6 +2,7 @@
 
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -202,14 +203,67 @@ def dense_reference_forward(w, ctx, values, selected, rng=None, training=False):
     return _softmax(out_logits * (1.0 / cfg.tau), axis=-1)
 
 
+class Bundle(NamedTuple):
+    """One instance with its own attention context and loss program."""
+
+    inst: CspInstance
+    ctx: InstanceContext
+    program: LossProgram
+
+
+def bundles_of(insts, cfg: ModelConfig, loss_cfg=None) -> list[Bundle]:
+    """Each instance's bundle built afresh, one at a time: the reference
+    that the batches cut from ``train.prepare`` of the same instances must
+    match."""
+    return [Bundle(inst, InstanceContext.build(inst, cfg), LossProgram(inst, loss_cfg))
+            for inst in insts]
+
+
+def collate(bundles):
+    """Batched (ctx, loss program) of bundles that share index tuples, and
+    so n and the positional table, and the penalty transform, collated from
+    the bundles themselves: each sample's attention mask stacked to
+    (B, 1, n, n), and its compiled constraints stacked and padded to the
+    batch's longest. A batch cut from a prepared training set must equal
+    it byte for byte."""
+    ctx = InstanceContext(bundles[0].ctx.ape, np.stack([b.ctx.keep for b in bundles])[:, None])
+    return ctx, LossProgram.stack([b.program for b in bundles])
+
+
+def per_sample_draws(insts, p: float, rng):
+    """A batch's start values and subsets drawn one instance at a time, in
+    batch order: every value row first, then every subset row. The one-call
+    draws of a training step must give these rows."""
+    values = [random_assignment(inst, rng) for inst in insts]
+    selected = [select_subset(inst.compiled.fixed_mask, p, rng) for inst in insts]
+    return values, selected
+
+
+def reference_batch_loss(w, bundles, rng, training=True) -> Tensor:
+    """The mean loss of one batch of bundles from per-sample draws
+    (:func:`per_sample_draws`) and per-batch collation (:func:`collate`):
+    one forward per group of bundles that share index tuples and penalty
+    transform, in order of first appearance, with ``rng`` as every row's
+    generator. ``train._batch_loss`` must give its bytes."""
+    values, selected = per_sample_draws([b.inst for b in bundles], w.config.select_p, rng)
+    groups: dict[tuple, list] = {}
+    for row in zip(bundles, values, selected):
+        groups.setdefault((row[0].inst.index_tuples, row[0].program.cfg.transform), []).append(row)
+    parts = []
+    for rows in groups.values():
+        group, vals, sel = zip(*rows)
+        ctx, program = collate(group)
+        rel = forward(w, ctx, np.stack(vals), np.stack(sel), [rng] * len(group), training=training)
+        parts.append(program.loss(rel).sum())
+    return sum(parts[1:], parts[0]) * (1.0 / len(bundles))
+
+
 def replayed_mean_loss(w, bundles, seed: int) -> float:
     """Mean of each instance's own program loss on the draws that
     ``train._batch_loss`` makes from ``seed``: assignments, then subsets,
     in batch order. Needs a model that draws no dropout or gumbel noise."""
-    rng = np.random.default_rng(seed)
-    values = [random_assignment(b.inst, rng) for b in bundles]
-    selected = [select_subset(b.inst.compiled.fixed_mask, w.config.select_p, rng)
-                for b in bundles]
+    values, selected = per_sample_draws([b.inst for b in bundles], w.config.select_p,
+                                        np.random.default_rng(seed))
     total = 0.0
     for b, vals, sel in zip(bundles, values, selected):
         total += b.program.loss(forward(w, b.ctx, vals[None], sel[None])).data[0]

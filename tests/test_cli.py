@@ -17,7 +17,7 @@ from csprefine import Tensor, cli, data
 from csprefine.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from csprefine.csp import CspInstance, NotEqual, build_graph_coloring
 from csprefine.data import load_instances, load_weights, save_instances, save_sudoku, save_weights
-from csprefine.model import ModelConfig, init_weights
+from csprefine.model import ModelConfig, init_weights, param_count, param_shapes
 from csprefine.train import TrainConfig, train
 from conftest import sudoku_puzzle, toy_alldiff
 
@@ -226,6 +226,26 @@ def test_train_resume_starts_from_the_loaded_weights(tmp_path):
     assert (tmp_path / "model2.bin").read_bytes() == api.read_bytes()
 
 
+@pytest.mark.parametrize("flag", [
+    ("--layers", "3"), ("--heads", "1"), ("--d-model", "64"),
+    ("--p", "0.5"), ("--tau", "0.5"), ("--dropout", "0.0"),
+    ("--rpe", "learned"), ("--ape", "none"), ("--sampler", "softmax"),
+], ids=lambda f: f[0][2:])
+def test_train_resume_rejects_a_model_flag(tmp_path, capsys, flag):
+    # the model comes from the resumed weights, so a model flag, even at its
+    # default value, would be dropped; it is a usage error that names the flag
+    dataset = _generate_coloring(tmp_path, count=4, n=6, seed=8)
+    model = _train_tiny(tmp_path, dataset)
+    capsys.readouterr()
+    out = tmp_path / "model2.bin"
+    rc = main(["train", "--dataset", str(dataset), "--out", str(out), "--resume", str(model),
+               "--epochs", "1", *flag])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err == f"error: --resume takes the model from its weights; it does not read {flag[0]}\n"
+    assert not out.exists()
+
+
 def test_sudoku_format_flag(tmp_path, capsys):
     path = tmp_path / "puzzles.sudoku"
     save_sudoku([sudoku_puzzle(30, 0)], path)
@@ -292,6 +312,23 @@ def test_baseline_direct_sgd(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out.strip())
     assert rec["total_constraints"] == 1
     assert len(rec["satisfied"]) == 2
+
+
+def test_baseline_on_an_instance_with_no_constraints(tmp_path, capsys):
+    # no constraint reads the logits, so direct descent gets no gradient:
+    # each run keeps its start and satisfies 0 of 0 constraints
+    inst = CspInstance(n=3, m=2, index_tuples=((0,), (1,), (2,)), constraints=(),
+                       fixed=(None,) * 3)
+    path = tmp_path / "free.jsonl"
+    save_instances([inst], path)
+    assert main(["baseline", "--kind", "greedy", "--dataset", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["solved_by_greedy"]
+    rc = main(["baseline", "--kind", "direct-sgd", "--dataset", str(path),
+               "--runs", "2", "--steps", "5"])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_OK and err == ""
+    rec = json.loads(out)
+    assert rec["total_constraints"] == 0 and rec["satisfied"] == [0, 0]
 
 
 def test_baseline_direct_sgd_rejects_maxcut(tmp_path, capsys):
@@ -631,6 +668,34 @@ def test_every_malformed_weights_file_is_an_io_error(tmp_path, capsys):
         assert err.startswith("error: "), err
     rc = main(["solve", "--weights", str(good), "--dataset", str(dataset), "--iters", "1"])
     assert rc == EXIT_OK
+
+
+def test_a_header_with_a_huge_layer_count_fails_before_enumerating(tmp_path, capsys, monkeypatch):
+    # the tensor table's size is checked against param_count first, so
+    # param_shapes never runs on 10**9 layers
+    dataset = _generate_coloring(tmp_path, count=1, n=5)
+    good = tmp_path / "good.bin"
+    save_weights(init_weights(ModelConfig(layers=1, heads=1, d_model=8, ffn_mult=1), 3,
+                              np.random.default_rng(0)), good)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_edited_weights(good.read_bytes(),
+                                    lambda h, a: h["config"].update(layers=10**9)))
+    capsys.readouterr()
+
+    def enumerating(*args):
+        raise AssertionError("param_shapes ran")
+
+    monkeypatch.setattr(data, "param_shapes", enumerating)
+    rc = main(["solve", "--weights", str(bad), "--dataset", str(dataset), "--iters", "1"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO and "tensor table" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rpe", ["masked", "learned"])
+def test_the_closed_form_tensor_count_is_param_shapes_count(rpe):
+    for layers in (1, 2, 7):
+        cfg = ModelConfig(layers=layers, heads=1, d_model=4, rpe_mode=rpe)
+        assert param_count(cfg) == len(param_shapes(cfg, 3))
 
 
 def _edited_weights(blob: bytes, edit) -> bytes:

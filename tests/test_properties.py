@@ -60,7 +60,7 @@ from csprefine.model import (
     random_assignment,
     select_subset,
 )
-from csprefine.penalty import LossConfig, LossProgram, constraint_penalty
+from csprefine.penalty import LossConfig, LossProgram, constraint_penalty, default_loss_config
 from csprefine.solve import (
     Budget,
     ViolationChecker,
@@ -81,11 +81,14 @@ from csprefine.tensor import (
     matmul,
     softmax,
 )
-from csprefine.train import _batch_loss, _collate, prepare
+from csprefine.train import _batch_loss, prepare
 from conftest import (
     COMPOSED_OPS,
     assemble_relaxed,
+    bundles_of,
+    collate,
     dense_reference_forward,
+    per_sample_draws,
     loop_pad_stack,
     replay_solve,
     replayed_mean_loss,
@@ -268,6 +271,76 @@ def test_update_moves_only_selected_free_variables(inst, p, seed):
     assert np.array_equal(updated[~selected], values[~selected])
 
 
+def _batch_of(data, count: int) -> np.ndarray:
+    """A batch of instance indices, as an epoch cuts one: distinct, in a
+    random order."""
+    order = data.draw(st.permutations(range(count)))
+    return np.array(order[: data.draw(st.integers(1, count))])
+
+
+def _groups_in_order(insts, idx):
+    """(key, batch positions) per group of the batch, in order of first
+    appearance, keyed as training groups: index tuples and transform."""
+    keys = [(insts[i].index_tuples, default_loss_config(insts[i]).transform) for i in idx]
+    return [(key, [b for b, k in enumerate(keys) if k == key]) for key in dict.fromkeys(keys)]
+
+
+@given(st.data(), st.integers(2, 4), st.sampled_from([0.001, 0.05, 0.3, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_a_steps_draws_equal_the_per_sample_draws(data, m, p, seed):
+    # mixed sizes and givens; a fully fixed instance draws no subset; at p
+    # 0.001 nearly every row selects nothing at first and is drawn again
+    insts = data.draw(st.lists(instances(m=m).flatmap(with_fixed), min_size=1, max_size=6))
+    for i in data.draw(st.lists(st.integers(0, len(insts) - 1), max_size=2)):
+        inst = insts[i]
+        givens = tuple(data.draw(st.integers(0, m - 1)) for _ in range(inst.n))
+        insts[i] = CspInstance(inst.n, m, inst.index_tuples, inst.constraints, givens)
+    train_set = prepare(insts, tiny_config(select_p=p))
+    idx = _batch_of(data, len(insts))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    parts = train_set.draw(idx, p, rng)
+    values, selected = per_sample_draws([insts[i] for i in idx], p, ref)
+    groups = _groups_in_order(insts, idx)
+    assert len(parts) == len(groups)
+    for (_, at), (_, _, vals, sel) in zip(groups, parts):
+        assert vals.dtype == np.int64 and sel.dtype == bool
+        assert np.array_equal(vals, np.stack([values[b] for b in at]))
+        assert np.array_equal(sel, np.stack([selected[b] for b in at]))
+    # the same draws, so the generator ends in the same state
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _program_arrays(program):
+    return [program.edge_i, program.edge_k, program.edge_coeff,
+            *program.exact, *program.atmost, *program.card]
+
+
+@given(st.data(), st.integers(2, 4))
+def test_stacked_batches_equal_the_per_batch_collation(data, m):
+    # sizes and kinds mixed: satisfaction instances of 2 to 6 variables, some
+    # with no constraint, and maximization ones, which score under another
+    # transform and so form groups of their own
+    kinds = instances(m=m) | maximization_instances().map(
+        lambda mx: CspInstance(mx.n, m, mx.index_tuples, mx.constraints, (None,) * mx.n,
+                               mode="maximization"))
+    insts = data.draw(st.lists(kinds, min_size=1, max_size=6))
+    cfg = tiny_config(ape_mode=data.draw(st.sampled_from(APE_MODES)))
+    train_set = prepare(insts, cfg)
+    idx = _batch_of(data, len(insts))
+    parts = train_set.draw(idx, cfg.select_p, np.random.default_rng(0))
+    groups = _groups_in_order(insts, idx)
+    assert len(parts) == len(groups)
+    for (_, at), (ctx, program, _, _) in zip(groups, parts):
+        # the collation of the batch's bundles built afresh
+        want_ctx, want = collate(bundles_of([insts[int(idx[b])] for b in at], cfg))
+        assert program.cfg == want.cfg
+        pairs = [(ctx.ape, want_ctx.ape), (ctx.keep, want_ctx.keep),
+                 *zip(_program_arrays(program), _program_arrays(want), strict=True)]
+        for got_a, want_a in pairs:
+            assert (got_a.dtype, got_a.shape) == (want_a.dtype, want_a.shape)
+            assert got_a.tobytes() == want_a.tobytes()
+
+
 @given(st.data(), st.integers(2, 4), st.integers(0, 2**32 - 1))
 def test_mixed_size_batch_loss_is_the_mean_of_own_losses(data, m, seed):
     # one chunk of instances of random sizes and givens, in random order
@@ -278,9 +351,9 @@ def test_mixed_size_batch_loss_is_the_mean_of_own_losses(data, m, seed):
         ape_mode=data.draw(st.sampled_from(APE_MODES)),
     )
     w = init_weights(cfg, m, np.random.default_rng(seed), dtype=np.float64)
-    bundles = prepare(insts, cfg)
-    got = _batch_loss(w, bundles, np.random.default_rng(seed), training=False).item()
-    assert np.isclose(got, replayed_mean_loss(w, bundles, seed), rtol=1e-12, atol=1e-12)
+    got = _batch_loss(w, prepare(insts, cfg), np.random.default_rng(seed), training=False).item()
+    assert np.isclose(got, replayed_mean_loss(w, bundles_of(insts, cfg), seed),
+                      rtol=1e-12, atol=1e-12)
 
 
 @given(st.sampled_from(["weight", "batched", "broadcast"]),
@@ -594,7 +667,7 @@ def test_forward_matches_the_dense_reference(data, n, m, seed):
                       dropout=data.draw(st.sampled_from([0.0, 0.2])), ffn_mult=2)
     training = data.draw(st.booleans())
     w = init_weights(cfg, m, np.random.default_rng(seed), dtype=np.float64)
-    ctx, _ = _collate(prepare(insts, cfg))
+    ctx, _ = collate(bundles_of(insts, cfg))
     rng = np.random.default_rng(seed + 1)
     values = np.stack([random_assignment(inst, rng) for inst in insts])
     selected = np.stack([select_subset(inst.compiled.fixed_mask, cfg.select_p, rng)

@@ -523,6 +523,33 @@ def test_masked_attention_never_exponentiates_minus_inf(kind, stacked, rows, dty
     assert y.data.dtype == dtype and np.all(np.isfinite(y.data))
 
 
+def _where_bias_softmax(x, keep):
+    """The masked softmax with its 0/-inf bias from ``np.where`` and a float
+    copy of ``keep`` for the two multiplications."""
+    xmax = np.max(x + np.where(keep, 0, x.dtype.type(-np.inf)), axis=-1, keepdims=True)
+    keep = np.asarray(keep, dtype=x.dtype)
+    y = (x - xmax) * keep
+    y = np.exp(y) * keep
+    return y / y.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", [bool, np.float64], ids=["bool", "float"])
+@pytest.mark.parametrize("form", ["stacked", "shared", "strided"])
+def test_masked_softmax_equals_the_where_bias_form(form, kind, dtype, rng):
+    # a mask per batch element, one graph for all, and a transposed view
+    x = (rng.normal(size=(3, 2, 5, 5)) * 20.0).astype(dtype)
+    keep = rng.random((3, 1, 5, 5) if form == "stacked" else (5, 5)) < 0.4
+    keep[..., np.arange(5), np.arange(5)] = True
+    keep = keep.astype(kind)
+    if form == "strided":
+        keep = keep.T
+    got = T._softmax(x.copy(), -1, keep)
+    want = _where_bias_softmax(x, keep)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_masked_softmax_raises_on_a_slice_masked_entirely(rng):
     keep = np.ones((2, 1, 4, 4))
     keep[1, 0, 2] = 0.0  # row 2 of batch element 1 attends to nothing

@@ -23,8 +23,8 @@ from csprefine.train import (
     AdamW,
     OptimizerError,
     TrainConfig,
+    TrainResult,
     _batch_loss,
-    _collate,
     prepare,
     random_assignment,
     train,
@@ -33,6 +33,8 @@ from csprefine.train import (
 from conftest import (
     COMPOSED_OPS,
     assemble_relaxed,
+    bundles_of,
+    reference_batch_loss,
     replayed_mean_loss,
     sudoku_puzzle,
     tiny_config,
@@ -191,6 +193,69 @@ def test_adamw_bytes_match_the_plain_update(grad_clip):
         assert opt.v[k].tobytes() == v_ref[k].tobytes(), k
 
 
+def test_adamw_holds_the_parameters_as_views_of_one_buffer():
+    w = _quadratic_weights()
+    before = {k: p.data.copy() for k, p in w.named_parameters()}
+    opt = AdamW(w, TrainConfig())
+    flat = w["embed"].data.base
+    for k, p in w.named_parameters():
+        assert p.data.base is flat and p.data.tobytes() == before[k].tobytes(), k
+        assert opt.m[k].shape == opt.v[k].shape == p.data.shape, k
+    # the decaying parameters fill one leading slice of the buffer
+    decaying = [k for k, p in w.named_parameters() if p.data.ndim > 0 and "ln" not in k]
+    ends = {k: (p.data.ctypes.data - flat.ctypes.data) // flat.itemsize + p.data.size
+            for k, p in w.named_parameters()}
+    assert max(ends[k] for k in decaying) == sum(w[k].data.size for k in decaying)
+
+
+def test_load_best_keeps_the_optimizer_views():
+    w = _quadratic_weights()
+    opt = AdamW(w, TrainConfig(lr=0.1))
+    best = {k: p.data.copy() for k, p in w.named_parameters()}
+    for _, p in w.named_parameters():
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    views = {k: p.data for k, p in w.named_parameters()}
+    TrainResult(w, best).load_best()
+    for k, p in w.named_parameters():
+        assert p.data is views[k] and p.data.tobytes() == best[k].tobytes(), k
+    # the optimizer still updates the loaded weights
+    opt.step()
+    assert not np.array_equal(w["w_out"].data, best["w_out"])
+
+
+def test_adamw_names_the_first_non_finite_parameter_in_parameter_order():
+    # alpha comes before w_out among the parameters, but after it in the
+    # buffer, where the decaying parameters come first
+    w = _quadratic_weights()
+    opt = AdamW(w, TrainConfig())
+    for _, p in w.named_parameters():
+        p.grad = np.zeros_like(p.data)
+    w["w_out"].grad[0, 0] = np.inf
+    w["alpha"].grad = np.array(np.nan, dtype=np.float32)
+    with pytest.raises(OptimizerError, match="non-finite gradient in parameter 'alpha'"):
+        opt.step()
+    w["alpha"].grad = np.zeros((), dtype=np.float32)
+    with pytest.raises(OptimizerError, match="non-finite gradient in parameter 'w_out'"):
+        opt.step()
+    # an update that overflows: lr 1e39 is inf in float32 and turns every parameter
+    # non-finite, and the first of them is named
+    w = _quadratic_weights()
+    opt = AdamW(w, TrainConfig(lr=1e39, weight_decay=0.0))
+    for _, p in w.named_parameters():
+        p.grad = np.ones_like(p.data)
+    first = next(iter(w.params))
+    with pytest.raises(OptimizerError, match=f"parameter {first!r} after the update"):
+        opt.step()
+
+
+def test_adamw_rejects_parameters_of_two_dtypes():
+    w = _quadratic_weights()
+    w["alpha"].data = w["alpha"].data.astype(np.float64)
+    with pytest.raises(ValueError, match="one dtype"):
+        AdamW(w, TrainConfig())
+
+
 def test_fused_ops_give_the_composed_gradients_on_a_coloring_step(monkeypatch):
     # one training step of the coloring20 benchmark model, batch 16
     cfg = ModelConfig(layers=2, heads=2, d_model=64, select_p=0.3, rpe_mode="masked",
@@ -243,7 +308,7 @@ def test_collate_identical_structure():
     insts = [sudoku_puzzle(20, s) for s in range(3)]
     cfg = tiny_config()
     bundles = prepare(insts, cfg)
-    ctx, program = _collate(bundles)
+    ((ctx, program, _, _),) = bundles.draw(np.arange(3), cfg.select_p, np.random.default_rng(0))
     assert ctx.keep.shape == (3, 1, 81, 81)
     assert isinstance(program, LossProgram)
 
@@ -255,14 +320,21 @@ def test_collate_pairs_only_stacks(rng):
     ]
     cfg = tiny_config()
     bundles = prepare(insts, cfg)
-    ctx, program = _collate(bundles)
+    ((ctx, program, _, _),) = bundles.draw(np.arange(2), cfg.select_p, np.random.default_rng(0))
     assert ctx.keep.shape == (2, 1, 4, 4)
     # each sample of the stack is scored against its own instance
     rel = rng.dirichlet(np.ones(3), size=(2, 4))
     got = program.loss(Tensor(rel)).data
-    want = [b.program.loss(Tensor(r)).item() for b, r in zip(bundles, rel)]
+    want = [b.program.loss(Tensor(r)).item() for b, r in zip(bundles_of(insts, cfg), rel)]
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     assert want[0] != want[1]
+
+
+def test_prepare_rejects_mixed_domain_sizes():
+    # one model has one value embedding, and a batch draws every start
+    # value from one domain
+    with pytest.raises(ValueError, match="domain sizes"):
+        prepare([toy_alldiff(3), toy_alldiff(4)], tiny_config())
 
 
 def test_batch_loss_mixes_sizes():
@@ -276,7 +348,8 @@ def test_batch_loss_mixes_sizes():
     w = init_weights(cfg, 3, np.random.default_rng(2), dtype=np.float64)
     bundles = prepare(insts, cfg)
     got = _batch_loss(w, bundles, np.random.default_rng(11), training=False)
-    assert np.isclose(got.item(), replayed_mean_loss(w, bundles, 11), rtol=1e-12, atol=0.0)
+    assert np.isclose(got.item(), replayed_mean_loss(w, bundles_of(insts, cfg), 11),
+                      rtol=1e-12, atol=0.0)
 
 
 def test_batch_loss_mixes_kinds():
@@ -285,10 +358,12 @@ def test_batch_loss_mixes_kinds():
     box = CspInstance(9, 9, tuple((r, c) for r in range(3) for c in range(3)),
                       (AllDifferentExact(tuple(range(9))),), (None,) * 9)
     cfg = tiny_config(sampler="softmax", ape_mode="multi")
-    bundles = prepare([toy_alldiff(9), sudoku_puzzle(30, 0), box, toy_alldiff(9)], cfg)
+    insts = [toy_alldiff(9), sudoku_puzzle(30, 0), box, toy_alldiff(9)]
+    bundles = prepare(insts, cfg)
     w = init_weights(cfg, 9, np.random.default_rng(4), dtype=np.float64)
     got = _batch_loss(w, bundles, np.random.default_rng(5), training=False)
-    assert np.isclose(got.item(), replayed_mean_loss(w, bundles, 5), rtol=1e-12, atol=0.0)
+    assert np.isclose(got.item(), replayed_mean_loss(w, bundles_of(insts, cfg), 5),
+                      rtol=1e-12, atol=0.0)
     # the mixed chunk backpropagates a finite gradient to every parameter
     with Tape():
         backward(_batch_loss(w, bundles, np.random.default_rng(5), training=False))
@@ -304,17 +379,44 @@ def test_batch_loss_scores_each_instance_under_its_own_mode():
     w = init_weights(cfg, 2, np.random.default_rng(3), dtype=np.float64)
     bundles = prepare([coloring, maxcut], cfg)
     got = _batch_loss(w, bundles, np.random.default_rng(7), training=False)
-    assert np.isclose(got.item(), replayed_mean_loss(w, bundles, 7), rtol=0.0, atol=1e-12)
+    assert np.isclose(got.item(), replayed_mean_loss(w, bundles_of([coloring, maxcut], cfg), 7),
+                      rtol=0.0, atol=1e-12)
 
 
 def test_collate_stacks_mixed_kinds(rng):
     # same n, m and index tuples is all a stack needs
-    bundles = prepare([toy_alldiff(4), build_graph_coloring(4, [(0, 1), (2, 3)], 4)], tiny_config())
-    _, program = _collate(bundles)
+    insts = [toy_alldiff(4), build_graph_coloring(4, [(0, 1), (2, 3)], 4)]
+    bundles = prepare(insts, tiny_config())
+    ((_, program, _, _),) = bundles.draw(np.arange(2), 0.5, np.random.default_rng(0))
     rel = rng.dirichlet(np.ones(4), size=(2, 4))
     got = program.loss(Tensor(rel)).data
-    want = [b.program.loss(Tensor(r)).item() for b, r in zip(bundles, rel)]
+    want = [b.program.loss(Tensor(r)).item() for b, r in zip(bundles_of(insts, tiny_config()), rel)]
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["probe", "training"])
+def test_batch_loss_gives_the_bytes_of_per_sample_draws_and_collation(training):
+    # mixed sizes and kinds in one shuffled batch, with givens, gumbel noise
+    # and, in training, dropout: the loss and every gradient, byte for byte
+    insts = [sudoku_puzzle(30, 0), toy_alldiff(9), sudoku_puzzle(50, 1), toy_alldiff(9),
+             build_graph_coloring(5, [(0, 1), (3, 4)], 9), sudoku_puzzle(81, 2)]
+    cfg = tiny_config(sampler="gumbel", ape_mode="multi", dropout=0.2, select_p=0.3)
+    bundles = prepare(insts, cfg)
+    idx = np.array([3, 0, 5, 4, 1])
+
+    def run(loss_fn):
+        w = init_weights(cfg, 9, np.random.default_rng(4), dtype=np.float32)
+        rng = np.random.default_rng(6)
+        with Tape():
+            loss = loss_fn(w, rng)
+            backward(loss)
+        return loss.data.tobytes(), {k: p.grad.tobytes() for k, p in w.named_parameters()}, \
+            rng.bit_generator.state
+
+    got = run(lambda w, rng: _batch_loss(w, bundles, rng, training=training, idx=idx))
+    want = run(lambda w, rng: reference_batch_loss(w, bundles_of([insts[i] for i in idx], cfg),
+                                                   rng, training=training))
+    assert got == want
 
 
 def test_batch_loss_same_for_collated_and_loop():
@@ -327,7 +429,8 @@ def test_batch_loss_same_for_collated_and_loop():
     w = init_weights(cfg, 3, np.random.default_rng(2))
     bundles = prepare(insts, cfg)
     fast = _batch_loss(w, bundles, np.random.default_rng(11), training=False)
-    assert np.isclose(fast.item(), replayed_mean_loss(w, bundles, 11), rtol=1e-12, atol=0.0)
+    assert np.isclose(fast.item(), replayed_mean_loss(w, bundles_of(insts, cfg), 11),
+                      rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +522,8 @@ def test_train_keeps_the_weights_with_the_lowest_probe_loss(monkeypatch):
     scored = []
     real = train_module._probe_loss
 
-    def recording(w, bundles, cfg):
-        loss = real(w, bundles, cfg)
+    def recording(w, probe):
+        loss = real(w, probe)
         scored.append((loss, _snapshot(w)))
         return loss
 
@@ -431,12 +534,43 @@ def test_train_keeps_the_weights_with_the_lowest_probe_loss(monkeypatch):
     for name, p in want.items():
         assert np.array_equal(result.best_params[name], p), name
     # the probe is pinned: the kept weights score the same again
-    bundles = prepare([inst] * 16, cfg)
-    assert real(result.load_best(), bundles, tcfg) == loss
+    probe = train_module._draw_probe(prepare([inst] * 16, cfg), result.weights, tcfg)
+    assert real(result.load_best(), probe) == loss
 
     # the probe draws from its own rng: the training stream does not see it
-    monkeypatch.setattr(train_module, "_probe_loss", lambda w, bundles, cfg: 0.0)
+    monkeypatch.setattr(train_module, "_probe_loss", lambda w, probe: 0.0)
     assert train([inst] * 16, cfg, tcfg).history == result.history
+
+
+def test_the_probe_drawn_once_scores_as_a_fresh_draw_each_epoch(monkeypatch):
+    # the first 6 of 9 mixed instances, gumbel noise: each epoch's probe
+    # loss, the history and the kept weights are those of a probe batch
+    # drawn afresh from default_rng([seed, 1]) on every call
+    insts = [build_graph_coloring(n, [(0, 1), (1, 2), (0, n - 1)], 3) for n in (4, 5, 4, 6, 5, 4, 6, 4, 5)]
+    cfg = tiny_config(sampler="gumbel", ape_mode="multi", dropout=0.1)
+    tcfg = TrainConfig(batch_size=6, epochs=6, lr=3e-2, seed=4)
+    real = train_module._probe_loss
+    once, fresh = [], []
+
+    def recording(w, probe):
+        once.append(real(w, probe))
+        return once[-1]
+
+    def fresh_draw(w, probe):
+        with T.no_grad():
+            loss = reference_batch_loss(w, bundles_of(insts[:6], cfg),
+                                        np.random.default_rng([tcfg.seed, 1]), training=False)
+        fresh.append(loss.item())
+        return fresh[-1]
+
+    monkeypatch.setattr(train_module, "_probe_loss", recording)
+    a = train(insts, cfg, tcfg)
+    monkeypatch.setattr(train_module, "_probe_loss", fresh_draw)
+    b = train(insts, cfg, tcfg)
+    assert len(set(once)) > 1 and once == fresh
+    assert a.history == b.history
+    for name, p in a.best_params.items():
+        assert p.tobytes() == b.best_params[name].tobytes(), name
 
 
 def test_train_never_keeps_a_non_finite_probe_loss(monkeypatch):
@@ -445,7 +579,7 @@ def test_train_never_keeps_a_non_finite_probe_loss(monkeypatch):
     tcfg = TrainConfig(batch_size=8, epochs=2, lr=1e-2, seed=1)
     w = init_weights(cfg, 4, np.random.default_rng(0))
     start = _snapshot(w)
-    monkeypatch.setattr(train_module, "_probe_loss", lambda w, bundles, cfg: float("nan"))
+    monkeypatch.setattr(train_module, "_probe_loss", lambda w, probe: float("nan"))
     result = train([inst] * 8, cfg, tcfg, weights=w)
     assert not np.array_equal(result.weights["w_out"].data, start["w_out"])
     for name, p in start.items():
