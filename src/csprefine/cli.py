@@ -464,6 +464,9 @@ def main(argv=None) -> int:
     except (DataError, DomainMismatch, ArityMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (NumericError,) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

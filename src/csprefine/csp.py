@@ -113,6 +113,10 @@ class CspInstance:
             raise CspError(f"sizes must be integers, got n={self.n!r} and m={self.m!r}")
         if self.n < 1 or self.m < 1:
             raise CspError("need at least one variable and one domain value")
+        # the model and the penalty build (n, m) and (m, m) float64 tables
+        if max(int(self.n), int(self.m)) * int(self.m) * 8 > np.iinfo(np.intp).max:
+            raise CspError(f"sizes n={self.n} and m={self.m} give tables past numpy's "
+                           "array size limit")
         if self.mode not in MODES:
             raise CspError(f"mode {self.mode!r} is not one of {MODES}")
         dims = {len(t) for t in self.index_tuples}

@@ -10,6 +10,8 @@ every generated dataset carries a plain-text manifest.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
@@ -495,13 +497,15 @@ def load_weights(path) -> ModelWeights:
                     if len(shapes) == param_count(config) else None)
         if shapes != expected:
             raise DataError(f"{path}: the tensor table does not match the header's model")
-        params: dict[str, Tensor] = {}
-        for name, shape in sorted(expected.items()):
-            size = (int(np.prod(shape)) if shape else 1) * block.itemsize
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise DataError(f"{path}: truncated tensor block {name!r}")
-            params[name] = Tensor(np.frombuffer(raw, dtype=block).reshape(shape).astype(dtype))
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after tensor blocks")
+        # the blocks' total size first, in Python integers, so that a header
+        # with a huge width fails before any block is read
+        total = sum(math.prod(shape) for shape in expected.values()) * block.itemsize
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if total != left:
+            what = "truncated tensor blocks" if left < total else "trailing bytes"
+            raise DataError(f"{path}: {what}: the header's tensors take {total} bytes, "
+                            f"and {left} follow the header")
+        params = {name: Tensor(np.frombuffer(fh.read(math.prod(shape) * block.itemsize),
+                                             dtype=block).reshape(shape).astype(dtype))
+                  for name, shape in sorted(expected.items())}
     return ModelWeights(config, domain_size, params)

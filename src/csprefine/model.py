@@ -10,10 +10,11 @@ non-positive offset added to the logits ("learned"). The output head is a
 temperature softmax, optionally perturbed by Gumbel noise for
 differentiable discrete sampling. This module makes every draw of a step,
 in training and in a solve: the start, the subset, the dropout masks and
-the Gumbel sample. ``forward`` draws from one generator per batch row. A
-training step draws the starts and the subsets of its whole batch with one
-call each (a :class:`Givens` batch and a (B, n) mask), in the stream of
-one call per instance in turn.
+the Gumbel sample. ``forward`` draws from one generator per batch row.
+One draw rule serves a solve pool and a training batch: a training step
+draws the starts and the subsets of its whole batch from one generator,
+over a :class:`Givens` batch and its (B, n) mask, and a pool draws each
+candidate's from its own (:func:`select_subset`).
 """
 
 from __future__ import annotations
@@ -215,105 +216,54 @@ class InstanceContext:
 
 
 class Givens(NamedTuple):
-    """The givens of a batch of instances of one domain size, padded: row b
-    has ``sizes[b]`` variables, the first ``sizes[b]`` columns; ``mask`` is
-    true on a given variable and ``values`` holds its value, and both are
-    false and 0 past the row's variables."""
+    """The givens of a batch of instances of one domain size, padded to the
+    longest: ``mask`` is true on a given variable and ``values`` holds its
+    value; a padding column counts as given, with value 0."""
 
     mask: np.ndarray  # (B, n) bool
     values: np.ndarray  # (B, n) int
-    sizes: np.ndarray  # (B,) int
     m: int
 
 
 def random_assignment(inst: CspInstance | Givens, rng: np.random.Generator) -> np.ndarray:
-    """Uniform values on non-fixed variables, givens kept.
-
-    For one :class:`CspInstance`, an (n,) row from one ``integers`` call of
-    n values. For the :class:`Givens` of a batch, a (B, n) array from one
-    ``integers`` call over the rows' variables in row order, 0 past a row's
-    variables: since ``integers`` fills in order, row b holds the values
-    that the instance of row b would draw alone after rows 0 to b-1.
+    """Uniform values on non-fixed variables, givens kept: one ``integers``
+    call over the whole shape, an (n,) row for one :class:`CspInstance` and
+    a (B, n) array for the :class:`Givens` of a batch, so a given variable
+    and a padding column draw a value too, which the given overwrites.
     """
-    if isinstance(inst, CspInstance):
-        cc = inst.compiled
-        return np.where(cc.fixed_mask, cc.fixed_values, rng.integers(0, inst.m, size=inst.n))
-    cols = np.arange(inst.mask.shape[1]) < inst.sizes[:, None]  # the rows' variables
-    draws = np.zeros(inst.mask.shape, dtype=np.int64)
-    draws[cols] = rng.integers(0, inst.m, size=np.count_nonzero(cols))
-    return np.where(inst.mask, inst.values, draws)
+    mask, values, m = ((inst.compiled.fixed_mask, inst.compiled.fixed_values, inst.m)
+                       if isinstance(inst, CspInstance) else inst)
+    return np.where(mask, values, rng.integers(0, m, size=mask.shape))
 
 
-def select_subset(fixed_mask: np.ndarray, p: float, rngs,
-                  sizes: np.ndarray | None = None) -> np.ndarray:
+def select_subset(fixed_mask: np.ndarray, p: float, rngs) -> np.ndarray:
     """Bernoulli(p) inclusion per non-fixed variable of ``fixed_mask``.
 
-    For an (n,) ``fixed_mask``, ``rngs`` is one generator, for an (n,)
-    subset, or a sequence of distinct generators (ValueError when two rows
-    share one), one per row of a (len(rngs), n) subset. Every row draws
-    once, and then only a row that selected nothing draws again, from its
-    own generator, until it selects something: an empty step would be the
-    identity and waste an iteration. Since no row reads another row's
-    generator, row b is the subset that ``rngs[b]`` alone gives.
+    With one generator, the subset has the shape of ``fixed_mask``, (n,)
+    or (B, n). With a sequence of generators, one per row, rows may share
+    one, and the (len(rngs), n) subset has the (n,) ``fixed_mask`` in
+    every row.
 
-    For a (B, n) ``fixed_mask``, one row per instance of a batch, ``rngs``
-    is one generator that the rows draw from in turn, row b over its first
-    ``sizes[b]`` variables: row b is the subset that
-    ``select_subset(fixed_mask[b, :sizes[b]], p, rngs)`` gives after rows
-    0 to b-1, and is false past them. See :func:`_subset_rows`.
-
-    When every variable of a row is fixed, the row draws nothing and its
-    subset is empty.
+    Every row that has a free variable draws n uniforms once, from its own
+    generator, in row order (:func:`_uniform`). Then each row that
+    selected nothing draws again from its own generator, in row order,
+    until it selects something: an empty step would be the identity and
+    waste an iteration. A row whose variables are all fixed draws
+    nothing, and its subset is empty. So row b of a pool whose rows hold
+    distinct generators is the subset that ``rngs[b]`` alone gives.
     """
-    if fixed_mask.ndim == 2:
-        return _subset_rows(fixed_mask, p, rngs, np.arange(fixed_mask.shape[1]) < sizes[:, None])
     one = isinstance(rngs, np.random.Generator)
-    gens = [rngs] if one else rngs
-    if len({id(r) for r in gens}) < len(gens):
-        raise ValueError("each row of a subset needs its own generator")
-    free = ~fixed_mask
-    n = fixed_mask.shape[0]
-    if not free.any():
-        sel = np.zeros((len(gens), n), dtype=bool)
-    else:
-        sel = (_uniform(gens, (len(gens), n)) < p) & free
-        for b in np.flatnonzero(~sel.any(axis=1)):
-            while not sel[b].any():
-                sel[b] = (gens[b].random(n) < p) & free
-    return sel[0] if one else sel
-
-
-def _subset_rows(fixed_mask: np.ndarray, p: float, rng: np.random.Generator,
-                 cols: np.ndarray) -> np.ndarray:
-    """The subsets of rows drawn in turn from one generator, as one
-    ``random`` call over every variable of the rows that have a free one.
-
-    A row that selected nothing would have drawn again before the next row
-    drew. So the generator goes back to its state before the call, replays
-    the draws of the rows before that row, which stand, and redraws that
-    row until it selects something; the rows after it are drawn again in
-    one call, from the point where the sequential draws would be.
-    """
-    free = ~fixed_mask & cols
-    draws = free.any(axis=1)
-    drawn = cols & draws[:, None]
-    sel = np.zeros(fixed_mask.shape, dtype=bool)
-    row = 0
-    while True:
-        state = rng.bit_generator.state
-        u = np.ones(sel[row:].shape)  # 1.0 is never below p
-        u[drawn[row:]] = rng.random(np.count_nonzero(drawn[row:]))
-        sel[row:] = (u < p) & free[row:]
-        empty = np.flatnonzero(draws[row:] & ~sel[row:].any(axis=1))
-        if not len(empty):
-            return sel
-        b = row + empty[0]
-        rng.bit_generator.state = state
-        rng.random(np.count_nonzero(drawn[row:b]))
-        n_b = np.count_nonzero(cols[b])
+    n = fixed_mask.shape[-1]
+    free = ~np.atleast_2d(fixed_mask) if one else np.repeat(~fixed_mask[None], len(rngs), 0)
+    gens = [rngs] * len(free) if one else rngs
+    draws = np.flatnonzero(free.any(axis=1))
+    u = np.ones(free.shape)  # 1.0 is never below p
+    u[draws] = _uniform([gens[b] for b in draws], (len(draws), n))
+    sel = (u < p) & free
+    for b in draws[~sel[draws].any(axis=1)]:
         while not sel[b].any():
-            sel[b, :n_b] = (rng.random(n_b) < p) & free[b, :n_b]
-        row = b + 1
+            sel[b] = (gens[b].random(n) < p) & free[b]
+    return sel.reshape(fixed_mask.shape) if one else sel
 
 
 def _uniform(rngs, shape) -> np.ndarray:

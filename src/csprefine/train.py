@@ -10,10 +10,12 @@ A training step's fixed cost does not grow with its sample count.
 :func:`prepare` groups the instances by structure (index tuples, which fix
 n) and by penalty transform, and stacks each group's attention masks and
 compiled constraints once (:class:`TrainingSet`). A step draws its start
-values in one ``integers`` call and its subsets in one ``random`` call,
-the stream that one draw per instance in turn would give, then takes each
-group's rows and runs one stacked forward per group. The probe batch that
-picks the best weights is drawn once per :func:`train` call. AdamW updates
+values in one ``integers`` call and its subsets row by row from one
+generator, over the batch's givens padded to its longest instance, by the
+draw rule that a solve pool follows
+(:func:`~csprefine.model.select_subset`), then takes each group's rows
+and runs one stacked forward per group. The probe batch that picks the
+best weights is drawn once per :func:`train` call. AdamW updates
 every parameter at once, over one flat buffer. A training set may
 therefore mix sizes and kinds, but not domain sizes.
 """
@@ -182,7 +184,8 @@ class _Group:
 class TrainingSet:
     """A training set prepared once: its instances grouped by structure,
     each group's masks and loss programs stacked (:class:`_Group`), and the
-    givens of every instance padded to the longest instance.
+    givens of every instance padded to the longest instance, a padding
+    column counting as given.
     :meth:`draw` makes a batch's draws and cuts its stacked arrays.
     """
 
@@ -202,9 +205,8 @@ class TrainingSet:
                                       np.stack([instances[i].compiled.adjacency() for i in idx]),
                                       LossProgram.stack([programs[i] for i in idx])))
             self.group_of[idx], self.row_of[idx] = g, np.arange(len(idx))
-        self.sizes = np.array([inst.n for inst in instances], dtype=np.int64)
-        width = self.sizes.max(initial=0)
-        self.fixed_mask = np.zeros((len(instances), width), dtype=bool)
+        width = max((inst.n for inst in instances), default=0)
+        self.fixed_mask = np.ones((len(instances), width), dtype=bool)
         self.fixed_values = np.zeros((len(instances), width), dtype=np.int64)
         for i, inst in enumerate(instances):
             self.fixed_mask[i, : inst.n] = inst.compiled.fixed_mask
@@ -212,18 +214,19 @@ class TrainingSet:
         self.m = instances[0].m if instances else 0
 
     def __len__(self) -> int:
-        return len(self.sizes)
+        return len(self.fixed_mask)
 
     def draw(self, idx: np.ndarray, p: float, rng: np.random.Generator) -> list:
         """The batch of instances ``idx``: start values, then subsets, each
-        kind drawn in one call in batch order, so the stream is that of one
-        draw per instance in turn; then one (ctx, program, values, selected)
+        kind drawn from ``rng`` over the rows in batch order, padded to the
+        batch's longest instance; then one (ctx, program, values, selected)
         part per group, in order of first appearance in the batch."""
-        givens = Givens(self.fixed_mask[idx], self.fixed_values[idx], self.sizes[idx], self.m)
-        values = random_assignment(givens, rng)
-        selected = select_subset(givens.mask, p, rng, givens.sizes)
         gids = self.group_of[idx]
-        _, first = np.unique(gids, return_index=True)
+        present, first = np.unique(gids, return_index=True)
+        width = max((self.groups[g].program.n for g in present), default=0)
+        givens = Givens(self.fixed_mask[idx, :width], self.fixed_values[idx, :width], self.m)
+        values = random_assignment(givens, rng)
+        selected = select_subset(givens.mask, p, rng)
         parts = []
         for g in gids[np.sort(first)]:
             at = np.flatnonzero(gids == g)

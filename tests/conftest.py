@@ -230,22 +230,61 @@ def collate(bundles):
     return ctx, LossProgram.stack([b.program for b in bundles])
 
 
+def loop_subsets(fixed, p: float, rngs):
+    """``model.select_subset``'s draw rule as a plain per-row loop over a
+    (B, n) ``fixed`` mask, with one generator per row; rows may share one.
+    Every row that has a free variable draws n uniforms from its generator,
+    in row order; then each row that selected nothing draws n again from
+    its own, in row order, until it selects something. Returns the subsets
+    and the rows that drew again."""
+    sel = np.zeros(fixed.shape, dtype=bool)
+    for b, row in enumerate(fixed):
+        if not row.all():
+            sel[b] = (rngs[b].random(len(row)) < p) & ~row
+    redrawn = [b for b, row in enumerate(fixed) if not row.all() and not sel[b].any()]
+    for b in redrawn:
+        while not sel[b].any():
+            sel[b] = (rngs[b].random(len(fixed[b])) < p) & ~fixed[b]
+    return sel, redrawn
+
+
+def loop_draws(insts, p: float, rng):
+    """A training batch's start values and subsets by the draw rule, as
+    plain per-row loops from ``rng`` over the givens padded to the batch's
+    longest instance, a padding column given: every value row, a uniform
+    value per column, then the subsets (:func:`loop_subsets`). Returns
+    each instance's rows, cut to its n, and the rows that drew a subset
+    again. ``TrainingSet.draw`` must give these rows."""
+    width = max(inst.n for inst in insts)
+    fixed = np.ones((len(insts), width), dtype=bool)
+    values = []
+    for b, inst in enumerate(insts):
+        cc = inst.compiled
+        fixed[b, : inst.n] = cc.fixed_mask
+        row = rng.integers(0, inst.m, size=width)
+        values.append(np.where(cc.fixed_mask, cc.fixed_values, row[: inst.n]))
+    selected, redrawn = loop_subsets(fixed, p, [rng] * len(insts))
+    return values, [sel[: inst.n] for sel, inst in zip(selected, insts)], redrawn
+
+
 def per_sample_draws(insts, p: float, rng):
     """A batch's start values and subsets drawn one instance at a time, in
-    batch order: every value row first, then every subset row. The one-call
-    draws of a training step must give these rows."""
+    batch order: every value row first, then every subset row, each subset
+    drawn again at once until it selects something. An independent check
+    of the draw rule: on a batch of one size in which no subset is drawn
+    again, :func:`loop_draws` gives these rows."""
     values = [random_assignment(inst, rng) for inst in insts]
     selected = [select_subset(inst.compiled.fixed_mask, p, rng) for inst in insts]
     return values, selected
 
 
 def reference_batch_loss(w, bundles, rng, training=True) -> Tensor:
-    """The mean loss of one batch of bundles from per-sample draws
-    (:func:`per_sample_draws`) and per-batch collation (:func:`collate`):
-    one forward per group of bundles that share index tuples and penalty
+    """The mean loss of one batch of bundles from the row-loop draws
+    (:func:`loop_draws`) and per-batch collation (:func:`collate`): one
+    forward per group of bundles that share index tuples and penalty
     transform, in order of first appearance, with ``rng`` as every row's
     generator. ``train._batch_loss`` must give its bytes."""
-    values, selected = per_sample_draws([b.inst for b in bundles], w.config.select_p, rng)
+    values, selected, _ = loop_draws([b.inst for b in bundles], w.config.select_p, rng)
     groups: dict[tuple, list] = {}
     for row in zip(bundles, values, selected):
         groups.setdefault((row[0].inst.index_tuples, row[0].program.cfg.transform), []).append(row)
@@ -260,10 +299,10 @@ def reference_batch_loss(w, bundles, rng, training=True) -> Tensor:
 
 def replayed_mean_loss(w, bundles, seed: int) -> float:
     """Mean of each instance's own program loss on the draws that
-    ``train._batch_loss`` makes from ``seed``: assignments, then subsets,
-    in batch order. Needs a model that draws no dropout or gumbel noise."""
-    values, selected = per_sample_draws([b.inst for b in bundles], w.config.select_p,
-                                        np.random.default_rng(seed))
+    ``train._batch_loss`` makes from ``seed`` (:func:`loop_draws`).
+    Needs a model that draws no dropout or gumbel noise."""
+    values, selected, _ = loop_draws([b.inst for b in bundles], w.config.select_p,
+                                     np.random.default_rng(seed))
     total = 0.0
     for b, vals, sel in zip(bundles, values, selected):
         total += b.program.loss(forward(w, b.ctx, vals[None], sel[None])).data[0]

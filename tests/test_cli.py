@@ -691,6 +691,90 @@ def test_a_header_with_a_huge_layer_count_fails_before_enumerating(tmp_path, cap
     assert rc == EXIT_IO and "tensor table" in err and "Traceback" not in err
 
 
+class _ReadGuard:
+    """An open binary file whose ``read`` fails the test when asked for
+    more bytes than the file holds, before reading anything."""
+
+    def __init__(self, fh):
+        self.fh, self.size = fh, os.fstat(fh.fileno()).st_size
+
+    def read(self, n=-1):
+        assert n <= self.size, f"read of {n} bytes from a file of {self.size}"
+        return self.fh.read(n)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_a_header_with_a_huge_width_fails_before_reading_a_block(tmp_path, capsys, monkeypatch):
+    # "d_model": 10**9 with the tensor table of that config: the blocks would
+    # take about 10**19 bytes, which the file does not hold; the total is
+    # compared with the file's length before any block is read
+    dataset = _generate_coloring(tmp_path, count=1, n=5)
+    good = tmp_path / "good.bin"
+    save_weights(init_weights(ModelConfig(layers=1, heads=1, d_model=8, ffn_mult=1), 3,
+                              np.random.default_rng(0)), good)
+
+    def widen(header, arrays):
+        header["config"]["d_model"] = 10**9
+        shapes = param_shapes(ModelConfig(**header["config"]), header["domain_size"])
+        header["tensors"] = {name: list(shape) for name, shape in shapes.items()}
+
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_edited_weights(good.read_bytes(), widen))
+    capsys.readouterr()
+    monkeypatch.setattr(data, "open", lambda *a, **k: _ReadGuard(open(*a, **k)), raising=False)
+    rc = main(["solve", "--weights", str(bad), "--dataset", str(dataset), "--iters", "1"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO and "truncated tensor blocks" in err and "Traceback" not in err
+
+
+def _train_on_one_line(tmp_path, capsys, edit) -> tuple[int, str]:
+    """``train`` on a one-instance coloring dataset whose JSON line ``edit``
+    changed in place; (exit code, standard error)."""
+    dataset = _generate_coloring(tmp_path, count=1, n=5)
+    line = json.loads(dataset.read_text())
+    edit(line)
+    dataset.write_text(json.dumps(line) + "\n")
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "model.bin"),
+               "--epochs", "1", "--layers", "1", "--d-model", "8"])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [2**32, 2**63])
+def test_a_domain_past_numpys_array_size_limit_is_an_io_error(tmp_path, capsys, monkeypatch, m):
+    # the (m, m) float64 table would be past numpy's size limit: the line is
+    # refused as it is read, before training allocates anything
+    def training(*args, **kw):
+        raise AssertionError("train ran")
+
+    monkeypatch.setattr(cli, "train", training)
+    rc, err = _train_on_one_line(tmp_path, capsys, lambda line: line.update(m=m))
+    assert rc == EXIT_IO and ":1: bad instance line" in err and "array size limit" in err
+    assert "Traceback" not in err
+
+
+def test_running_out_of_memory_is_an_io_error(tmp_path, capsys, monkeypatch):
+    # "m": 10**9 passes the size limit, and numpy then refuses the
+    # embedding's allocation; the refusal is raised here without allocating
+    def training(*args, **kw):
+        raise MemoryError("Unable to allocate 59.6 GiB for an array with shape "
+                          "(1000000000, 8) and data type float64")
+
+    monkeypatch.setattr(cli, "train", training)
+    rc, err = _train_on_one_line(tmp_path, capsys, lambda line: line.update(m=10**9))
+    assert rc == EXIT_IO and not (tmp_path / "model.bin").exists()
+    assert err.startswith("error: out of memory: Unable to allocate 59.6 GiB")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("rpe", ["masked", "learned"])
 def test_the_closed_form_tensor_count_is_param_shapes_count(rpe):
     for layers in (1, 2, 7):

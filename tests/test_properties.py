@@ -6,7 +6,8 @@ against an einsum reference; the fused tensor ops against their composed
 forms; softmax's floored backward against the plain form; the flat row
 scatter-adds of the gather, take and attention backwards against the
 ``np.add.at`` row form, and ``LossProgram.stack`` against the per-sample
-loop, byte for byte; a pool's subset
+loop, byte for byte; a training step's draws and a pool's subsets against
+the per-row loop of the draw rule; a pool's subset
 and noise draws, and a forward with a generator per row, against each
 candidate's own; ``multi_start``'s report
 against a replay of its rounds; and the graph generator and greedy coloring
@@ -88,8 +89,10 @@ from conftest import (
     bundles_of,
     collate,
     dense_reference_forward,
-    per_sample_draws,
+    loop_draws,
     loop_pad_stack,
+    loop_subsets,
+    per_sample_draws,
     replay_solve,
     replayed_mean_loss,
     row_scatter_add,
@@ -285,11 +288,14 @@ def _groups_in_order(insts, idx):
     return [(key, [b for b, k in enumerate(keys) if k == key]) for key in dict.fromkeys(keys)]
 
 
-@given(st.data(), st.integers(2, 4), st.sampled_from([0.001, 0.05, 0.3, 1.0]),
+@settings(max_examples=200)
+@given(st.data(), st.integers(2, 4), st.sampled_from([0.001, 0.05, 0.2, 0.3, 1.0]),
        st.integers(0, 2**32 - 1))
 def test_a_steps_draws_equal_the_per_sample_draws(data, m, p, seed):
-    # mixed sizes and givens; a fully fixed instance draws no subset; at p
-    # 0.001 nearly every row selects nothing at first and is drawn again
+    # mixed sizes, so padding columns, and givens; a fully fixed instance
+    # draws no subset; at p 0.001 nearly every row selects nothing at first
+    # and draws again once every row has drawn, and at p 0.05 to 0.3 a row
+    # that selected nothing is often followed by one that selected something
     insts = data.draw(st.lists(instances(m=m).flatmap(with_fixed), min_size=1, max_size=6))
     for i in data.draw(st.lists(st.integers(0, len(insts) - 1), max_size=2)):
         inst = insts[i]
@@ -297,17 +303,50 @@ def test_a_steps_draws_equal_the_per_sample_draws(data, m, p, seed):
         insts[i] = CspInstance(inst.n, m, inst.index_tuples, inst.constraints, givens)
     train_set = prepare(insts, tiny_config(select_p=p))
     idx = _batch_of(data, len(insts))
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    parts = train_set.draw(idx, p, rng)
-    values, selected = per_sample_draws([insts[i] for i in idx], p, ref)
+    batch = [insts[i] for i in idx]
     groups = _groups_in_order(insts, idx)
+    rng = np.random.default_rng(seed)
+    parts = train_set.draw(idx, p, rng)
     assert len(parts) == len(groups)
-    for (_, at), (_, _, vals, sel) in zip(groups, parts):
-        assert vals.dtype == np.int64 and sel.dtype == bool
-        assert np.array_equal(vals, np.stack([values[b] for b in at]))
-        assert np.array_equal(sel, np.stack([selected[b] for b in at]))
-    # the same draws, so the generator ends in the same state
-    assert rng.bit_generator.state == ref.bit_generator.state
+
+    def assert_drawn(values, selected, ref):
+        for (_, at), (_, _, vals, sel) in zip(groups, parts):
+            assert vals.dtype == np.int64 and sel.dtype == bool
+            assert np.array_equal(vals, np.stack([values[b] for b in at]))
+            assert np.array_equal(sel, np.stack([selected[b] for b in at]))
+        # the same draws, so the generator ends in the same state
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    ref = np.random.default_rng(seed)
+    values, selected, redrawn = loop_draws(batch, p, ref)
+    assert_drawn(values, selected, ref)
+    # a batch of one size and no row drawn again: the stream of one draw
+    # per instance in turn
+    if len({inst.n for inst in batch}) == 1 and not redrawn:
+        alone = np.random.default_rng(seed)
+        assert_drawn(*per_sample_draws(batch, p, alone), alone)
+
+
+@given(st.data(), st.integers(2, 4), st.sampled_from([0.001, 0.3, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_a_batch_draws_only_to_its_own_longest_instance(data, m, p, seed):
+    # the set's longest instance is left out of the batch: the batch draws
+    # the row-loop stream padded to its own longest, and the set without
+    # that instance gives the same draws
+    insts = data.draw(st.lists(instances(m=m).flatmap(with_fixed), min_size=1, max_size=5))
+    longest = data.draw(instances(n=max(inst.n for inst in insts) + 1, m=m))
+    at = data.draw(st.integers(0, len(insts)))
+    idx = _batch_of(data, len(insts))
+    cfg = tiny_config(select_p=p)
+    rng, without, ref = (np.random.default_rng(seed) for _ in range(3))
+    parts = prepare(insts[:at] + [longest] + insts[at:], cfg).draw(idx + (idx >= at), p, rng)
+    values, selected, _ = loop_draws([insts[i] for i in idx], p, ref)
+    for (_, rows), (_, _, vals, sel) in zip(_groups_in_order(insts, idx), parts):
+        assert np.array_equal(vals, np.stack([values[b] for b in rows]))
+        assert np.array_equal(sel, np.stack([selected[b] for b in rows]))
+    for got, want in zip(parts, prepare(insts, cfg).draw(idx, p, without)):
+        assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+    assert rng.bit_generator.state == ref.bit_generator.state == without.bit_generator.state
 
 
 def _program_arrays(program):
@@ -497,10 +536,21 @@ def test_pool_subsets_redraw_as_each_candidate_alone(free, fixed_count, pool, p,
     assert np.array_equal(select_subset(fixed, p, np.random.default_rng([seed, 0])), sel[0])
 
 
-def test_pool_subsets_need_a_generator_per_row():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        select_subset(np.zeros(4, dtype=bool), 0.5, [rng, np.random.default_rng(1), rng])
+@given(st.lists(st.booleans(), min_size=1, max_size=8),
+       st.lists(st.integers(0, 2), min_size=1, max_size=6),
+       st.sampled_from([0.001, 0.05, 0.5]), st.integers(0, 2**32 - 1))
+def test_pool_subsets_may_share_a_generator(fixed, owners, p, seed):
+    # row b draws from generator owners[b] of three: the rows that share one
+    # draw from it in row order, first every row once, then the rows that
+    # selected nothing, as the row loop does
+    fixed = np.array(fixed)
+    pooled = [np.random.default_rng([seed, g]) for g in range(3)]
+    looped = [np.random.default_rng([seed, g]) for g in range(3)]
+    sel = select_subset(fixed, p, [pooled[g] for g in owners])
+    want, _ = loop_subsets(np.broadcast_to(fixed, (len(owners), len(fixed))), p,
+                           [looped[g] for g in owners])
+    assert sel.shape == want.shape and np.array_equal(sel, want)
+    assert [r.bit_generator.state for r in pooled] == [r.bit_generator.state for r in looped]
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=20), st.integers(1, 12), st.integers(2, 5),
