@@ -122,8 +122,9 @@ class CspInstance:
         dims = {len(t) for t in self.index_tuples}
         if len(self.index_tuples) != self.n or len(dims) != 1 or 0 in dims:
             raise CspError("index tuples must cover all variables with one arity of at least 1")
-        if not all(_is_int(x) for t in self.index_tuples for x in t):
-            raise CspError("index tuple entries must be integers")
+        # the positional tables read the entries as an int64 array
+        if not all(_is_int(x) and -2**63 <= x < 2**63 for t in self.index_tuples for x in t):
+            raise CspError("index tuple entries must be integers within int64")
         if len(self.fixed) != self.n:
             raise CspError("fixed markers must cover all variables")
         for v in self.fixed:
@@ -157,8 +158,12 @@ def _validate_constraint(c: Constraint, n: int, m: int) -> None:
         if c.i == c.k:
             raise CspError(f"not-equal constraint on a single variable {c.i}")
         w = c.weight
-        if not (_is_real(w) and math.isfinite(w)):
-            raise CspError(f"not-equal weight {w!r} is not a finite number")
+        try:  # the quadratic penalty squares the weight in float64
+            finite = _is_real(w) and math.isfinite(float(w) ** 2)
+        except OverflowError:  # float() of a huge integer, or the square
+            finite = False
+        if not finite:
+            raise CspError(f"not-equal weight {w!r} is not a number whose square is finite")
 
 
 def validate_assignment(inst: CspInstance, values) -> None:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .csp import CspInstance
+from .csp import CspInstance, _is_real
 from .penalty import one_hot
 from .tensor import NumericError, Tensor
 
@@ -56,6 +56,8 @@ class ModelConfig:
             raise ValueError("layers, heads, d_model and ffn_mult must be positive")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.heads} heads")
+        if not all(_is_real(v) for v in (self.select_p, self.tau, self.dropout)):
+            raise ValueError("select_p, tau and dropout must be real numbers")
         # select_subset redraws until a draw selects something: at p >= 1e-3
         # that takes at most 1,000 draws in expectation
         if not 1e-3 <= self.select_p <= 1.0:

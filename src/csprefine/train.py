@@ -15,9 +15,10 @@ generator, over the batch's givens padded to its longest instance, by the
 draw rule that a solve pool follows
 (:func:`~csprefine.model.select_subset`), then takes each group's rows
 and runs one stacked forward per group. The probe batch that picks the
-best weights is drawn once per :func:`train` call. AdamW updates
-every parameter at once, over one flat buffer. A training set may
-therefore mix sizes and kinds, but not domain sizes.
+best weights is one more such batch, drawn afresh after every epoch from
+its own generator. AdamW updates every parameter at once, over one flat
+buffer. A training set may therefore mix sizes and kinds, but not domain
+sizes.
 """
 
 from __future__ import annotations
@@ -162,32 +163,13 @@ class AdamW:
 # Batch preparation
 
 
-@dataclass
-class _Group:
-    """The instances of a training set that share index tuples, and so n
-    and the positional table, and the penalty transform, stacked: one
-    positional table, each member's attention mask and its compiled
-    constraints, padded to the group's longest."""
-
-    ape: np.ndarray  # (n, d)
-    keep: np.ndarray  # (G, n, n) bool
-    program: LossProgram  # stacked over the G members
-
-    def take(self, rows: np.ndarray) -> tuple[InstanceContext, LossProgram]:
-        """The batched context and loss program of members ``rows``: each
-        sample keeps its own attention mask, (B, 1, n, n), and its own
-        compiled constraints, each padded axis cut to the longest of the
-        batch."""
-        return InstanceContext(self.ape, self.keep[rows][:, None]), self.program.take(rows)
-
-
 class TrainingSet:
-    """A training set prepared once: its instances grouped by structure,
-    each group's masks and loss programs stacked (:class:`_Group`), and the
-    givens of every instance padded to the longest instance, a padding
-    column counting as given.
-    :meth:`draw` makes a batch's draws and cuts its stacked arrays.
-    """
+    """A training set prepared once: its instances grouped by index tuples
+    (which fix n and the positional table) and penalty transform, each group
+    one context, its attention masks stacked (G, 1, n, n), and one stacked
+    loss program; and every instance's givens padded to the longest
+    instance, a padding column counting as given. :meth:`draw` makes a
+    batch's draws and cuts the stacked arrays."""
 
     def __init__(self, instances, mcfg: ModelConfig, loss_cfg: LossConfig | None = None):
         instances = list(instances)
@@ -197,13 +179,13 @@ class TrainingSet:
         members: dict[tuple, list[int]] = {}
         for i, (inst, program) in enumerate(zip(instances, programs)):
             members.setdefault((inst.index_tuples, program.cfg.transform), []).append(i)
-        self.groups: list[_Group] = []
+        self.groups: list[tuple[InstanceContext, LossProgram]] = []
         self.group_of = np.zeros(len(instances), dtype=np.int64)
         self.row_of = np.zeros(len(instances), dtype=np.int64)
         for g, idx in enumerate(members.values()):
-            self.groups.append(_Group(ape_table(instances[idx[0]], mcfg),
-                                      np.stack([instances[i].compiled.adjacency() for i in idx]),
-                                      LossProgram.stack([programs[i] for i in idx])))
+            keep = np.stack([instances[i].compiled.adjacency() for i in idx])[:, None]
+            self.groups.append((InstanceContext(ape_table(instances[idx[0]], mcfg), keep),
+                                LossProgram.stack([programs[i] for i in idx])))
             self.group_of[idx], self.row_of[idx] = g, np.arange(len(idx))
         width = max((inst.n for inst in instances), default=0)
         self.fixed_mask = np.ones((len(instances), width), dtype=bool)
@@ -220,18 +202,22 @@ class TrainingSet:
         """The batch of instances ``idx``: start values, then subsets, each
         kind drawn from ``rng`` over the rows in batch order, padded to the
         batch's longest instance; then one (ctx, program, values, selected)
-        part per group, in order of first appearance in the batch."""
+        part per group, in order of first appearance in the batch, its
+        stacked arrays cut to its rows and their longest."""
         gids = self.group_of[idx]
         present, first = np.unique(gids, return_index=True)
-        width = max((self.groups[g].program.n for g in present), default=0)
+        width = max((self.groups[g][1].n for g in present), default=0)
         givens = Givens(self.fixed_mask[idx, :width], self.fixed_values[idx, :width], self.m)
         values = random_assignment(givens, rng)
         selected = select_subset(givens.mask, p, rng)
         parts = []
         for g in gids[np.sort(first)]:
             at = np.flatnonzero(gids == g)
-            ctx, program = self.groups[g].take(self.row_of[idx[at]])
-            parts.append((ctx, program, values[at, : program.n], selected[at, : program.n]))
+            rows = self.row_of[idx[at]]
+            ctx, stacked = self.groups[g]
+            program = stacked.take(rows)
+            parts.append((InstanceContext(ctx.ape, ctx.keep[rows]), program,
+                          values[at, : program.n], selected[at, : program.n]))
         return parts
 
 
@@ -243,26 +229,20 @@ def prepare(instances, mcfg: ModelConfig, loss_cfg: LossConfig | None = None) ->
 # Epoch loop
 
 
-def _parts_loss(weights, parts, rng, training=True):
-    """Mean loss of drawn batch parts (:meth:`TrainingSet.draw`), inside the
-    active tape: one stacked forward per part, in order, with ``rng`` as
-    every row's generator."""
-    losses = []
-    for ctx, program, values, selected in parts:
-        rel = forward(weights, ctx, values, selected, [rng] * len(values), training=training)
-        losses.append(program.loss(rel).sum())
-    return sum(losses[1:], losses[0]) * (1.0 / sum(len(part[2]) for part in parts))
-
-
 def _batch_loss(weights, data: TrainingSet, rng, training=True, idx=None):
     """Forward one batch, the instances ``idx`` of ``data`` (all of them by
     default), inside the active tape; returns the mean loss. Assignments
-    and subsets are drawn in batch order; then each group of instances that
-    share index tuples and penalty transform runs one stacked forward, in
-    order of first appearance.
+    and subsets are drawn in batch order (:meth:`TrainingSet.draw`); then
+    each group of instances that share index tuples and penalty transform
+    runs one stacked forward, in order of first appearance, with ``rng`` as
+    every row's generator.
     """
     idx = np.arange(len(data)) if idx is None else idx
-    return _parts_loss(weights, data.draw(idx, weights.config.select_p, rng), rng, training)
+    losses = []
+    for ctx, program, values, selected in data.draw(idx, weights.config.select_p, rng):
+        rel = forward(weights, ctx, values, selected, [rng] * len(values), training=training)
+        losses.append(program.loss(rel).sum())
+    return sum(losses[1:], losses[0]) * (1.0 / len(idx))
 
 
 def train_epoch(weights: ModelWeights, opt: AdamW, data: TrainingSet, cfg: TrainConfig,
@@ -274,9 +254,12 @@ def train_epoch(weights: ModelWeights, opt: AdamW, data: TrainingSet, cfg: Train
     losses = []
     for start in range(0, len(order), cfg.batch_size):
         weights.zero_grad()
-        with Tape():
+        # a loss in float32 may overflow: a non-finite loss or gradient stops the run
+        with Tape(), np.errstate(over="ignore", invalid="ignore"):
             loss = _batch_loss(weights, data, rng, idx=order[start : start + cfg.batch_size])
             backward(loss)
+        if not math.isfinite(loss.item()):
+            raise NumericError(f"non-finite training loss {loss.item()}")
         opt.step()
         losses.append(loss.item())
     return float(np.mean(losses))
@@ -296,33 +279,14 @@ class TrainResult:
         return self.weights
 
 
-@dataclass
-class _Probe:
-    """The pinned probe batch, drawn once: the first ``batch_size``
-    instances with their assignments and subsets from
-    ``default_rng([seed, 1])``, that generator, and its state after those
-    draws."""
-
-    parts: list
-    rng: np.random.Generator
-    state: dict
-
-
-def _draw_probe(data: TrainingSet, weights: ModelWeights, cfg: TrainConfig) -> _Probe:
-    rng = np.random.default_rng([cfg.seed, 1])
-    parts = data.draw(np.arange(min(cfg.batch_size, len(data))), weights.config.select_p, rng)
-    return _Probe(parts, rng, rng.bit_generator.state)
-
-
-def _probe_loss(weights: ModelWeights, probe: _Probe) -> float:
-    """Mean loss of the current weights on the pinned probe batch. Each call
-    restores the probe's generator to its state after the batch's draws
-    before the forwards draw their noise, so every call scores the same
-    draws, the ones a fresh draw of the batch would give, and the training
-    stream is untouched. Dropout is off."""
-    probe.rng.bit_generator.state = probe.state
-    with no_grad():
-        return _parts_loss(weights, probe.parts, probe.rng, training=False).item()
+def _probe_loss(weights: ModelWeights, data: TrainingSet, cfg: TrainConfig) -> float:
+    """Mean loss of the current weights on the probe batch: the first
+    ``batch_size`` instances, drawn afresh from ``default_rng([seed, 1])``
+    on every call, so every call scores the same draws and the training
+    stream is untouched. Dropout is off; a non-finite loss is never kept."""
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        return _batch_loss(weights, data, np.random.default_rng([cfg.seed, 1]), training=False,
+                           idx=np.arange(min(cfg.batch_size, len(data)))).item()
 
 
 def train(
@@ -332,26 +296,28 @@ def train(
     weights: ModelWeights | None = None,
     log=None,
 ) -> TrainResult:
-    """Train a refiner on a list of instances, from ``weights`` or, with
-    ``weights=None``, from float32 weights drawn from the training rng
-    (``default_rng(tcfg.seed)``). The optimizer starts with zero moments,
-    and each instance is scored under its own mode: the quadratic transform
-    for satisfaction, the identity for maximization.
+    """Train a refiner on a list of instances, from ``weights``, built for
+    ``mcfg`` (ValueError otherwise), or, with ``weights=None``, from float32
+    weights drawn from the training rng (``default_rng(tcfg.seed)``). The
+    optimizer starts with zero moments, and each instance is scored under
+    its own mode: the quadratic transform for satisfaction, the identity
+    for maximization.
 
-    After each epoch the weights are scored on the pinned probe batch
-    (:func:`_probe_loss`), drawn once per call; the best weights are those
-    with the lowest finite probe loss, or the starting weights if no epoch
-    gives one."""
+    After each epoch the weights are scored on the probe batch
+    (:func:`_probe_loss`), the same draws every epoch; the best weights are
+    those with the lowest finite probe loss, or the starting weights if no
+    epoch gives one."""
     if not instances:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(tcfg.seed)
     if weights is None:
         weights = init_weights(mcfg, instances[0].m, rng)
+    elif weights.config != mcfg:
+        raise ValueError(f"weights built for {weights.config} cannot train under {mcfg}")
     for inst in instances:
         weights.check_domain(inst)
     opt = AdamW(weights, tcfg)
     data = prepare(instances, mcfg)
-    probe = _draw_probe(data, weights, tcfg)
     history: list[float] = []
     best = {k: p.data.copy() for k, p in weights.named_parameters()}
     best_loss = float("inf")
@@ -359,7 +325,7 @@ def train(
         t0 = time.perf_counter()
         mean_loss = train_epoch(weights, opt, data, tcfg, rng)
         history.append(mean_loss)
-        scored = _probe_loss(weights, probe)
+        scored = _probe_loss(weights, data, tcfg)
         if scored < best_loss:  # False for NaN; +inf never beats the start
             best_loss = scored
             best = {k: p.data.copy() for k, p in weights.named_parameters()}

@@ -748,6 +748,48 @@ def _train_on_one_line(tmp_path, capsys, edit) -> tuple[int, str]:
     return rc, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "train"])
+@pytest.mark.parametrize("entry", [10**20, 2**63, -2**63 - 1])
+def test_an_index_tuple_entry_outside_int64_is_a_bad_line(tmp_path, capsys, entry, command):
+    # under "multi" positional tables, 10**20 raised a TypeError from sin
+    # and 2**63 became a float64 table
+    dataset = _generate_coloring(tmp_path, count=1, n=5)
+    line = json.loads(dataset.read_text())
+    line["index_tuples"][0] = [entry]
+    dataset.write_text(json.dumps(line) + "\n")
+    weights = tmp_path / "multi.bin"
+    save_weights(init_weights(ModelConfig(layers=1, heads=1, d_model=8, ape_mode="multi"), 3,
+                              np.random.default_rng(0)), weights)
+    capsys.readouterr()
+    if command == "solve":
+        argv = ["solve", "--weights", str(weights), "--dataset", str(dataset), "--iters", "1"]
+    else:
+        argv = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "model.bin"),
+                "--epochs", "1", "--layers", "1", "--d-model", "8", "--ape", "multi"]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO and ":1: bad instance line" in err and "within int64" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("w", [1e200, 10**400])
+def test_a_not_equal_weight_whose_square_overflows_is_a_bad_line(tmp_path, capsys, w):
+    # 1e200 squared to inf in the penalty with a RuntimeWarning, and
+    # 10**400 raised an OverflowError as the line was read
+    rc, err = _train_on_one_line(tmp_path, capsys, lambda line: line["constraints"][0].update(w=w))
+    assert rc == EXIT_IO and ":1: bad instance line" in err and "square is finite" in err
+    assert "Traceback" not in err
+
+
+def test_a_training_loss_past_float32_is_a_numeric_failure(tmp_path, capsys):
+    # a not-equal weight of 1e20 squares past float32's range: the loss is
+    # inf, training stops, and no RuntimeWarning escapes
+    rc, err = _train_on_one_line(tmp_path, capsys,
+                                 lambda line: line["constraints"][0].update(w=1e20))
+    assert rc == EXIT_NUMERIC and err.startswith("numeric failure: non-finite training loss")
+    assert not (tmp_path / "model.bin").exists()
+
+
 @pytest.mark.parametrize("m", [2**32, 2**63])
 def test_a_domain_past_numpys_array_size_limit_is_an_io_error(tmp_path, capsys, monkeypatch, m):
     # the (m, m) float64 table would be past numpy's size limit: the line is
@@ -816,8 +858,12 @@ def _transpose_embed(header, arrays):
     _transpose_embed,
     lambda h, a: h["config"].update(rpe_mode="none"),
     lambda h, a: h["config"].update(ape_mode="1d"),
+    lambda h, a: h["config"].update(tau=True),
+    lambda h, a: h["config"].update(select_p=True),
+    lambda h, a: h["config"].update(dropout=False),
 ], ids=["float-layers", "float-heads", "float-domain-size", "missing-tensor",
-        "layers-above-the-tensors", "transposed-embed", "rpe-none", "ape-1d"])
+        "layers-above-the-tensors", "transposed-embed", "rpe-none", "ape-1d",
+        "bool-tau", "bool-select-p", "bool-dropout"])
 def test_weights_whose_header_disagrees_with_its_model_are_an_io_error(tmp_path, capsys, edit):
     # each of these loaded before, and solve then died with a traceback
     dataset = _generate_coloring(tmp_path, count=1, n=5)

@@ -54,9 +54,13 @@ def test_instance_validation_rejects_bad_shapes():
     for bad in [dict(n=2.0), dict(m=True), dict(fixed=(None, 1.0)), dict(fixed=(False, None)),
                 dict(mode="maximisation"), dict(index_tuples=(("a",), ("b",))),
                 dict(index_tuples=(([0],), ([1],))), dict(index_tuples=((), ())),
-                dict(index_tuples=((0.5,), (1.5,))), dict(index_tuples=((True,), (False,)))]:
+                dict(index_tuples=((0.5,), (1.5,))), dict(index_tuples=((True,), (False,))),
+                # the positional tables read the entries as int64
+                dict(index_tuples=((2**63,), (1,))), dict(index_tuples=((-2**63 - 1,), (1,))),
+                dict(index_tuples=((10**20,), (1,)))]:
         with pytest.raises(CspError):
             CspInstance(**{**base, **bad})
+    CspInstance(**{**base, "index_tuples": ((2**63 - 1,), (-2**63,))})
 
 
 def test_instance_validation_rejects_bad_constraints():
@@ -79,6 +83,11 @@ def test_instance_validation_rejects_bad_constraints():
                 Cardinality(1, 1.0, (0, 1))] + [NotEqual(0, 1, weight=w) for w in ("a", True, np.nan, np.inf)]:
         with pytest.raises(CspError):
             CspInstance(constraints=(bad,), **base)
+    # the quadratic penalty squares a weight in float64
+    for w in (1e200, -1e200, 10**400):
+        with pytest.raises(CspError):
+            CspInstance(constraints=(NotEqual(0, 1, weight=w),), **base)
+    CspInstance(constraints=(NotEqual(0, 1, weight=-1e154),), **base)
 
 
 

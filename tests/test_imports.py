@@ -1,6 +1,7 @@
 """Source checks: every module of the package, every test module and every
-benchmark module reads each name it imports, and the modules that build
-forward and loss graphs leave casting constants to the tensor ops."""
+benchmark module reads each name it imports, the modules that build
+forward and loss graphs leave casting constants to the tensor ops, and no
+module of the package rewinds a random generator."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,30 @@ def test_hand_casts_are_found():
 @pytest.mark.parametrize("path", GRAPH_BUILDERS, ids=[p.name for p in GRAPH_BUILDERS])
 def test_graph_builders_leave_casts_to_the_tensor_ops(path):
     assert hand_casts(path.read_text()) == []
+
+
+def generator_rewinds(source: str) -> list[int]:
+    """The lines of ``source`` that assign to a ``bit_generator.state``: a
+    draw moves its generator forward only, so a batch is drawn afresh
+    rather than replayed from a saved state."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr == "state" and getattr(node.value, "attr", None) == "bit_generator"
+    )
+
+
+def test_generator_rewinds_are_found():
+    source = (
+        "rng.bit_generator.state = saved\n"
+        "a, self.rng.bit_generator.state = 1, s\n"
+        "s = rng.bit_generator.state\n"
+        "rng.state = s\n"
+        "assert rng.bit_generator.state == s\n"
+    )
+    assert generator_rewinds(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_rewinds_a_generator(path):
+    assert generator_rewinds(path.read_text()) == []

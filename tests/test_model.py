@@ -32,6 +32,8 @@ def test_config_validation():
         dict(rpe_mode="none"), dict(ape_mode="1d"),
         # sizes must be ints; a weight file's JSON header may hold 1.0 or true
         dict(layers=1.0), dict(heads=1.0), dict(d_model=16.0), dict(ffn_mult=True),
+        # and a bool where a number belongs
+        dict(tau=True), dict(select_p=True), dict(dropout=False),
     ]:
         with pytest.raises(ValueError):
             tiny_config(**bad)

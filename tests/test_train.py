@@ -482,6 +482,17 @@ def test_train_rejects_other_domain_sizes():
         train(insts[1:] + insts[:1], tiny_config(), tcfg, weights=w)
 
 
+def test_train_rejects_weights_of_another_config():
+    # the positional tables come from the model config and forward runs the
+    # weights' config: "none" tables under "multi" weights trained silently
+    insts = [toy_alldiff(4)] * 4
+    tcfg = TrainConfig(batch_size=2, epochs=1, seed=0)
+    w = init_weights(tiny_config(ape_mode="multi"), 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="cannot train under"):
+        train(insts, tiny_config(ape_mode="none"), tcfg, weights=w)
+    assert len(train(insts, w.config, tcfg, weights=w).history) == 1
+
+
 def test_train_reduces_loss_and_tracks_best():
     inst = toy_alldiff(4)
     cfg = tiny_config(layers=2, d_model=32, sampler="softmax", tau=1.0, select_p=1.0)
@@ -522,8 +533,8 @@ def test_train_keeps_the_weights_with_the_lowest_probe_loss(monkeypatch):
     scored = []
     real = train_module._probe_loss
 
-    def recording(w, probe):
-        loss = real(w, probe)
+    def recording(w, data, cfg):
+        loss = real(w, data, cfg)
         scored.append((loss, _snapshot(w)))
         return loss
 
@@ -534,29 +545,29 @@ def test_train_keeps_the_weights_with_the_lowest_probe_loss(monkeypatch):
     for name, p in want.items():
         assert np.array_equal(result.best_params[name], p), name
     # the probe is pinned: the kept weights score the same again
-    probe = train_module._draw_probe(prepare([inst] * 16, cfg), result.weights, tcfg)
-    assert real(result.load_best(), probe) == loss
+    assert real(result.load_best(), prepare([inst] * 16, cfg), tcfg) == loss
 
     # the probe draws from its own rng: the training stream does not see it
-    monkeypatch.setattr(train_module, "_probe_loss", lambda w, probe: 0.0)
+    monkeypatch.setattr(train_module, "_probe_loss", lambda w, data, cfg: 0.0)
     assert train([inst] * 16, cfg, tcfg).history == result.history
 
 
-def test_the_probe_drawn_once_scores_as_a_fresh_draw_each_epoch(monkeypatch):
+def test_the_probe_scores_as_a_fresh_draw_each_epoch(monkeypatch):
     # the first 6 of 9 mixed instances, gumbel noise: each epoch's probe
     # loss, the history and the kept weights are those of a probe batch
-    # drawn afresh from default_rng([seed, 1]) on every call
+    # drawn afresh from default_rng([seed, 1]) on every call by the per-row
+    # reference
     insts = [build_graph_coloring(n, [(0, 1), (1, 2), (0, n - 1)], 3) for n in (4, 5, 4, 6, 5, 4, 6, 4, 5)]
     cfg = tiny_config(sampler="gumbel", ape_mode="multi", dropout=0.1)
     tcfg = TrainConfig(batch_size=6, epochs=6, lr=3e-2, seed=4)
     real = train_module._probe_loss
-    once, fresh = [], []
+    probed, fresh = [], []
 
-    def recording(w, probe):
-        once.append(real(w, probe))
-        return once[-1]
+    def recording(w, data, train_cfg):
+        probed.append(real(w, data, train_cfg))
+        return probed[-1]
 
-    def fresh_draw(w, probe):
+    def fresh_draw(w, data, train_cfg):
         with T.no_grad():
             loss = reference_batch_loss(w, bundles_of(insts[:6], cfg),
                                         np.random.default_rng([tcfg.seed, 1]), training=False)
@@ -567,7 +578,7 @@ def test_the_probe_drawn_once_scores_as_a_fresh_draw_each_epoch(monkeypatch):
     a = train(insts, cfg, tcfg)
     monkeypatch.setattr(train_module, "_probe_loss", fresh_draw)
     b = train(insts, cfg, tcfg)
-    assert len(set(once)) > 1 and once == fresh
+    assert len(set(probed)) > 1 and probed == fresh
     assert a.history == b.history
     for name, p in a.best_params.items():
         assert p.tobytes() == b.best_params[name].tobytes(), name
@@ -579,7 +590,7 @@ def test_train_never_keeps_a_non_finite_probe_loss(monkeypatch):
     tcfg = TrainConfig(batch_size=8, epochs=2, lr=1e-2, seed=1)
     w = init_weights(cfg, 4, np.random.default_rng(0))
     start = _snapshot(w)
-    monkeypatch.setattr(train_module, "_probe_loss", lambda w, probe: float("nan"))
+    monkeypatch.setattr(train_module, "_probe_loss", lambda w, data, cfg: float("nan"))
     result = train([inst] * 8, cfg, tcfg, weights=w)
     assert not np.array_equal(result.weights["w_out"].data, start["w_out"])
     for name, p in start.items():
