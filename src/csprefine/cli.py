@@ -100,59 +100,44 @@ _non_negative_int = _int_at_least(0, "a non-negative integer")
 _graph_size = _int_at_least(2, "a graph size (at least 2 vertices)")
 
 
+# a flag whose API parameter has another name
+_PARAM_NAMES = {"n": "n_vertices", "p": "select_p", "rpe": "rpe_mode", "ape": "ape_mode"}
+
 # the model flags of ``train``, with their defaults; with --resume the model
 # comes from the weights, and a given model flag is a usage error
 _MODEL_FLAGS = {"layers": 2, "heads": 2, "d_model": 64, "p": 0.5, "rpe": "masked",
                 "ape": "none", "tau": 0.1, "sampler": "gumbel", "dropout": 0.1}
 
 
-def _model_config(args) -> ModelConfig:
-    return _from_args(
-        ModelConfig,
-        layers=args.layers,
-        heads=args.heads,
-        d_model=args.d_model,
-        select_p=args.p,
-        rpe_mode=args.rpe,
-        ape_mode=args.ape,
-        tau=args.tau,
-        sampler=args.sampler,
-        dropout=args.dropout,
-    )
+def _read_flags(args, reads: dict, flags, reader: str) -> dict:
+    """The API parameters of a run that reads the flags ``reads``: each one
+    as given, or at its default there, under its parameter name. Each flag
+    of ``flags`` that is given and not read is named, in the order of
+    ``flags``, by a usage error that ``reader`` begins."""
+    stray = [k for k in flags if hasattr(args, k) and k not in reads]
+    if stray:
+        names = ", ".join("--" + k.replace("_", "-") for k in stray)
+        raise UsageError(f"{reader} does not read {names}")
+    return {_PARAM_NAMES.get(k, k): getattr(args, k, default) for k, default in reads.items()}
 
 
 # ---------------------------------------------------------------------------
 # generate
 
 
-# the flags that each problem reads, with their defaults; any other is a usage error
-_PROBLEM_FLAGS = {
-    "coloring": {"n": 50, "fixed_k": None, "pose_at_greedy": False},
-    "nurse": {"days": 10, "shifts": 3, "per_shift": 3, "nurses": 10},
-    "maxcut": {"n": 50},
+# each problem's generator and the flags it reads, with their defaults
+_PROBLEMS = {
+    "coloring": (gen_coloring_dataset, {"n": 50, "fixed_k": None, "pose_at_greedy": False}),
+    "nurse": (gen_nurse_dataset, {"days": 10, "shifts": 3, "per_shift": 3, "nurses": 10}),
+    "maxcut": (gen_maxcut_dataset, {"n": 50}),
 }
 
 
 def cmd_generate(args) -> int:
-    own = _PROBLEM_FLAGS[args.problem]
-    given = {k for flags in _PROBLEM_FLAGS.values() for k in flags if hasattr(args, k)}
-    stray = sorted(given - own.keys())
-    if stray:
-        names = ", ".join("--" + k.replace("_", "-") for k in stray)
-        raise UsageError(f"--problem {args.problem} does not read {names}")
-    for key, default in own.items():
-        vars(args).setdefault(key, default)
-    if args.problem == "coloring":
-        instances, manifest = gen_coloring_dataset(
-            args.count, args.n, args.seed,
-            fixed_k=args.fixed_k, pose_at_greedy=args.pose_at_greedy,
-        )
-    elif args.problem == "nurse":
-        instances, manifest = gen_nurse_dataset(
-            args.count, args.days, args.shifts, args.per_shift, args.nurses, args.seed
-        )
-    else:
-        instances, manifest = gen_maxcut_dataset(args.count, args.n, args.seed)
+    gen, reads = _PROBLEMS[args.problem]
+    every = sorted({k for _, flags in _PROBLEMS.values() for k in flags})
+    params = _read_flags(args, reads, every, f"--problem {args.problem}")
+    instances, manifest = gen(args.count, seed=args.seed, **params)
     out = Path(args.out)  # made only once generation has succeeded
     out.mkdir(parents=True, exist_ok=True)
     save_instances(instances, out / "instances.jsonl")
@@ -175,12 +160,8 @@ def _load_dataset(args) -> list:
 
 
 def cmd_train(args) -> int:
-    given = [k for k in _MODEL_FLAGS if hasattr(args, k)]
-    if args.resume and given:
-        names = ", ".join("--" + k.replace("_", "-") for k in given)
-        raise UsageError(f"--resume takes the model from its weights; it does not read {names}")
-    for key, default in _MODEL_FLAGS.items():
-        vars(args).setdefault(key, default)
+    params = _read_flags(args, {} if args.resume else _MODEL_FLAGS, _MODEL_FLAGS,
+                         "--resume takes the model from its weights; it")
     tcfg = _from_args(
         TrainConfig,
         batch_size=args.batch_size,
@@ -195,7 +176,7 @@ def cmd_train(args) -> int:
         raise DataError(f"dataset {args.dataset} holds no instances")
     # the same call as the API: a fresh run draws its weights from the training rng
     weights = load_weights(args.resume) if args.resume else None
-    mcfg = weights.config if weights is not None else _model_config(args)
+    mcfg = weights.config if weights is not None else _from_args(ModelConfig, **params)
     result = train(instances, mcfg, tcfg, weights=weights, log=print)
     save_weights(result.load_best(), args.out)
     print(f"trained {tcfg.epochs} epochs; checkpoint at {args.out}")
@@ -376,30 +357,21 @@ def _model_grad_checks(rng: np.random.Generator):
 # argument plumbing
 
 
-def _add_model_args(p):
-    # a model flag that is not given stays out of the namespace; cmd_train
-    # fills in the defaults of _MODEL_FLAGS
-    s = argparse.SUPPRESS
-    p.add_argument("--layers", type=int, default=s)
-    p.add_argument("--heads", type=int, default=s)
-    p.add_argument("--d-model", type=int, default=s)
-    p.add_argument("--p", type=float, default=s,
-                   help="variable selection probability, in [0.001, 1]")
-    p.add_argument("--rpe", choices=RPE_MODES, default=s)
-    p.add_argument("--ape", choices=APE_MODES, default=s)
-    p.add_argument("--tau", type=float, default=s)
-    p.add_argument("--sampler", choices=SAMPLERS, default=s)
-    p.add_argument("--dropout", type=float, default=s)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="csprefine")
     sub = ap.add_subparsers(dest="command", required=True)
+    # the flags that several subcommands share
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_non_negative_int, default=0)
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--dataset", required=True)
+    dataset.add_argument("--format", choices=["jsonl", "sudoku"], default="jsonl")
 
-    # a problem flag that is not given stays out of the namespace; cmd_generate
-    # fills in the defaults of _PROBLEM_FLAGS
-    g = sub.add_parser("generate", help="generate a dataset", argument_default=argparse.SUPPRESS)
-    g.add_argument("--problem", required=True, choices=["coloring", "nurse", "maxcut"])
+    # a problem or model flag that is not given stays out of the namespace,
+    # and _read_flags fills in its default
+    g = sub.add_parser("generate", parents=[seed], help="generate a dataset",
+                       argument_default=argparse.SUPPRESS)
+    g.add_argument("--problem", required=True, choices=list(_PROBLEMS))
     g.add_argument("--count", type=_positive_int, required=True)
     g.add_argument("--n", type=_graph_size, help="vertex count (coloring/maxcut)")
     g.add_argument("--days", type=_positive_int)
@@ -408,13 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--nurses", type=_positive_int)
     g.add_argument("--fixed-k", type=int)
     g.add_argument("--pose-at-greedy", action="store_true")
-    g.add_argument("--seed", type=_non_negative_int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
-    t = sub.add_parser("train", help="train a refiner")
-    t.add_argument("--dataset", required=True)
-    t.add_argument("--format", choices=["jsonl", "sudoku"], default="jsonl")
+    t = sub.add_parser("train", parents=[dataset, seed], help="train a refiner",
+                       argument_default=argparse.SUPPRESS)
     t.add_argument("--out", required=True)
     t.add_argument("--resume", default=None,
                    help="start from these weights, with fresh optimizer moments")
@@ -423,35 +393,36 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lr", type=float, default=1e-4)
     t.add_argument("--weight-decay", type=float, default=0.01)
     t.add_argument("--grad-clip", type=float, default=None)
-    t.add_argument("--seed", type=_non_negative_int, default=0)
-    _add_model_args(t)
+    t.add_argument("--layers", type=int)
+    t.add_argument("--heads", type=int)
+    t.add_argument("--d-model", type=int)
+    t.add_argument("--p", type=float, help="variable selection probability, in [0.001, 1]")
+    t.add_argument("--rpe", choices=RPE_MODES)
+    t.add_argument("--ape", choices=APE_MODES)
+    t.add_argument("--tau", type=float)
+    t.add_argument("--sampler", choices=SAMPLERS)
+    t.add_argument("--dropout", type=float)
     t.set_defaults(func=cmd_train)
 
-    s = sub.add_parser("solve", help="solve instances with trained weights")
+    s = sub.add_parser("solve", parents=[dataset, seed],
+                       help="solve instances with trained weights")
     s.add_argument("--weights", required=True)
-    s.add_argument("--dataset", required=True)
-    s.add_argument("--format", choices=["jsonl", "sudoku"], default="jsonl")
     s.add_argument("--iters", type=int, default=None)
     s.add_argument("--time-ms", type=float, default=None)
     s.add_argument("--pool", type=_positive_int, default=1,
                    help="candidates per instance; candidate 0 replays --pool 1")
-    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--report", default=None, help="write report here instead of stdout")
     s.add_argument("--report-format", choices=["jsonl", "csv"], default="jsonl")
     s.set_defaults(func=cmd_solve)
 
-    b = sub.add_parser("baseline", help="non-neural baselines")
+    b = sub.add_parser("baseline", parents=[dataset, seed], help="non-neural baselines")
     b.add_argument("--kind", required=True, choices=["greedy", "direct-sgd"])
-    b.add_argument("--dataset", required=True)
-    b.add_argument("--format", choices=["jsonl", "sudoku"], default="jsonl")
     b.add_argument("--runs", type=_positive_int, default=1)
     b.add_argument("--steps", type=_positive_int, default=10000)
     b.add_argument("--lr", type=float, default=0.1)
-    b.add_argument("--seed", type=_non_negative_int, default=0)
     b.set_defaults(func=cmd_baseline)
 
-    c = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    c.add_argument("--seed", type=_non_negative_int, default=0)
+    c = sub.add_parser("gradcheck", parents=[seed], help="finite-difference gradient suite")
     c.set_defaults(func=cmd_gradcheck)
     return ap
 

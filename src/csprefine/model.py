@@ -68,7 +68,11 @@ class ModelConfig:
             raise ValueError(f"ape_mode must be one of {APE_MODES}")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}")
-        if not 0.0 < self.tau < math.inf:
+        try:  # forward takes 1/tau in floating point
+            finite_tau = 0.0 < float(self.tau) < math.inf
+        except OverflowError:  # float() of a huge integer
+            finite_tau = False
+        if not finite_tau:
             raise ValueError("temperature must be positive and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout {self.dropout} outside [0,1)")
@@ -304,6 +308,9 @@ def _dropout_mask(rngs, shape, rate: float, dtype) -> np.ndarray:
 # Forward pass
 
 
+# an overflow anywhere in the step, 1/tau's cast to the dtype included, is
+# no numpy warning: the check on the logits decides, in a solve as in training
+@np.errstate(over="ignore", invalid="ignore")
 def forward(
     w: ModelWeights,
     ctx: InstanceContext,
@@ -376,13 +383,10 @@ def forward(
         h = h + x
 
     h = T.layer_norm(h, w["lnf.g"], w["lnf.b"])
-    # an overflow in the head, 1/tau's cast to the dtype included, is reported
-    # by the check below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        out_logits = T.linear(h, w["w_out"], w["b_out"])  # (B, S, m)
-        if cfg.sampler == "gumbel":
-            out_logits = out_logits + at_rows(gumbel_noise(rngs, (B, n, m)), rows)
-        out_logits = out_logits * (1.0 / cfg.tau)
+    out_logits = T.linear(h, w["w_out"], w["b_out"])  # (B, S, m)
+    if cfg.sampler == "gumbel":
+        out_logits = out_logits + at_rows(gumbel_noise(rngs, (B, n, m)), rows)
+    out_logits = out_logits * (1.0 / cfg.tau)
     if not np.isfinite(out_logits.data).all():
         raise NumericError(f"non-finite output logits at temperature {cfg.tau}")
     yhat = T.softmax(out_logits, axis=-1)

@@ -122,8 +122,9 @@ def _apply_f(p: Tensor, transform: str) -> Tensor:
     raise ValueError(f"unknown penalty transform {transform!r}")
 
 
-def _exact_pen(colsum: Tensor) -> Tensor:
-    return T.abs_(1.0 - colsum).sum(axis=-1)
+def _exact_pen(colsum: Tensor, row_w: np.ndarray) -> Tensor:
+    # a padded exact row would score m: its weight is 0
+    return T.abs_(1.0 - colsum).sum(axis=-1) * row_w
 
 
 def _atmost_pen(colsum: Tensor) -> Tensor:
@@ -150,10 +151,11 @@ class LossProgram:
     per-sample loss with shape equal to the leading dimensions. Each edge's
     weight under f is folded into a per-edge coefficient, so the whole
     evaluation is a handful of tensor ops: a gather over the not-equal edge
-    list and one membership matmul per scope kind. Each scope group ends in
-    a row weight: 1 for each of the instance's scope rows, 0 for the
+    list and one membership matmul per scope kind. The exact group ends in
+    a row weight: 1 for each of the instance's exact rows, 0 for the
     padding that :meth:`stack` adds when it gives each sample of a batch its
-    own instance.
+    own instance. The other groups need none: a padded at-most-once or
+    cardinality row scores 0.
     """
 
     def __init__(self, inst: CspInstance, cfg: LossConfig | None = None):
@@ -165,8 +167,8 @@ class LossProgram:
         self.edge_i, self.edge_k = cc.edge_i, cc.edge_k
         self.edge_coeff = cc.edge_w**2 if self.cfg.transform == "quadratic" else cc.edge_w
         self.exact = (cc.exact, np.ones(len(cc.exact)))
-        self.atmost = (cc.atmost, np.ones(len(cc.atmost)))
-        self.card = (cc.card, one_hot(cc.card_value, inst.m), cc.card_count, np.ones(len(cc.card)))
+        self.atmost = (cc.atmost,)
+        self.card = (cc.card, one_hot(cc.card_value, inst.m), cc.card_count)
 
     @classmethod
     def stack(cls, programs) -> "LossProgram":
@@ -226,11 +228,10 @@ class LossProgram:
 
         for group, pen in ((self.exact, _exact_pen), (self.atmost, _atmost_pen),
                            (self.card, _card_pen)):
-            mat, row_w = group[0], group[-1]
+            mat = group[0]
             if mat.shape[-2]:
-                colsum = T.matmul(mat, rel)  # (..., C, m)
-                p = pen(colsum, *group[1:-1])
-                total = total + (_apply_f(p, f) * row_w).sum(axis=-1)
+                p = pen(T.matmul(mat, rel), *group[1:])  # colsum (..., C, m)
+                total = total + _apply_f(p, f).sum(axis=-1)
 
         if self.edge_coeff.shape[-1]:
             dots = (self._edge_rows(rel, self.edge_i) * self._edge_rows(rel, self.edge_k)).sum(axis=-1)

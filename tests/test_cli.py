@@ -1,7 +1,10 @@
 """CLI tests: each subcommand end to end on tiny inputs, exit codes, and
 report formats."""
 
+import argparse
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import struct
@@ -71,6 +74,49 @@ def test_generate_rejects_a_flag_its_problem_never_reads(tmp_path, capsys):
         assert main(["generate", "--problem", problem, "--count", "1",
                      "--out", str(out / problem)]) == EXIT_OK
         assert load_instances(out / problem / "instances.jsonl")[0].n == n
+
+
+def _flags(command: str) -> dict:
+    """The flags of a subcommand's parser, by the names they take in the namespace."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subparsers.choices[command]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+def test_the_flag_tables_match_the_parser():
+    # a flag that gains no table row, or a row that gains no flag, fails here
+    names = cli._PARAM_NAMES
+    generate, train_flags = _flags("generate"), _flags("train")
+    rows = {}
+    for problem, (gen, reads) in cli._PROBLEMS.items():
+        params = {"count", "seed"} | {names.get(k, k) for k in reads}
+        assert set(inspect.signature(gen).parameters) == params, problem
+        rows.update(reads)
+    assert rows.keys() == generate.keys() - {"problem", "count", "seed", "out"}
+    # the model flags are the optional ones that stay out of the namespace
+    # when not given
+    hidden = {k for k, a in train_flags.items()
+              if a.default is argparse.SUPPRESS and not a.required}
+    assert hidden == cli._MODEL_FLAGS.keys()
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    assert {names.get(k, k) for k in cli._MODEL_FLAGS} <= fields
+    for flags, table in ((generate, rows), (train_flags, cli._MODEL_FLAGS)):
+        for key, default in table.items():
+            action = flags[key]
+            if action.nargs == 0:  # store_true
+                assert default is False, key
+            elif default is not None:  # None: the flag is not given
+                assert action.type is None or action.type(str(default)) == default, key
+                assert action.choices is None or default in action.choices, key
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "solve", "baseline", "gradcheck"])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: csprefine {command}")
 
 
 def _solve_config(weights, dataset, capsys) -> str:
@@ -861,9 +907,10 @@ def _transpose_embed(header, arrays):
     lambda h, a: h["config"].update(tau=True),
     lambda h, a: h["config"].update(select_p=True),
     lambda h, a: h["config"].update(dropout=False),
+    lambda h, a: h["config"].update(tau=10**400),
 ], ids=["float-layers", "float-heads", "float-domain-size", "missing-tensor",
         "layers-above-the-tensors", "transposed-embed", "rpe-none", "ape-1d",
-        "bool-tau", "bool-select-p", "bool-dropout"])
+        "bool-tau", "bool-select-p", "bool-dropout", "huge-int-tau"])
 def test_weights_whose_header_disagrees_with_its_model_are_an_io_error(tmp_path, capsys, edit):
     # each of these loaded before, and solve then died with a traceback
     dataset = _generate_coloring(tmp_path, count=1, n=5)
@@ -893,3 +940,21 @@ def test_a_temperature_whose_reciprocal_overflows_is_a_numeric_failure(tmp_path,
     rc = main(["solve", "--weights", str(model), "--dataset", str(dataset), "--iters", "5"])
     assert rc == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numeric failure: non-finite output logits")
+
+
+def test_an_overflow_inside_the_model_is_no_warning_in_a_solve(tmp_path, capsys):
+    # alpha at 1e38, a finite float32, overflows layer_norm's variance; solve
+    # printed numpy's RuntimeWarning where train stayed silent. Both now
+    # leave the verdict to the check on the logits
+    dataset = _generate_coloring(tmp_path, count=2, n=5)
+    cfg = ModelConfig(layers=1, heads=1, d_model=8, ffn_mult=1)
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    save_weights(init_weights(cfg, 3, np.random.default_rng(0)), good)
+    bad.write_bytes(_edited_weights(
+        good.read_bytes(), lambda h, a: a.update(alpha=np.full_like(a["alpha"], 1e38))))
+    for argv in (["solve", "--weights", str(bad), "--iters", "3"],
+                 ["train", "--resume", str(bad), "--out", str(tmp_path / "out.bin"),
+                  "--epochs", "1"]):
+        capsys.readouterr()
+        assert main(argv + ["--dataset", str(dataset)]) == EXIT_OK  # a warning would raise
+        assert capsys.readouterr().err == ""

@@ -28,6 +28,8 @@ def test_config_validation():
         dict(select_p=1e-4),  # select_subset could redraw for ever
         dict(rpe_mode="banded"), dict(ape_mode="learned"), dict(sampler="argmax"),
         dict(tau=0.0),
+        # an integer past float64, which 1/tau cannot take
+        dict(tau=10**400),
         # the deleted variants: no relative encoding, and the 1-D index
         dict(rpe_mode="none"), dict(ape_mode="1d"),
         # sizes must be ints; a weight file's JSON header may hold 1.0 or true

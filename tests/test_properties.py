@@ -217,7 +217,7 @@ def test_stack_arrays_equal_the_loop_form(data, n, m, with_empty):
             for a in ("edge_i", "edge_k", "edge_coeff")]
     for kind in ("exact", "atmost", "card"):
         want += [loop_pad_stack(arrays) for arrays in zip(*(getattr(p, kind) for p in programs))]
-    assert len(got) == len(want) == 11
+    assert len(got) == len(want) == 9
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
 
@@ -921,7 +921,6 @@ _FLOAT_FLAGS = {
 # --fixed-k, the smallest k that a coloring can be posed at
 _SMALLEST = {"--count": "1", "--seed": "0", "--n": "2", "--days": "1", "--shifts": "1",
              "--per-shift": "1", "--nurses": "1", "--fixed-k": "1"}
-_GENERATORS = ("gen_coloring_dataset", "gen_nurse_dataset", "gen_maxcut_dataset")
 
 
 def _tiny_run(command: str, tmp: str, data) -> list[str]:
@@ -949,7 +948,7 @@ def _flag_values(command: str, argv: list[str]) -> dict[str, list[str]]:
     with the values to draw: -1 and 0 for an integer, and nan, inf and -inf
     as well for a float."""
     if command == "generate":
-        own = cli._PROBLEM_FLAGS[argv[argv.index("--problem") + 1]]
+        _, own = cli._PROBLEMS[argv[argv.index("--problem") + 1]]
         return {f: ["-1", "0"] for f in ["--count", "--seed"] + [
             "--" + k.replace("_", "-") for k, default in own.items() if default is not False]}
     return ({f: ["-1", "0"] for f in _INT_FLAGS[command]}
@@ -962,13 +961,14 @@ def test_cli_numeric_flags_give_only_documented_exit_codes(command, monkeypatch)
     # numeric flags: an exit code from the CLI's list and never an exception.
     # An integer flag gets only -1, 0 or, for ``generate``, its smallest
     # legal value, so no case allocates at scale. At least a third of the
-    # ``generate`` examples must reach a generator, counted through wrappers.
+    # ``generate`` examples must reach a generator, counted through wrappers
+    # of the problem table's entries.
     calls = []
-    for name in _GENERATORS:
-        def counted(*args, _real=getattr(cli, name), **kwargs):
+    for problem, (gen, reads) in list(cli._PROBLEMS.items()):
+        def counted(*args, _real=gen, **kwargs):
             calls.append(None)
             return _real(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setitem(cli._PROBLEMS, problem, (counted, reads))
     reached = []
 
     @given(data=st.data())
