@@ -37,6 +37,13 @@ def _is_real(x) -> bool:
     return type(x) is float or (isinstance(x, Real) and not isinstance(x, bool))
 
 
+def _check_table_size(n: int, m: int) -> None:
+    """CspError when the (n, m) and (m, m) float64 tables that the model
+    and the penalty build are past numpy's array size limit."""
+    if max(n, m) * m * 8 > np.iinfo(np.intp).max:
+        raise CspError(f"sizes n={n} and m={m} give tables past numpy's array size limit")
+
+
 # ---------------------------------------------------------------------------
 # Constraints
 
@@ -113,10 +120,7 @@ class CspInstance:
             raise CspError(f"sizes must be integers, got n={self.n!r} and m={self.m!r}")
         if self.n < 1 or self.m < 1:
             raise CspError("need at least one variable and one domain value")
-        # the model and the penalty build (n, m) and (m, m) float64 tables
-        if max(int(self.n), int(self.m)) * int(self.m) * 8 > np.iinfo(np.intp).max:
-            raise CspError(f"sizes n={self.n} and m={self.m} give tables past numpy's "
-                           "array size limit")
+        _check_table_size(int(self.n), int(self.m))
         if self.mode not in MODES:
             raise CspError(f"mode {self.mode!r} is not one of {MODES}")
         dims = {len(t) for t in self.index_tuples}
@@ -397,11 +401,12 @@ def build_nurse_rostering(days: int, shifts: int, per_shift: int, nurses: int) -
         )
     if days < 1 or shifts < 1 or per_shift < 1 or nurses < 1:
         raise CspError("all nurse rostering parameters must be positive")
+    n = days * shifts * per_shift
+    _check_table_size(n, nurses)  # before any index tuple is enumerated
 
     def var(d: int, s: int, slot: int) -> int:
         return (d * shifts + s) * per_shift + slot
 
-    n = days * shifts * per_shift
     index_tuples = tuple(
         (d, s, slot)
         for d in range(days)
@@ -431,6 +436,7 @@ def build_nurse_rostering(days: int, shifts: int, per_shift: int, nurses: int) -
 
 def build_maxcut(n_vertices: int, weighted_edges) -> CspInstance:
     """2-coloring with weighted not-equals, maximization mode."""
+    _check_table_size(n_vertices, 2)  # before any index tuple is enumerated
     constraints = tuple(
         NotEqual(min(u, v), max(u, v), weight=float(w)) for u, v, w in weighted_edges
     )

@@ -158,6 +158,9 @@ COLOR_DISTRIBUTIONS = ("erdos_renyi", "barabasi_albert", "geometric")
 
 
 def _sample_graph(n: int, rng: np.random.Generator) -> tuple[str, WeightedGraph]:
+    # each generator enumerates the (n, n) vertex pairs: CspInstance's size rule
+    if n * n * 8 > np.iinfo(np.intp).max:
+        raise DataError(f"n={n} vertices give a pair table past numpy's array size limit")
     kind = COLOR_DISTRIBUTIONS[int(rng.integers(len(COLOR_DISTRIBUTIONS)))]
     if kind == "erdos_renyi":
         return kind, gen_erdos_renyi(n, rng.uniform(0.1, 0.3), rng)
@@ -384,7 +387,10 @@ def save_sudoku(instances, path) -> None:
 
 
 def _gset_fields(path, lineno: int, line: str, form: str, types) -> list:
-    """A GSET line's fields by ``types``, or a DataError naming ``path:lineno``."""
+    """A GSET line's fields by ``types``, or a DataError naming ``path:lineno``.
+    A byte that is not UTF-8 reads as a lone surrogate (``surrogateescape``)."""
+    if any("\udc80" <= ch <= "\udcff" for ch in line):
+        raise DataError(f"{path}:{lineno}: expected {form}: not UTF-8 text")
     parts = line.split()
     try:
         if len(parts) != len(types):
@@ -396,7 +402,7 @@ def _gset_fields(path, lineno: int, line: str, form: str, types) -> list:
 
 def load_gset(path) -> WeightedGraph:
     """Header 'n m', then m lines 'u v w' with 1-based vertex ids."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         n, m = _gset_fields(path, 1, fh.readline(), "'n m' header", (int, int))
         if n < 1:
             raise DataError(f"{path}:1: header declares {n} vertices, needs at least 1")
@@ -469,7 +475,8 @@ def save_weights(weights: ModelWeights, path) -> None:
 def load_weights(path) -> ModelWeights:
     """Read a weight file of version 1 (float64) or 2 (the dtype its header
     names); the tensors come back in that dtype. The header's tensor table
-    must name exactly the parameters, and shapes, of its model config."""
+    must name exactly the parameters, and shapes, of its model config, and
+    every value must be finite."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise DataError(f"{path}: not a weight file (bad magic)")
@@ -508,4 +515,7 @@ def load_weights(path) -> ModelWeights:
         params = {name: Tensor(np.frombuffer(fh.read(math.prod(shape) * block.itemsize),
                                              dtype=block).reshape(shape).astype(dtype))
                   for name, shape in sorted(expected.items())}
+    for name, p in params.items():  # save_weights writes no such block
+        if not np.isfinite(p.data).all():
+            raise DataError(f"{path}: tensor {name!r} holds non-finite values")
     return ModelWeights(config, domain_size, params)

@@ -135,11 +135,11 @@ def _card_pen(colsum: Tensor, sel: np.ndarray, counts: np.ndarray) -> Tensor:
     return T.abs_(counts - (colsum * sel).sum(axis=-1))
 
 
-def _pad_stack(arrays) -> np.ndarray:
-    """Stack along a new leading axis, zero-padding axis 0 to the longest:
-    the arrays, concatenated, fill the rows that the lengths mark."""
+def _pad_stack(arrays, fill=0) -> np.ndarray:
+    """Stack along a new leading axis, padding axis 0 to the longest with
+    ``fill``: the arrays, concatenated, fill the rows that the lengths mark."""
     lens = np.array([len(a) for a in arrays])
-    out = np.zeros((len(arrays), lens.max()) + arrays[0].shape[1:], arrays[0].dtype)
+    out = np.full((len(arrays), lens.max()) + arrays[0].shape[1:], fill, arrays[0].dtype)
     out[np.arange(lens.max()) < lens[:, None]] = np.concatenate(arrays)
     return out
 
@@ -148,13 +148,14 @@ class LossProgram:
     """Vectorized penalty evaluator over an instance's compiled form.
 
     Accepts relaxed assignments of shape ``(..., n, m)`` and returns the
-    per-sample loss with shape equal to the leading dimensions. Each edge's
-    weight under f is folded into a per-edge coefficient, so the whole
-    evaluation is a handful of tensor ops: a gather over the not-equal edge
-    list and one membership matmul per scope kind. The exact group ends in
-    a row weight: 1 for each of the instance's exact rows, 0 for the
-    padding that :meth:`stack` adds when it gives each sample of a batch its
-    own instance. The other groups need none: a padded at-most-once or
+    per-sample loss with shape equal to the leading dimensions. Four groups
+    of arrays, which :meth:`stack` pads alike, make the whole evaluation a
+    handful of tensor ops: ``edge`` (a gather over the not-equal edges, each
+    weight under f folded into a coefficient) and one membership matmul per
+    scope kind (``exact``, ``atmost``, ``card``). The exact group ends in a
+    row weight: 1 for each of the instance's exact rows, 0 for the padding
+    that :meth:`stack` adds when it gives each sample of a batch its own
+    instance. A padded edge has coefficient 0, and a padded at-most-once or
     cardinality row scores 0.
     """
 
@@ -164,8 +165,8 @@ class LossProgram:
         cc = inst.compiled
         # f applies to w * dot(x_i, x_k), so w^2 (quadratic) or w (identity)
         # folds in front of f(dot)
-        self.edge_i, self.edge_k = cc.edge_i, cc.edge_k
-        self.edge_coeff = cc.edge_w**2 if self.cfg.transform == "quadratic" else cc.edge_w
+        self.edge = (cc.edge_i, cc.edge_k,
+                     cc.edge_w**2 if self.cfg.transform == "quadratic" else cc.edge_w)
         self.exact = (cc.exact, np.ones(len(cc.exact)))
         self.atmost = (cc.atmost,)
         self.card = (cc.card, one_hot(cc.card_value, inst.m), cc.card_count)
@@ -176,9 +177,9 @@ class LossProgram:
         a ``(B, n, m)`` input is scored against ``programs[b]``.
 
         The programs must share n, m and the transform (ValueError
-        otherwise). Shorter edge lists and scope groups are padded with
-        zero-weight entries; ``lengths`` keeps each sample's own lengths,
-        which :meth:`take` reads.
+        otherwise). Each group's arrays are padded to its longest with zeros
+        (:func:`_pad_stack`); ``lengths`` keeps each sample's own length of
+        each group, which :meth:`take` reads.
         """
         first = programs[0]
         for p in programs[1:]:
@@ -189,11 +190,8 @@ class LossProgram:
                 )
         out = cls.__new__(cls)
         out.cfg, out.n, out.m = first.cfg, first.n, first.m
-        out.lengths = {"edge": np.array([len(p.edge_i) for p in programs])}
-        out.edge_i, out.edge_k, out.edge_coeff = (
-            _pad_stack([getattr(p, a) for p in programs]) for a in ("edge_i", "edge_k", "edge_coeff")
-        )
-        for kind in ("exact", "atmost", "card"):
+        out.lengths = {}
+        for kind in ("edge", "exact", "atmost", "card"):
             groups = [getattr(p, kind) for p in programs]
             out.lengths[kind] = np.array([len(group[0]) for group in groups])
             setattr(out, kind, tuple(_pad_stack(arrays) for arrays in zip(*groups)))
@@ -205,11 +203,8 @@ class LossProgram:
         over those samples' own programs."""
         out = LossProgram.__new__(LossProgram)
         out.cfg, out.n, out.m = self.cfg, self.n, self.m
-        cut = {kind: lens[rows].max() for kind, lens in self.lengths.items()}
-        out.edge_i, out.edge_k, out.edge_coeff = (
-            a[rows, : cut["edge"]] for a in (self.edge_i, self.edge_k, self.edge_coeff))
-        for kind in ("exact", "atmost", "card"):
-            setattr(out, kind, tuple(a[rows, : cut[kind]] for a in getattr(self, kind)))
+        for kind, lens in self.lengths.items():
+            setattr(out, kind, tuple(a[rows, : lens[rows].max()] for a in getattr(self, kind)))
         return out
 
     def _edge_rows(self, rel: Tensor, idx: np.ndarray) -> Tensor:
@@ -233,9 +228,10 @@ class LossProgram:
                 p = pen(T.matmul(mat, rel), *group[1:])  # colsum (..., C, m)
                 total = total + _apply_f(p, f).sum(axis=-1)
 
-        if self.edge_coeff.shape[-1]:
-            dots = (self._edge_rows(rel, self.edge_i) * self._edge_rows(rel, self.edge_k)).sum(axis=-1)
-            total = total + (_apply_f(dots, f) * self.edge_coeff).sum(axis=-1)
+        edge_i, edge_k, coeff = self.edge
+        if coeff.shape[-1]:
+            dots = (self._edge_rows(rel, edge_i) * self._edge_rows(rel, edge_k)).sum(axis=-1)
+            total = total + (_apply_f(dots, f) * coeff).sum(axis=-1)
 
         return total
 

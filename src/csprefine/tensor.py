@@ -626,13 +626,13 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
     ``[wq|wk|wv]``; with ``rows``, Q is a GEMM of the query rows alone.
 
     ``keep``, a bool (or 0/1) array, is true where a row may attend to a
-    column: one (n, n) graph for every batch element, whose query rows are
-    picked from it directly, or one per batch element, (B, 1, n, n) or any
-    shape that broadcasts to it (ShapeMismatch for another shape). Without
-    ``offset`` it masks the softmax, which runs in place on the logits: an
-    entry where it is false gets an exact zero weight and a zero gradient,
-    and is never exponentiated. With ``offset``, a scalar tensor, it masks
-    nothing: ``offset`` is added to the logits wherever it is false. Raises
+    column: any shape that broadcasts to (B, 1, n, n), such as one (n, n)
+    graph for the batch or one per element (ShapeMismatch otherwise); the
+    query rows are picked from that broadcast. Without ``offset`` it masks
+    the softmax, which runs in place on the logits: an entry where it is
+    false gets an exact zero weight and a zero gradient, and is never
+    exponentiated. With ``offset``, a scalar tensor, it masks nothing:
+    ``offset`` is added to the logits wherever it is false. Raises
     :class:`NumericError` when a query row has nothing to attend to.
 
     The backward is closed-form and keeps Q, K, V, A and ``A V``, as
@@ -670,16 +670,12 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: 
     logits = np.matmul(q, k.swapaxes(-1, -2))  # (B, heads, S, n)
     logits *= scale
     keep = np.asarray(keep)
-    if keep.shape == (n, n):  # one graph for the batch, as a solve passes it
-        if rows is not None:  # (B, 1, S, n): the query rows
-            keep = keep.take(rows, 0)[:, None]
-    else:
-        try:
-            keep_b = np.broadcast_to(keep, (B, 1, n, n))
-        except ValueError:
-            raise ShapeMismatch("attention", x.shape, keep.shape) from None
-        if rows is not None:
-            keep = keep_b[:, 0][np.arange(B)[:, None], rows][:, None]
+    try:  # without rows, the softmax reads keep in its own, smaller shape
+        keep_b = np.broadcast_to(keep, (B, 1, n, n))
+    except ValueError:
+        raise ShapeMismatch("attention", x.shape, keep.shape) from None
+    if rows is not None:  # (B, 1, S, n): the query rows
+        keep = keep_b[:, 0][np.arange(B)[:, None], rows][:, None]
     if offset is not None:
         nonedge = 1.0 - np.asarray(keep, dtype=dt)
         logits += offset.data * nonedge

@@ -40,7 +40,7 @@ from .model import (
     random_assignment,
     select_subset,
 )
-from .penalty import LossConfig, LossProgram
+from .penalty import LossConfig, LossProgram, _pad_stack
 from .tensor import NumericError, Tape, Tensor, backward, no_grad
 
 
@@ -167,12 +167,14 @@ class TrainingSet:
     """A training set prepared once: its instances grouped by index tuples
     (which fix n and the positional table) and penalty transform, each group
     one context, its attention masks stacked (G, 1, n, n), and one stacked
-    loss program; and every instance's givens padded to the longest
-    instance, a padding column counting as given. :meth:`draw` makes a
-    batch's draws and cuts the stacked arrays."""
+    loss program; and every instance's givens padded to the longest by
+    ``_pad_stack``, a padding column given, with value 0. :meth:`draw` makes
+    a batch's draws and cuts the stacked arrays."""
 
     def __init__(self, instances, mcfg: ModelConfig, loss_cfg: LossConfig | None = None):
         instances = list(instances)
+        if not instances:
+            raise ValueError("empty training dataset")
         if len({inst.m for inst in instances}) > 1:
             raise ValueError("a training set may not mix domain sizes")
         programs = [LossProgram(inst, loss_cfg) for inst in instances]
@@ -187,13 +189,9 @@ class TrainingSet:
             self.groups.append((InstanceContext(ape_table(instances[idx[0]], mcfg), keep),
                                 LossProgram.stack([programs[i] for i in idx])))
             self.group_of[idx], self.row_of[idx] = g, np.arange(len(idx))
-        width = max((inst.n for inst in instances), default=0)
-        self.fixed_mask = np.ones((len(instances), width), dtype=bool)
-        self.fixed_values = np.zeros((len(instances), width), dtype=np.int64)
-        for i, inst in enumerate(instances):
-            self.fixed_mask[i, : inst.n] = inst.compiled.fixed_mask
-            self.fixed_values[i, : inst.n] = inst.compiled.fixed_values
-        self.m = instances[0].m if instances else 0
+        self.fixed_mask = _pad_stack([inst.compiled.fixed_mask for inst in instances], fill=True)
+        self.fixed_values = _pad_stack([inst.compiled.fixed_values for inst in instances])
+        self.m = instances[0].m
 
     def __len__(self) -> int:
         return len(self.fixed_mask)

@@ -156,10 +156,10 @@ def row_scatter_add(target, rows, values):
     np.add.at(target, np.asarray(rows).reshape(-1), values.reshape(-1, *target.shape[1:]))
 
 
-def loop_pad_stack(arrays):
+def loop_pad_stack(arrays, fill=0):
     """``penalty._pad_stack`` as the per-sample loop it replaced."""
     first = arrays[0]
-    out = np.zeros((len(arrays), max(len(a) for a in arrays)) + first.shape[1:], first.dtype)
+    out = np.full((len(arrays), max(len(a) for a in arrays)) + first.shape[1:], fill, first.dtype)
     for b, a in enumerate(arrays):
         out[b, : len(a)] = a
     return out

@@ -8,10 +8,18 @@
   header length re-encoded, or one float32 block value is set to NaN, inf
   or 1e38, and ``solve`` and ``train --resume`` run on the file;
 - ``.sudoku`` lines: one character is replaced, or the line is cut short,
-  and every command that reads a dataset runs on it with ``--format sudoku``.
+  and every command that reads a dataset runs on it with ``--format sudoku``;
+- GSET files: one field or character of a small valid file is replaced, or
+  the file is cut short, and ``load_gset`` reads it and, when it loads,
+  ``build_maxcut`` poses it;
+- ``generate`` flags: one flag that a problem reads is set to a value of
+  the same kinds as the instance fields', or left out.
 
-Each run exits with a documented code, raises nothing out of ``main`` and
-reports no NaN. The examples are the suite's fixed hypothesis profile (``conftest``)."""
+Each run exits with a documented code (a GSET file, which no command reads,
+raises a documented error class), raises nothing else and reports no NaN.
+A size is drawn only from values that fail before allocating: at most 64,
+or at least 2**62. The examples are the suite's fixed hypothesis profile
+(``conftest``)."""
 
 import contextlib
 import copy
@@ -29,13 +37,16 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import full_sudoku_grid
+from csprefine import cli
 from csprefine.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from csprefine.data import load_weights, save_weights
+from csprefine.csp import CspError, build_maxcut
+from csprefine.data import DataError, load_gset, load_weights, save_weights
 from csprefine.model import ModelConfig, init_weights, param_shapes
+from csprefine.solve import instance_cut_value
 
 # every constraint kind, a given and two-entry index tuples, so that each
 # validation path has a field to mutate
@@ -284,3 +295,121 @@ def test_a_puzzle_with_a_character_replaced_exits_as_documented(at, char):
 @given(cut=st.integers(1, len(SUDOKU) - 1))
 def test_a_truncated_puzzle_is_a_bad_line(cut):
     assert set(check_sudoku(SUDOKU[:cut]).values()) == {EXIT_IO}
+
+
+# ---------------------------------------------------------------------------
+# GSET files
+
+# negative, fractional and integer weights, and a vertex (4) past the edges'
+GSET = b"5 4\n1 2 1\n2 3 -1\n3 4 2.5\n1 4 3\n"
+FIELDS = [m.span() for m in re.finditer(rb"\S+", GSET)]
+# VALUES as text, a size only at most 64 or at least 2**62; b"" deletes the field
+TEXT_VALUES = [b"x", b"true", b"1.5", b"nan", b"inf", b"-inf", b"-1", b"0", b"1", b"2", b"64",
+               str(2**62).encode(), str(2**63).encode(), str(10**20).encode(),
+               str(10**400).encode(), b"1 2", b""]
+
+
+def check_gset(blob: bytes) -> str:
+    """``load_gset`` on a file that holds ``blob`` and, when it loads,
+    ``build_maxcut`` on the graph: "loaded", "bad file" (a DataError that
+    names the file) or "bad instance" (a CspError). Any other exception
+    fails the test; a posed instance cuts to a finite value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "g.gset")
+        path.write_bytes(blob)
+        try:
+            graph = load_gset(path)
+        except DataError as exc:
+            assert str(exc).startswith(str(path)), exc
+            return "bad file"
+    try:
+        inst = build_maxcut(graph.n, graph.edges)
+    except CspError:
+        return "bad instance"
+    assert all(math.isfinite(w) for _, _, w in graph.edges)
+    assert np.isfinite(instance_cut_value(inst, np.arange(inst.n)[None] % 2)).all()
+    return "loaded"
+
+
+def test_the_base_gset_file_loads():
+    assert check_gset(GSET) == "loaded"
+
+
+def test_the_gset_fields_are_the_files_words():
+    assert [GSET[lo:hi] for lo, hi in FIELDS] == GSET.split()
+
+
+# a header of 2**62 vertices made build_maxcut enumerate them all
+@example(field=0, value=str(2**62).encode())
+@given(field=st.integers(0, len(FIELDS) - 1), value=st.sampled_from(TEXT_VALUES))
+def test_a_gset_file_with_a_field_replaced_exits_as_documented(field, value):
+    lo, hi = FIELDS[field]
+    check_gset(GSET[:lo] + value + GSET[hi:])
+
+
+# a byte that is not UTF-8 escaped as a UnicodeDecodeError
+@example(at=GSET.index(b"2.5"), char=b"\xff")
+@given(at=st.integers(0, len(GSET) - 1), char=st.sampled_from(CHARS))
+def test_a_gset_file_with_a_character_replaced_exits_as_documented(at, char):
+    check_gset(GSET[:at] + char + GSET[at + 1:])
+
+
+@given(cut=st.integers(0, len(GSET) - 1))
+def test_a_truncated_gset_file_exits_as_documented(cut):
+    check_gset(GSET[:cut])
+
+
+# ---------------------------------------------------------------------------
+# generate flags
+
+# a small valid run of each problem
+GENERATE = {"coloring": ["--n", "5"], "maxcut": ["--n", "5"],
+            "nurse": ["--days", "1", "--shifts", "1", "--per-shift", "1", "--nurses", "2"]}
+# each problem's flags that take a value: a switch takes none
+PROBLEM_FLAGS = [(problem, "--" + flag.replace("_", "-"))
+                 for problem, (_, reads) in cli._PROBLEMS.items()
+                 for flag in ["count", "seed", *reads] if reads.get(flag) is not False]
+
+
+def check_generate(problem: str, flag: str, value) -> int:
+    """``generate --problem problem`` with ``flag`` set to ``value`` (left
+    out for MISSING); :func:`check_runs`, or argparse's usage exit. Every
+    instance line and manifest record written parses with no NaN."""
+    argv = ["generate", "--problem", problem, "--count", "1", *GENERATE[problem]]
+    if flag in argv:
+        at = argv.index(flag)
+        del argv[at : at + 2]
+    if value is not MISSING:
+        argv.append(f"{flag}={value.decode()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "ds")
+        try:
+            rc = check_runs({"generate": argv + ["--out", str(out)]})["generate"]
+        except SystemExit as exc:  # argparse refuses the value
+            assert exc.code == EXIT_USAGE
+            return EXIT_USAGE
+        assert out.exists() == (rc == EXIT_OK)
+        if rc == EXIT_OK:
+            for row in (out / "instances.jsonl").read_text().splitlines():
+                json.loads(row, parse_constant=_no_constant)
+            for row in (out / "manifest.txt").read_text().splitlines():
+                key, text = row.split("=", 1)
+                if key == "params" or key.startswith("instance."):
+                    json.loads(text, parse_constant=_no_constant)
+    return rc
+
+
+def test_the_base_generate_runs_exit_0():
+    assert {check_generate(p, "--seed", MISSING) for p in GENERATE} == {EXIT_OK}
+
+
+# --n 10**20 escaped as a ValueError out of np.triu_indices or an
+# OverflowError out of the Barabasi-Albert degree list
+@example(problem_flag=("coloring", "--n"), value=str(10**20).encode())
+@given(problem_flag=st.sampled_from(PROBLEM_FLAGS),
+       value=st.sampled_from(TEXT_VALUES + [MISSING]))
+def test_a_generate_flag_exits_as_documented(problem_flag, value):
+    problem, flag = problem_flag
+    # a count is real work: at most 2
+    assume(flag != "--count" or value is MISSING or not value.isdigit() or int(value) <= 2)
+    check_generate(problem, flag, value)

@@ -27,3 +27,5 @@ def test_every_traced_name_resolves():
         if holder is None:
             missing.add(f"{mod_name}.{attr}")
     assert missing <= KNOWN_STALE, sorted(missing - KNOWN_STALE)
+    # a stale entry goes with its target
+    assert KNOWN_STALE <= missing, sorted(KNOWN_STALE - missing)

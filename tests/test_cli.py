@@ -958,3 +958,51 @@ def test_an_overflow_inside_the_model_is_no_warning_in_a_solve(tmp_path, capsys)
         capsys.readouterr()
         assert main(argv + ["--dataset", str(dataset)]) == EXIT_OK  # a warning would raise
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tensor", ["alpha", "l0.wq"])
+def test_weights_with_a_non_finite_value_are_an_io_error(tmp_path, capsys, tensor, value):
+    # save_weights writes no such file; it loaded, and solve and train
+    # --resume then failed at the first step with exit 4
+    dataset = _generate_coloring(tmp_path, count=2, n=5)
+    cfg = ModelConfig(layers=1, heads=1, d_model=8, ffn_mult=1)
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    save_weights(init_weights(cfg, 3, np.random.default_rng(0)), good)
+
+    def edit(header, arrays):
+        arrays[tensor] = arrays[tensor].copy()
+        arrays[tensor].flat[0] = value
+
+    bad.write_bytes(_edited_weights(good.read_bytes(), edit))
+    for argv in (["solve", "--weights", str(bad), "--iters", "3"],
+                 ["train", "--resume", str(bad), "--out", str(tmp_path / "out.bin"),
+                  "--epochs", "1"]):
+        capsys.readouterr()
+        assert main(argv + ["--dataset", str(dataset)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"tensor {tensor!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.parametrize("problem", ["coloring", "maxcut"])
+@pytest.mark.parametrize("n", [10**20, 2**63, 2**32])
+def test_generate_with_a_graph_past_the_array_size_limit_exits_3(tmp_path, capsys, problem, n):
+    # numpy's "Maximum allowed dimension exceeded" or an OverflowError
+    # escaped as a traceback, whichever generator the seed drew first
+    for seed in ("0", "1", "2"):
+        rc = main(["generate", "--problem", problem, "--count", "1", "--n", str(n),
+                   "--seed", seed, "--out", str(tmp_path / "ds")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_IO and "array size limit" in err and "Traceback" not in err
+        assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("flag", ["--days", "--nurses"])
+def test_generate_a_nurse_roster_past_the_array_size_limit_exits_2(tmp_path, capsys, flag):
+    # a huge --days enumerated its index tuples before any size check
+    rc = main(["generate", "--problem", "nurse", "--count", "1", flag, str(10**20),
+               "--out", str(tmp_path / "ds")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE and "array size limit" in err and "Traceback" not in err
+    assert not (tmp_path / "ds").exists()

@@ -276,6 +276,13 @@ def test_maxcut_builder():
     assert inst.constraints[0].weight == 2.0
 
 
+@pytest.mark.parametrize("n", [2**62, 10**20])
+def test_maxcut_builder_checks_the_size_before_enumerating(n):
+    # the size rule ran in CspInstance, after n index tuples were built
+    with pytest.raises(CspError, match="array size limit"):
+        build_maxcut(n, [(0, 1, 1.0)])
+
+
 def test_instances_are_immutable():
     inst = toy_alldiff(3)
     with pytest.raises(AttributeError):

@@ -273,6 +273,11 @@ def test_load_gset_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(DataError, match=":1:"):
             load_gset(path)
+    # a byte that is not UTF-8 names its line
+    for raw, line in [(b"3 1\n1 2 \xff\n", ":2:"), (b"\xff 1\n1 2 1\n", ":1:")]:
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=f"{line} .*not UTF-8"):
+            load_gset(path)
 
 
 def test_weights_round_trip(tmp_path):

@@ -61,7 +61,13 @@ from csprefine.model import (
     random_assignment,
     select_subset,
 )
-from csprefine.penalty import LossConfig, LossProgram, constraint_penalty, default_loss_config
+from csprefine.penalty import (
+    LossConfig,
+    LossProgram,
+    _pad_stack,
+    constraint_penalty,
+    default_loss_config,
+)
 from csprefine.solve import (
     Budget,
     ViolationChecker,
@@ -211,15 +217,33 @@ def test_stack_arrays_equal_the_loop_form(data, n, m, with_empty):
     cfg = data.draw(loss_configs())
     programs = [LossProgram(inst, cfg) for inst in insts]
     stacked = LossProgram.stack(programs)
-    got = [stacked.edge_i, stacked.edge_k, stacked.edge_coeff,
-           *stacked.exact, *stacked.atmost, *stacked.card]
-    want = [loop_pad_stack([getattr(p, a) for p in programs])
-            for a in ("edge_i", "edge_k", "edge_coeff")]
-    for kind in ("exact", "atmost", "card"):
+    got = [*stacked.edge, *stacked.exact, *stacked.atmost, *stacked.card]
+    want = []
+    for kind in ("edge", "exact", "atmost", "card"):
         want += [loop_pad_stack(arrays) for arrays in zip(*(getattr(p, kind) for p in programs))]
-    assert len(got) == len(want) == 9
+    # the padding rule that the training set's givens read: padded True
+    fixed = [inst.compiled.fixed_mask for inst in insts]
+    got.append(_pad_stack(fixed, fill=True))
+    want.append(loop_pad_stack(fixed, fill=True))
+    assert len(got) == len(want) == 10
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+@given(st.data(), st.integers(2, 4))
+def test_training_set_givens_equal_the_loop_form(data, m):
+    # mixed sizes: each row holds its instance's givens, and a padding
+    # column counts as given, with value 0
+    insts = data.draw(st.lists(instances(m=m).flatmap(with_fixed), min_size=1, max_size=5))
+    train_set = prepare(insts, tiny_config())
+    width = max(inst.n for inst in insts)
+    mask = np.ones((len(insts), width), dtype=bool)
+    values = np.zeros((len(insts), width), dtype=np.int64)
+    for b, inst in enumerate(insts):
+        mask[b, : inst.n] = [v is not None for v in inst.fixed]
+        values[b, : inst.n] = [0 if v is None else v for v in inst.fixed]
+    for got, want in ((train_set.fixed_mask, mask), (train_set.fixed_values, values)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @given(instances(), st.integers(0, 2**32 - 1))
@@ -350,8 +374,7 @@ def test_a_batch_draws_only_to_its_own_longest_instance(data, m, p, seed):
 
 
 def _program_arrays(program):
-    return [program.edge_i, program.edge_k, program.edge_coeff,
-            *program.exact, *program.atmost, *program.card]
+    return [*program.edge, *program.exact, *program.atmost, *program.card]
 
 
 @given(st.data(), st.integers(2, 4))

@@ -456,6 +456,11 @@ def test_train_epoch_rejects_empty_dataset():
         train_epoch(w, AdamW(w, tcfg), [], tcfg, np.random.default_rng(0))
 
 
+def test_prepare_rejects_empty_dataset():
+    with pytest.raises(ValueError, match="empty training dataset"):
+        prepare([], tiny_config())
+
+
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError, match="empty training dataset"):
         train([], tiny_config(), TrainConfig(epochs=1))
